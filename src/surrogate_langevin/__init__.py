@@ -19,8 +19,8 @@ from .initializers import (oracle_perturbed_init, oracle_projection_init,
 from .likelihood import CurvatureReport, Dataset, ModelInstance, generate_data
 from .prior import SievePrior
 from .sampler import (ChainTrace, SamplerConfig, burn_in_steps,
-                      discretization_bias, ergodic_average, precision_floor,
-                      run_chain, step_size_bound, ula_step)
+                      discretization_bias, precision_floor, run_chain,
+                      step_size_bound, ula_step)
 from .surrogate import (CutoffV, MollifiedPenalty, SurrogateSpec, choose_K,
                         preset_exponents)
 
@@ -32,7 +32,7 @@ __all__ = [
     "LinearPhi", "LinkFunction", "ModelInstance", "MollifiedPenalty",
     "RecoveryReport", "SamplerConfig", "SievePrior", "SurrogateSpec",
     "burn_in_steps", "choose_K", "condition_numbers", "contraction_metric",
-    "darcy_solve", "discretization_bias", "empirical_w2", "ergodic_average",
+    "darcy_solve", "discretization_bias", "empirical_w2",
     "exit_time_stats", "generate_data", "grid_posterior", "grid_tv_distance",
     "natural_param", "oracle_perturbed_init", "oracle_projection_init",
     "pilot_ascent_init", "precision_floor", "preset_exponents", "run_chain",

@@ -74,11 +74,3 @@ class BasisFamily:
         if not 1 <= k <= self.p:
             raise ValueError(f"basis index k={k} outside 1..{self.p}")
         return np.pi ** 2 * k ** 2
-
-
-def eval_basis(basis: BasisFamily, k: int, x):
-    return basis.eval(k, x)
-
-
-def phi_apply(basis: BasisFamily, theta, x):
-    return basis.expand(theta, x)

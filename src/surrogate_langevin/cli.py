@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigValidationError, load_config
-from .experiment import build_model, resolve_cell, run_cell, run_experiment
-from .sampler import SamplerConfig, run_chain
+from .experiment import build_model, resolve_cell, run_experiment, sample_cell
 
 
 def _add_common(parser):
@@ -67,15 +66,8 @@ def cmd_sample(args, cfg) -> int:
     seed = cfg.seeds[0] + args.seed_offset
     p = cfg.p_for(n)
     model, theta0, preset = build_model(cfg, n, p, seed)
-    surrogate, theta_star, resolved = resolve_cell(cfg, model, theta0, preset, seed)
-    sconf = SamplerConfig(variant=cfg.variant, gamma=resolved["gamma"],
-                          j_in=resolved["j_in"], j=cfg.j, seed=seed,
-                          guard=cfg.guard, guard_radius=cfg.guard_radius)
-    trace = run_chain(surrogate.posterior_grad, surrogate.theta_init, sconf,
-                      functionals={"identity": lambda t: t},
-                      region_center=theta_star,
-                      region_radius=surrogate.coincidence_radius,
-                      storage_budget=cfg.thinning_budget)
+    surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, preset, seed)
+    trace = sample_cell(cfg, model, surrogate, resolved, theta_star, seed)
     mean = trace.ergodic_average("identity")
     summary = {"n": n, "p": p, "seed": seed,
                "posterior_mean": [float(v) for v in np.atleast_1d(mean)],

@@ -19,6 +19,7 @@ MODEL_PRESETS = {
 }
 
 INIT_MODES = ("oracle-projection", "oracle-perturbed", "pilot-ascent")
+DIAGNOSTIC_NAMES = ("grid-posterior", "contraction", "condition-numbers", "recovery")
 
 
 class ConfigValidationError(ValueError):
@@ -64,7 +65,6 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0])
     guard: str = "none"
     guard_radius: float = 1e3
-    run_vanilla: bool = False
     # experiment block
     n_grid: list = field(default_factory=lambda: [500])
     p_rule: str = "fixed"            # "fixed" | "rate" (round n^{1/(2 alpha + 1)})
@@ -155,82 +155,70 @@ class ExperimentConfig:
             problems.append("experiment.p_value: must be >= 1")
         if self.thinning_budget < 1000:
             problems.append("output.thinning_budget: must be >= 1000")
-        known = {"grid-posterior", "w2", "contraction", "condition-numbers", "exit-times", "recovery"}
         for d in self.diagnostics:
-            if d not in known:
+            if d not in DIAGNOSTIC_NAMES:
                 problems.append(f"experiment.diagnostics: unknown diagnostic {d!r}")
         if problems:
             raise ConfigValidationError(problems)
         return self
 
 
-def _parse_list(raw, conv):
-    return [conv(tok) for tok in raw.replace(",", " ").split()]
+def _list_of(conv):
+    return lambda raw: [conv(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _pair(raw):
+    vals = _list_of(float)(raw)
+    return (vals[0], vals[1])
+
+
+# section -> key -> parser of the raw string; each key sets the
+# ExperimentConfig field of the same name unless _FIELDS renames it
+_KEYS = {
+    "model": {"preset": str, "theta0_mode": str, "theta0_scale": float,
+              "theta0_power": float, "theta0_values": _list_of(float),
+              "darcy_mesh": int, "darcy_f_min": float, "darcy_source": float,
+              "darcy_boundary": _pair},
+    "prior": {"alpha": float},
+    "surrogate": {"eta_rule": str, "eta_value": float, "k_override": float,
+                  "init_mode": str, "init_rho": float, "n_probes": int},
+    "sampler": {"variant": str, "gamma_rule": str, "gamma_fraction": float,
+                "gamma_bound": str, "gamma_value": float, "j_in_rule": str,
+                "j_in_value": int, "epsilon": float, "c_w": float, "j": int,
+                "seeds": _list_of(int), "guard": str, "guard_radius": float},
+    "experiment": {"n_grid": _list_of(int), "p_rule": str, "p_value": int,
+                   "diagnostics": _list_of(str)},
+    "output": {"dir": str, "thinning_budget": int},
+}
+_FIELDS = {"preset": "model_preset", "dir": "out_dir"}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
+    """Parse and validate an experiment config file.
+
+    Malformed files, unknown sections and keys and unparseable values are
+    rejected, so a misspelt option cannot silently fall back to its default.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    text = Path(path).read_text()
-    parser.read_string(text)
+    try:
+        parser.read_string(Path(path).read_text())
+    except configparser.Error as exc:
+        raise ConfigValidationError([str(exc)]) from None
     cfg = ExperimentConfig()
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
-
-    m = section("model")
-    cfg.model_preset = m.get("preset", cfg.model_preset)
-    cfg.theta0_mode = m.get("theta0_mode", cfg.theta0_mode)
-    cfg.theta0_scale = float(m.get("theta0_scale", cfg.theta0_scale))
-    cfg.theta0_power = float(m.get("theta0_power", cfg.theta0_power))
-    if "theta0_values" in m:
-        cfg.theta0_values = _parse_list(m["theta0_values"], float)
-    cfg.darcy_mesh = int(m.get("darcy_mesh", cfg.darcy_mesh))
-    cfg.darcy_f_min = float(m.get("darcy_f_min", cfg.darcy_f_min))
-    cfg.darcy_source = float(m.get("darcy_source", cfg.darcy_source))
-    if "darcy_boundary" in m:
-        vals = _parse_list(m["darcy_boundary"], float)
-        cfg.darcy_boundary = (vals[0], vals[1])
-
-    pr = section("prior")
-    cfg.alpha = float(pr.get("alpha", cfg.alpha))
-
-    s = section("surrogate")
-    cfg.eta_rule = s.get("eta_rule", cfg.eta_rule)
-    cfg.eta_value = float(s.get("eta_value", cfg.eta_value))
-    if "k_override" in s:
-        cfg.k_override = float(s["k_override"])
-    cfg.init_mode = s.get("init_mode", cfg.init_mode)
-    cfg.init_rho = float(s.get("init_rho", cfg.init_rho))
-    cfg.n_probes = int(s.get("n_probes", cfg.n_probes))
-
-    sa = section("sampler")
-    cfg.variant = sa.get("variant", cfg.variant)
-    cfg.gamma_rule = sa.get("gamma_rule", cfg.gamma_rule)
-    cfg.gamma_fraction = float(sa.get("gamma_fraction", cfg.gamma_fraction))
-    cfg.gamma_bound = sa.get("gamma_bound", cfg.gamma_bound)
-    cfg.gamma_value = float(sa.get("gamma_value", cfg.gamma_value))
-    cfg.j_in_rule = sa.get("j_in_rule", cfg.j_in_rule)
-    cfg.j_in_value = int(sa.get("j_in_value", cfg.j_in_value))
-    cfg.epsilon = float(sa.get("epsilon", cfg.epsilon))
-    cfg.c_w = float(sa.get("c_w", cfg.c_w))
-    cfg.j = int(sa.get("j", cfg.j))
-    if "seeds" in sa:
-        cfg.seeds = _parse_list(sa["seeds"], int)
-    cfg.guard = sa.get("guard", cfg.guard)
-    cfg.guard_radius = float(sa.get("guard_radius", cfg.guard_radius))
-    cfg.run_vanilla = sa.get("run_vanilla", "false").strip().lower() in ("1", "true", "yes")
-
-    e = section("experiment")
-    if "n_grid" in e:
-        cfg.n_grid = _parse_list(e["n_grid"], int)
-    cfg.p_rule = e.get("p_rule", cfg.p_rule)
-    cfg.p_value = int(e.get("p_value", cfg.p_value))
-    if "diagnostics" in e:
-        cfg.diagnostics = _parse_list(e["diagnostics"], str)
-
-    o = section("output")
-    cfg.out_dir = o.get("dir", cfg.out_dir)
-    cfg.thinning_budget = int(o.get("thinning_budget", cfg.thinning_budget))
-
+    problems = ["[DEFAULT]: unknown section"] if parser.defaults() else []
+    for name in parser.sections():
+        keys = _KEYS.get(name)
+        if keys is None:
+            problems.append(f"[{name}]: unknown section")
+            continue
+        for key, raw in parser[name].items():
+            if key not in keys:
+                problems.append(f"{name}.{key}: unknown key")
+                continue
+            try:
+                setattr(cfg, _FIELDS.get(key, key), keys[key](raw))
+            except (ValueError, IndexError):
+                problems.append(f"{name}.{key}: cannot parse {raw!r}")
+    if problems:
+        raise ConfigValidationError(problems)
     return cfg.validate()

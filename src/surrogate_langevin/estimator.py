@@ -10,13 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import BasisFamily
+from .config import ExperimentConfig
+from .experiment import resolve_cell, sample_cell
 from .expfam import ExpFamily, LinkFunction, natural_param
 from .forward import LinearPhi
-from .initializers import pilot_ascent_init
 from .likelihood import Dataset, ModelInstance
-from .prior import SievePrior
-from .sampler import SamplerConfig, run_chain, step_size_bound, burn_in_steps
-from .surrogate import SurrogateSpec, choose_K, preset_exponents
 
 
 class LangevinGLMRegressor:
@@ -58,38 +56,29 @@ class LangevinGLMRegressor:
         x = np.ravel(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float)
         n = x.size
+        cfg = ExperimentConfig(
+            alpha=self.alpha, eta_rule="fixed",
+            eta_value=self.eta if self.eta is not None else self.p ** -0.5,
+            k_override=self.kappa_const, init_mode="pilot-ascent",
+            n_probes=self.n_probes, gamma_fraction=self.gamma_fraction,
+            epsilon=self.epsilon, j=self.j, seeds=[self.seed], n_grid=[n],
+            p_value=self.p).validate()
         basis = BasisFamily(self.basis, self.p)
         family = ExpFamily(self.family)
         link = LinkFunction(self.link)
         dataset = Dataset(kind="regression", x=x, y=y, n=n)
         model = ModelInstance(dataset, basis, family, link, LinearPhi(basis))
-        prior = SievePrior(self.alpha, n, self.p)
-
-        theta_init, info = pilot_ascent_init(model, prior)
-        eta = self.eta if self.eta is not None else self.p ** -0.5
-        delta_n = n ** (-self.alpha / (2.0 * self.alpha + 1.0))
-        probe = model.curvature_probe(theta_init, eta, n_probes=self.n_probes,
-                                      seed=self.seed)
-        kappa = choose_K(probe, n=n, p=self.p, delta_n=delta_n, preset="glm",
-                         override=self.kappa_const)
-        surrogate = SurrogateSpec(model, prior, theta_init, eta, kappa, probe)
-        gamma = self.gamma_fraction * step_size_bound(surrogate.m, surrogate.lam)[0]
-        j_in = burn_in_steps(self.epsilon, surrogate.m, gamma, eta,
-                             prior.lambda_pi, self.p)
-        config = SamplerConfig(variant="surrogate", gamma=gamma, j_in=j_in,
-                               j=self.j, seed=self.seed)
-        trace = run_chain(surrogate.posterior_grad, theta_init, config,
-                          functionals={"identity": lambda t: t},
-                          region_center=surrogate.region_center,
-                          region_radius=surrogate.coincidence_radius)
+        surrogate, _, resolved, info = resolve_cell(cfg, model, None, "glm", self.seed)
+        trace = sample_cell(cfg, model, surrogate, resolved, surrogate.theta_init,
+                            self.seed)
 
         self.model_ = model
         self.surrogate_ = surrogate
         self.trace_ = trace
         self.posterior_mean_ = trace.ergodic_average("identity")
-        self.theta_init_ = theta_init
-        self.gamma_ = gamma
-        self.j_in_ = j_in
+        self.theta_init_ = surrogate.theta_init
+        self.gamma_ = resolved["gamma"]
+        self.j_in_ = resolved["j_in"]
         self.init_info_ = info
         return self
 

@@ -26,6 +26,9 @@ from .sampler import (ChainDivergedError, SamplerConfig, burn_in_steps,
                       step_size_bound)
 from .surrogate import SurrogateSpec, choose_K
 
+# Per-cell trace CSVs are written only for runs of at most this many cells.
+TRACE_CELL_LIMIT = 64
+
 REPORT_COLUMNS = [
     "n", "p", "seed", "status", "gamma", "j_in", "j", "kappa_const", "eta",
     "m", "lambda", "delta_n", "exit_step", "mean_error", "contraction_fraction",
@@ -81,18 +84,25 @@ def build_model(cfg: ExperimentConfig, n: int, p: int, seed: int):
 
 
 def resolve_cell(cfg: ExperimentConfig, model, theta0, preset, seed: int):
-    """Resolve every rule to numbers: init point, eta, K, gamma, J_in."""
+    """Resolve every rule to numbers: init point, eta, K, gamma, J_in.
+
+    Returns (surrogate, theta_star, resolved, init_info).  With theta0=None
+    (real data, no truth) theta_star is None and only pilot-ascent applies;
+    init_info is the pilot ascent's report, empty for the oracle inits.
+    """
     n, p = model.n, model.p
     prior = SievePrior(cfg.alpha, n, p)
     eta = cfg.eta_for(p)
     delta_n = cfg.delta_n(n)
-    theta_star = oracle_projection_init(theta0, p)
+    theta_star = None if theta0 is None else oracle_projection_init(theta0, p)
+    init_info = {}
     if cfg.init_mode == "oracle-projection":
         theta_init = theta_star
     elif cfg.init_mode == "oracle-perturbed":
         theta_init = oracle_perturbed_init(theta0, p, cfg.init_rho, eta, seed)
     else:
-        theta_init, _ = pilot_ascent_init(model, prior, theta_star=theta_star, eta=eta)
+        theta_init, init_info = pilot_ascent_init(model, prior, theta_star=theta_star,
+                                                  eta=eta)
     probe = model.curvature_probe(theta_init, eta, cfg.n_probes, seed)
     kappa = choose_K(probe, n, p, delta_n, preset=preset, override=cfg.k_override)
     surrogate = SurrogateSpec(model, prior, theta_init, eta, kappa, probe)
@@ -115,7 +125,27 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, preset, seed: int):
         "step_bound_sampling": bounds[0], "step_bound_exit": bounds[1],
         "c_w": cfg.c_w, "epsilon": cfg.epsilon,
     }
-    return surrogate, theta_star, resolved
+    return surrogate, theta_star, resolved, init_info
+
+
+def sample_cell(cfg: ExperimentConfig, model, surrogate, resolved, region_center,
+                seed: int):
+    """Run the cell's ULA chain on the drift `cfg.variant` names.
+
+    The identity functional gives the posterior mean; the exit step is taken
+    from the coincidence ball around `region_center`.
+    """
+    if cfg.variant == "surrogate":
+        drift = surrogate.posterior_grad
+    else:
+        drift = lambda t: model.grad_log_lik(t) + surrogate.prior.grad_log_density(t)
+    sconf = SamplerConfig(gamma=resolved["gamma"], j_in=resolved["j_in"], j=cfg.j,
+                          seed=seed, guard=cfg.guard, guard_radius=cfg.guard_radius)
+    return run_chain(drift, surrogate.theta_init, sconf,
+                     functionals={"identity": lambda t: t},
+                     region_center=region_center,
+                     region_radius=surrogate.coincidence_radius,
+                     storage_budget=cfg.thinning_budget)
 
 
 def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
@@ -123,18 +153,9 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     result = CellResult(n=n, p=p, seed=seed)
     try:
         model, theta0, preset = build_model(cfg, n, p, seed)
-        surrogate, theta_star, resolved = resolve_cell(cfg, model, theta0, preset, seed)
+        surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, preset, seed)
         result.resolved = resolved
-        drift = (surrogate.posterior_grad if cfg.variant == "surrogate"
-                 else lambda t: model.grad_log_lik(t) + surrogate.prior.grad_log_density(t))
-        sconf = SamplerConfig(variant=cfg.variant, gamma=resolved["gamma"],
-                              j_in=resolved["j_in"], j=cfg.j, seed=seed,
-                              guard=cfg.guard, guard_radius=cfg.guard_radius)
-        trace = run_chain(drift, surrogate.theta_init, sconf,
-                          functionals={"identity": lambda t: t},
-                          region_center=theta_star,
-                          region_radius=surrogate.coincidence_radius,
-                          storage_budget=cfg.thinning_budget)
+        trace = sample_cell(cfg, model, surrogate, resolved, theta_star, seed)
         result.trace = trace
         mean = trace.ergodic_average("identity")
         result.metrics["exit_step"] = trace.exit_step
@@ -201,6 +222,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
         "config": {k: (list(v) if isinstance(v, (list, tuple)) else v)
                    for k, v in vars(cfg).items()},
         "seed_offset": seed_offset,
+        "traces": {"cell_limit": TRACE_CELL_LIMIT,
+                   "skipped": len(cells) > TRACE_CELL_LIMIT},
         "cells": [
             {"n": r.n, "p": r.p, "seed": r.seed, "status": r.status,
              "resolved": {k: (float(v) if isinstance(v, (np.floating, np.integer)) else v)
@@ -212,9 +235,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
-    for r in results:
-        if r.trace is not None and len(cells) <= 64:
-            _write_trace(out / f"trace_n{r.n}_p{r.p}_seed{r.seed}.csv", r)
+    if len(cells) <= TRACE_CELL_LIMIT:
+        for r in results:
+            if r.trace is not None:
+                _write_trace(out / f"trace_n{r.n}_p{r.p}_seed{r.seed}.csv", r)
     return results, report_path
 
 

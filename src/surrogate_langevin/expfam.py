@@ -174,7 +174,3 @@ def natural_param_d2(fam: ExpFamily, link: LinkFunction, u):
     d2 = link.g_inv_d2(u)
     # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
     return d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3
-
-
-def sample_response(fam: ExpFamily, h, seed):
-    return fam.sample(h, seed)

@@ -201,15 +201,3 @@ class Darcy1D:
         nodes_int = 2.0 * w2_int - w3_int
         nodes = np.concatenate(([0.0], nodes_int, [0.0]))
         return np.interp(np.atleast_1d(np.asarray(x, dtype=float)), self._grid, nodes)
-
-
-def forward_eval(op, theta, x):
-    return op.values(theta, x)
-
-
-def forward_dir_grad(op, theta, v, x):
-    return op.dir_grad(theta, v, x)
-
-
-def forward_dir_hess(op, theta, v, x):
-    return op.dir_hess(theta, v, x)

@@ -20,7 +20,6 @@ class ChainDivergedError(RuntimeError):
 
 @dataclass
 class SamplerConfig:
-    variant: str = "surrogate"  # "surrogate" | "vanilla"
     gamma: float = 1e-3
     j_in: int = 0
     j: int = 1
@@ -29,8 +28,6 @@ class SamplerConfig:
     guard_radius: float = 1e3
 
     def __post_init__(self):
-        if self.variant not in ("surrogate", "vanilla"):
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.j_in < 0 or self.j < 1:
@@ -65,8 +62,7 @@ class ChainTrace:
 
 def ula_step(drift, state, gamma, noise):
     """One Euler step: state + gamma * drift(state) + sqrt(2 gamma) * noise."""
-    d = drift(state) if callable(drift) else drift
-    d = np.asarray(d, dtype=float)
+    d = np.asarray(drift(state), dtype=float)
     if not np.all(np.isfinite(d)):
         raise FloatingPointError("non-finite drift")
     return state + gamma * d + math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float)
@@ -97,32 +93,31 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     exit_step = None
     guard_count = 0
     track_exit = region_center is not None and region_radius is not None
-    sqrt2g = math.sqrt(2.0 * config.gamma)
+    radius = config.guard_radius
     for k in range(1, total + 1):
         noise = rng.standard_normal(p)
         try:
-            d = np.asarray(drift(theta), dtype=float)
-            if not np.all(np.isfinite(d)):
-                raise FloatingPointError("non-finite drift")
+            new = ula_step(drift, theta, config.gamma, noise)
         except FloatingPointError:
-            if config.guard == "reflect":
-                # pull the state back inside the guard radius and retry once
-                r = np.linalg.norm(theta)
-                theta = theta * (config.guard_radius / r)
-                guard_count += 1
-                d = np.asarray(drift(theta), dtype=float)
-                if not np.all(np.isfinite(d)):
-                    raise ChainDivergedError(k, theta) from None
-            else:
+            if config.guard != "reflect":
                 raise ChainDivergedError(k, theta) from None
-        theta = theta + config.gamma * d + sqrt2g * noise
-        if not np.all(np.isfinite(theta)):
-            raise ChainDivergedError(k, stored[-1])
+            # pull the state back inside the guard radius and retry once
+            r = np.linalg.norm(theta)
+            if r > radius:
+                theta = theta * (radius / r)
+            guard_count += 1
+            try:
+                new = ula_step(drift, theta, config.gamma, noise)
+            except FloatingPointError:
+                raise ChainDivergedError(k, theta) from None
+        theta = new
         if config.guard == "reflect":
             r = float(np.linalg.norm(theta))
-            if r > config.guard_radius:
-                theta = theta * (2.0 * config.guard_radius - r) / r
+            if r > radius:
+                theta = theta * _fold_radius(2.0 * radius - r, radius) / r
                 guard_count += 1
+        if not np.all(np.isfinite(theta)):
+            raise ChainDivergedError(k, stored[-1])
         if track_exit and exit_step is None:
             if np.linalg.norm(theta - region_center) > region_radius:
                 exit_step = k
@@ -138,6 +133,19 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     return ChainTrace(np.asarray(stored), stride, exit_step, acc,
                       config.j_in, config.j, config.seed, config.gamma,
                       guard_trigger_count=guard_count, final_state=theta)
+
+
+def _fold_radius(s: float, radius: float) -> float:
+    """Signed radius s folded into [-radius, radius] by repeated reflection.
+
+    s = 2R - r is one reflection at the sphere; s < 0 means the state passed
+    through the origin, and s < -R that it overshot the far side as well.
+    """
+    if s < -radius:
+        s = (s + radius) % (4.0 * radius) - radius
+        if s > radius:
+            s = 2.0 * radius - s
+    return s
 
 
 def step_size_bound(m: float, lam: float) -> tuple[float, float]:
@@ -182,7 +190,3 @@ def burn_in_steps(epsilon: float, m: float, gamma: float, eta: float,
 
 class ConfigurationStepError(ValueError):
     pass
-
-
-def ergodic_average(trace: ChainTrace, functional_id: str):
-    return trace.ergodic_average(functional_id)

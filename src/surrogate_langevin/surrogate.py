@@ -206,11 +206,6 @@ class SurrogateSpec:
         return self.lambda_tilde + self.prior.lambda_pi
 
     @property
-    def region_center(self) -> np.ndarray:
-        """Center of the coincidence region (the probe's ball center)."""
-        return self.probe.center
-
-    @property
     def coincidence_radius(self) -> float:
         """Radius 3 eta / 8 of the region where lt == l."""
         return 3.0 * self.eta / 8.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surrogate_langevin.basis import BASIS_KINDS, BasisFamily, eval_basis, phi_apply
+from surrogate_langevin.basis import BASIS_KINDS, BasisFamily
 
 
 @pytest.mark.parametrize("kind", BASIS_KINDS)
@@ -37,9 +37,9 @@ def test_dirichlet_sine_eigenvalues():
 
 
 def test_eval_examples():
-    assert eval_basis(BasisFamily("cosine-with-constant", 3), 1, 0.37) == 1.0
-    assert eval_basis(BasisFamily("dirichlet-sine", 3), 1, 0.5) == pytest.approx(np.sqrt(2), abs=1e-12)
-    assert eval_basis(BasisFamily("cosine-centered", 3), 2, 0.25) == pytest.approx(0.0, abs=1e-12)
+    assert BasisFamily("cosine-with-constant", 3).eval(1, 0.37) == 1.0
+    assert BasisFamily("dirichlet-sine", 3).eval(1, 0.5) == pytest.approx(np.sqrt(2), abs=1e-12)
+    assert BasisFamily("cosine-centered", 3).eval(2, 0.25) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_domain_errors():
@@ -57,16 +57,16 @@ def test_eval_domain_errors():
 def test_phi_apply_zero_and_unit():
     basis = BasisFamily("dirichlet-sine", 4)
     x = np.linspace(0, 1, 11)
-    assert np.all(phi_apply(basis, np.zeros(4), x) == 0.0)
+    assert np.all(basis.expand(np.zeros(4), x) == 0.0)
     for k in range(1, 5):
         theta = np.zeros(4)
         theta[k - 1] = 1.0
-        np.testing.assert_allclose(phi_apply(basis, theta, x), basis.eval(k, x), atol=1e-14)
+        np.testing.assert_allclose(basis.expand(theta, x), basis.eval(k, x), atol=1e-14)
 
 
 def test_phi_apply_example():
     basis = BasisFamily("cosine-with-constant", 2)
-    assert phi_apply(basis, np.array([1.0, 1.0]), 0.0) == pytest.approx(1 + np.sqrt(2), abs=1e-12)
+    assert basis.expand(np.array([1.0, 1.0]), 0.0) == pytest.approx(1 + np.sqrt(2), abs=1e-12)
 
 
 def test_phi_apply_linear_in_theta():
@@ -74,8 +74,8 @@ def test_phi_apply_linear_in_theta():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(6), rng.standard_normal(6)
     x = rng.random(20)
-    lhs = phi_apply(basis, 2.0 * a + 3.0 * b, x)
-    rhs = 2.0 * phi_apply(basis, a, x) + 3.0 * phi_apply(basis, b, x)
+    lhs = basis.expand(2.0 * a + 3.0 * b, x)
+    rhs = 2.0 * basis.expand(a, x) + 3.0 * basis.expand(b, x)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

@@ -1,11 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from surrogate_langevin.cli import main
 from surrogate_langevin.config import (ConfigValidationError, ExperimentConfig,
                                        load_config)
+from surrogate_langevin.experiment import run_cell
 
 MINIMAL = """\
 [model]
@@ -96,10 +98,31 @@ def test_gamma_fraction_bound_violation_named():
 
 
 def test_unknown_diagnostic_rejected():
-    cfg = ExperimentConfig(diagnostics=["grid-posterior", "telepathy"])
+    # w2 and exit-times were once accepted without computing anything
+    for name in ("telepathy", "w2", "exit-times"):
+        cfg = ExperimentConfig(diagnostics=["grid-posterior", name])
+        with pytest.raises(ConfigValidationError) as exc:
+            cfg.validate()
+        assert any(name in p for p in exc.value.problems)
+
+
+def test_unknown_sections_and_keys_rejected(tmp_path):
+    text = MINIMAL.replace("seeds = 0\n", "seeds = 0\ngama = 0.1\nrun_vanilla = true\n")
+    text += "\n[output]\ndir = out\nthinning = 5\n\n[plots]\nstyle = dark\n"
     with pytest.raises(ConfigValidationError) as exc:
-        cfg.validate()
-    assert any("telepathy" in p for p in exc.value.problems)
+        load_config(write_cfg(tmp_path, text))
+    assert sorted(exc.value.problems) == [
+        "[plots]: unknown section", "output.thinning: unknown key",
+        "sampler.gama: unknown key", "sampler.run_vanilla: unknown key"]
+
+
+def test_unparseable_value_rejected(tmp_path):
+    with pytest.raises(ConfigValidationError) as exc:
+        load_config(write_cfg(tmp_path, MINIMAL.replace("j = 500", "j = 5O0")))
+    assert exc.value.problems == ["sampler.j: cannot parse '5O0'"]
+    for text in ("preset = glm-gaussian\n", MINIMAL + "\n[prior]\nalpha = 2\n"):
+        with pytest.raises(ConfigValidationError):
+            load_config(write_cfg(tmp_path, text))
 
 
 def test_default_config_is_valid():
@@ -143,6 +166,30 @@ def test_cli_experiment_smoke(tmp_path, capsys):
         assert key in row and row[key] != ""
         assert key in cell
     assert list(out.glob("trace_*.csv"))
+    assert manifest["traces"] == {"cell_limit": 64, "skipped": False}
+
+
+def test_cli_experiment_records_skipped_traces(tmp_path):
+    path = write_cfg(tmp_path, """\
+[surrogate]
+n_probes = 1
+
+[sampler]
+j_in_rule = fixed
+j_in_value = 0
+j = 10
+seeds = %s
+
+[experiment]
+n_grid = 20
+p_value = 1
+""" % " ".join(str(s) for s in range(65)))
+    out = tmp_path / "many"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["cells"]) == 65
+    assert manifest["traces"] == {"cell_limit": 64, "skipped": True}
+    assert not list(out.glob("trace_*.csv"))
 
 
 def test_cli_sample_writes_summary(tmp_path, capsys):
@@ -152,6 +199,23 @@ def test_cli_sample_writes_summary(tmp_path, capsys):
     summary = json.loads((out / "sample_summary.json").read_text())
     assert summary["n"] == 200 and summary["p"] == 1
     assert len(summary["posterior_mean"]) == 1
+
+
+@pytest.mark.parametrize("variant", ["surrogate", "vanilla"])
+def test_sample_and_experiment_agree(tmp_path, variant):
+    # eta small enough that the chain leaves the coincidence ball, where the
+    # two drifts differ
+    text = MINIMAL.replace("seeds = 0\n", f"seeds = 0\nvariant = {variant}\n")
+    path = write_cfg(tmp_path, text + "\n[surrogate]\neta_rule = fixed\neta_value = 0.001\n")
+    out = tmp_path / "smp"
+    assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "sample_summary.json").read_text())
+    cell = run_cell(load_config(path), 200, 0)
+    assert cell.status == "ok"
+    assert summary["exit_step"] is not None
+    assert summary["exit_step"] == cell.metrics["exit_step"]
+    np.testing.assert_array_equal(summary["posterior_mean"],
+                                  cell.trace.ergodic_average("identity"))
 
 
 def test_cli_seed_offset_changes_data(tmp_path):

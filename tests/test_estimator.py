@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from surrogate_langevin.basis import BasisFamily
+from surrogate_langevin.config import ConfigValidationError
 from surrogate_langevin.estimator import LangevinGLMRegressor
 from surrogate_langevin.expfam import ExpFamily, LinkFunction
 from surrogate_langevin.likelihood import generate_data
@@ -23,6 +24,12 @@ def test_params_roundtrip():
     assert est.p == 3 and est.seed == 7
     with pytest.raises(ValueError):
         est.set_params(nonsense=1)
+
+
+def test_fit_rejects_step_above_bound():
+    x, y, _, _ = make_data(n=50, p=2)
+    with pytest.raises(ConfigValidationError):
+        LangevinGLMRegressor(p=2, gamma_fraction=1.5).fit(x, y)
 
 
 def test_predict_before_fit_raises():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from surrogate_langevin.expfam import (ExpFamily, LinkFunction, natural_param,
-                                       natural_param_d1, natural_param_d2,
-                                       sample_response)
+                                       natural_param_d1, natural_param_d2)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "poisson", "bernoulli"])
@@ -70,7 +69,7 @@ def test_natural_param_chain_derivatives():
 def test_sample_moments(kind, h):
     fam = ExpFamily(kind)
     n = 100_000
-    draws = sample_response(fam, np.full(n, h), seed=42)
+    draws = fam.sample(np.full(n, h), seed=42)
     mean, var = fam.A1(h), fam.A2(h)
     sigma = np.sqrt(var / n)
     assert abs(draws.mean() - mean) < 3 * sigma + 1e-12

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from surrogate_langevin.basis import BasisFamily
-from surrogate_langevin.forward import (Darcy1D, LinearPhi, darcy_solve,
-                                        forward_dir_grad, forward_dir_hess,
-                                        forward_eval)
+from surrogate_langevin.forward import Darcy1D, LinearPhi, darcy_solve
 
 
 def _grid(M):
@@ -63,13 +61,13 @@ def test_linear_phi_trivialities():
     basis = BasisFamily("cosine-with-constant", 3)
     op = LinearPhi(basis)
     x = np.linspace(0, 1, 7)
-    assert np.all(forward_eval(op, np.zeros(3), x) == 0.0)
+    assert np.all(op.values(np.zeros(3), x) == 0.0)
     for k in range(3):
         v = np.zeros(3)
         v[k] = 1.0
-        np.testing.assert_allclose(forward_dir_grad(op, np.zeros(3), v, x),
+        np.testing.assert_allclose(op.dir_grad(np.zeros(3), v, x),
                                    basis.eval(k + 1, x), atol=1e-14)
-    assert np.all(forward_dir_hess(op, np.ones(3), np.ones(3), x) == 0.0)
+    assert np.all(op.dir_hess(np.ones(3), np.ones(3), x) == 0.0)
 
 
 def _darcy(p=4, M=256, **kw):
@@ -80,9 +78,9 @@ def test_darcy_eval_examples():
     # M = 127 puts x = 0.5 exactly on a grid node
     op = _darcy(M=127, f_min=1.0, g1=2.0, g2=(0.0, 0.0))
     # theta = 0 gives f = f_min + 1 = 2, so u = (x^2 - x)/2
-    assert forward_eval(op, np.zeros(4), 0.5)[0] == pytest.approx(-0.125, abs=1e-10)
+    assert op.values(np.zeros(4), 0.5)[0] == pytest.approx(-0.125, abs=1e-10)
     op2 = _darcy(M=128, g1=0.0, g2=(3.0, 3.0))
-    np.testing.assert_allclose(forward_eval(op2, np.zeros(4), np.linspace(0, 1, 9)), 3.0, atol=1e-9)
+    np.testing.assert_allclose(op2.values(np.zeros(4), np.linspace(0, 1, 9)), 3.0, atol=1e-9)
 
 
 def test_darcy_residual():

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surrogate_langevin.config import ConfigValidationError, ExperimentConfig
 from surrogate_langevin.sampler import (ChainDivergedError,
                                         ConfigurationStepError, SamplerConfig,
                                         burn_in_steps, discretization_bias,
-                                        ergodic_average, precision_floor,
-                                        run_chain, step_size_bound, ula_step)
+                                        precision_floor, run_chain,
+                                        step_size_bound, ula_step)
 
 
 # -- ula_step ------------------------------------------------------------------
@@ -51,8 +54,8 @@ def test_ula_stationary_variance_ar1():
 # -- config validation ---------------------------------------------------------
 
 def test_config_rejections():
-    with pytest.raises(ValueError):
-        SamplerConfig(variant="hmc")
+    with pytest.raises(ConfigValidationError):
+        ExperimentConfig(variant="hmc").validate()
     with pytest.raises(ValueError):
         SamplerConfig(gamma=0.0)
     with pytest.raises(ValueError):
@@ -70,7 +73,6 @@ def test_constant_functional_average():
     trace = run_chain(lambda s: -s, np.zeros(2), cfg,
                       functionals={"three": lambda s: 3.0})
     assert trace.ergodic_average("three") == pytest.approx(3.0, rel=1e-14)
-    assert ergodic_average(trace, "three") == pytest.approx(3.0, rel=1e-14)
 
 
 def test_unregistered_functional_raises():
@@ -178,6 +180,47 @@ def test_guard_reflect_keeps_chain_bounded():
     norms = np.linalg.norm(trace.states, axis=1)
     assert np.all(norms <= 2.0 + 1e-9)
     assert trace.guard_trigger_count > 0
+
+
+def test_guard_reflect_retry_keeps_interior_state():
+    # one non-finite drift at an interior state: the retry must not push the
+    # state out to the guard radius
+    calls = []
+
+    def drift(s):
+        calls.append(1)
+        return np.array([np.nan, np.nan]) if len(calls) == 1 else -s
+
+    cfg = SamplerConfig(gamma=1e-4, j=1, seed=0, guard="reflect", guard_radius=5.0)
+    trace = run_chain(drift, np.array([0.01, 0.0]), cfg)
+    assert trace.guard_trigger_count == 1
+    assert np.linalg.norm(trace.final_state) < 0.1
+
+
+@settings(max_examples=200)
+@given(scale=st.floats(-1e12, 1e12) | st.sampled_from([1e300, -1e300]),
+       offset=st.floats(allow_nan=True, allow_infinity=True),
+       bad_norm=st.floats(0.0, 20.0) | st.none(),
+       radius=st.floats(0.1, 10.0), gamma=st.floats(1e-4, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_guard_reflect_never_leaves_the_ball(scale, offset, bad_norm, radius,
+                                             gamma, seed):
+    # any drift: linear, huge, or non-finite beyond some norm or everywhere
+    def drift(s):
+        if bad_norm is not None and np.linalg.norm(s) > bad_norm:
+            return np.full_like(s, np.inf)
+        return scale * s + offset
+
+    cfg = SamplerConfig(gamma=gamma, j=40, seed=seed, guard="reflect",
+                        guard_radius=radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            trace = run_chain(drift, np.zeros(2), cfg)
+        except ChainDivergedError:
+            return
+    bound = radius * (1.0 + 1e-12)  # the rescaled state's norm is R up to rounding
+    assert np.all(np.linalg.norm(trace.states, axis=1) <= bound)
+    assert np.linalg.norm(trace.final_state) <= bound
 
 
 def test_thinning_under_storage_budget():
