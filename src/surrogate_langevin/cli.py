@@ -65,9 +65,14 @@ def cmd_sample(args, cfg) -> int:
     n = cfg.n_grid[0]
     seed = cfg.seeds[0] + args.seed_offset
     p = cfg.p_for(n)
-    model, theta0, preset = build_model(cfg, n, p, seed)
-    surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, preset, seed)
-    trace = sample_cell(cfg, model, surrogate, resolved, theta_star, seed)
+    try:
+        model, theta0, preset = build_model(cfg, n, p, seed)
+        surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, preset, seed)
+        trace = sample_cell(cfg, model, surrogate, resolved, theta_star, seed)
+    except Exception as exc:
+        print(f"sample failed for n={n} seed={seed}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     mean = trace.ergodic_average("identity")
     summary = {"n": n, "p": p, "seed": seed,
                "posterior_mean": [float(v) for v in np.atleast_1d(mean)],

@@ -1,5 +1,18 @@
 """Forward operators: the linear series map and a 1-D Darcy-type elliptic solver.
 
+Both operators serve one protocol, and it is all `ModelInstance` uses:
+
+    values(theta, x)       G(theta) at the points x,             shape (len(x),)
+    grad_rows(theta, x)    rows d G(theta)(x_i) / d theta,       shape (len(x), p)
+    dir_grad(theta, v, x)  v' grad G(theta) at x
+    dir_hess(theta, v, x)  v' hess G(theta) v at x
+
+A direction v is either one vector of shape (p,), giving results of shape
+(len(x),), or a block of k directions as the columns of a (p, k) array,
+giving results of shape (len(x), k).  Each operator memoizes the work it can
+reuse across calls: `LinearPhi` its design matrix at x, `Darcy1D` its
+solution and factorization at theta.
+
 The Darcy operator maps coefficients theta to the solution u of the
 conservative boundary value problem  (f u')' = g1 on (0,1), u = g2 on {0,1},
 with conductivity f = f_min + exp(Phi(theta)).  First and second directional
@@ -13,33 +26,12 @@ with f_v = exp(Phi(theta)) Phi(v) and f_v2 = exp(Phi(theta)) Phi(v)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .basis import BasisFamily
-
-
-@dataclass
-class TridiagSystem:
-    """Symmetric positive-definite tridiagonal system in banded form."""
-
-    diag: np.ndarray
-    off: np.ndarray  # superdiagonal, length M-1
-
-    def factor(self):
-        M = self.diag.size
-        ab = np.zeros((2, M))
-        ab[0, 1:] = self.off
-        ab[1, :] = self.diag
-        try:
-            cb = cholesky_banded(ab, lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(f"tridiagonal factorization failed: {exc}") from exc
-        if np.min(np.abs(cb[1, :])) <= 1e-14:
-            raise ArithmeticError("tridiagonal factorization has near-zero pivots")
-        return cb
 
 
 def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.ndarray:
@@ -57,32 +49,42 @@ def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.nd
     if f.size != M + 2:
         raise ValueError(f"f must have {M + 2} node values, got {f.size}")
     cb, h = _factorized_operator(f)
-    u_int = _solve_with_boundary(cb, f, h, -g1, g2)
-    return np.concatenate(([g2[0]], u_int, [g2[1]]))
+    return _solve_with_boundary(cb, f, h, -g1, g2)
 
 
 def _factorized_operator(f: np.ndarray):
-    """Cholesky factor of -L_f restricted to interior nodes."""
+    """Banded Cholesky factor of -L_f restricted to interior nodes."""
     M = f.size - 2
     h = 1.0 / (M + 1)
     faces = 0.5 * (f[:-1] + f[1:])  # length M+1, face j+1/2 between nodes j, j+1
-    diag = (faces[:-1] + faces[1:]) / h ** 2
-    off = -faces[1:-1] / h ** 2
-    return TridiagSystem(diag, off).factor(), h
+    ab = np.zeros((2, M))
+    ab[0, 1:] = -faces[1:-1] / h ** 2  # superdiagonal
+    ab[1, :] = (faces[:-1] + faces[1:]) / h ** 2
+    try:
+        cb = cholesky_banded(ab, lower=False)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"tridiagonal factorization failed: {exc}") from exc
+    if np.min(np.abs(cb[1, :])) <= 1e-14:
+        raise ArithmeticError("tridiagonal factorization has near-zero pivots")
+    return cb, h
 
 
 def _solve_with_boundary(cb, f, h, rhs_neg, g2):
-    """Solve (-L_f) u = rhs_neg with Dirichlet data folded into the right side."""
+    """Solve (-L_f) u = rhs_neg with Dirichlet data folded into the right side;
+    returns u on all nodes."""
     faces = 0.5 * (f[:-1] + f[1:])
     b = rhs_neg.copy()
     b[0] += faces[0] * g2[0] / h ** 2
     b[-1] += faces[-1] * g2[1] / h ** 2
-    return cho_solve_banded((cb, False), b)
+    return np.concatenate(([g2[0]], cho_solve_banded((cb, False), b), [g2[1]]))
 
 
 def _apply_operator(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Apply the discrete divergence-form operator L_c to w at interior nodes."""
-    M = w.size - 2
+    """Apply the discrete divergence-form operator L_c to w at interior nodes.
+
+    c and w hold node values along axis 0; further axes broadcast.
+    """
+    M = w.shape[0] - 2
     h = 1.0 / (M + 1)
     faces = 0.5 * (c[:-1] + c[1:])
     return (faces[1:] * (w[2:] - w[1:-1]) - faces[:-1] * (w[1:-1] - w[:-2])) / h ** 2
@@ -93,19 +95,27 @@ class LinearPhi:
     """The linear forward operator G(theta) = Phi(theta)."""
 
     basis: BasisFamily
-    kind: str = field(default="linear-phi", init=False)
+    _memo_key = None  # not dataclass fields: set per instance by _design
+    _memo = None
+
+    def _design(self, x):
+        """Design matrix at x (memoized on the bytes of x)."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if self._memo_key != key:
+            self._memo_key, self._memo = key, self.basis.design_matrix(x)
+        return self._memo
 
     def values(self, theta, x):
-        return self.basis.design_matrix(x) @ np.asarray(theta, dtype=float)
+        return self._design(x) @ np.asarray(theta, dtype=float)
 
     def grad_rows(self, theta, x):
-        return self.basis.design_matrix(x)
+        return self._design(x)
 
     def dir_grad(self, theta, v, x):
-        return self.basis.design_matrix(x) @ np.asarray(v, dtype=float)
+        return self._design(x) @ np.asarray(v, dtype=float)
 
     def dir_hess(self, theta, v, x):
-        return np.zeros(np.atleast_1d(x).shape[0])
+        return np.zeros(np.atleast_1d(x).shape[:1] + np.shape(v)[1:])
 
 
 @dataclass
@@ -129,8 +139,6 @@ class Darcy1D:
         self._memo_key = None
         self._memo = None
 
-    kind: str = field(default="darcy-1d", init=False)
-
     @property
     def grid(self) -> np.ndarray:
         return self._grid
@@ -151,8 +159,7 @@ class Darcy1D:
         if np.any(~np.isfinite(f)):
             raise ValueError("conductivity overflow; theta too large")
         cb, h = _factorized_operator(f)
-        u_int = _solve_with_boundary(cb, f, h, -self._g1_int, self.g2)
-        u = np.concatenate(([self.g2[0]], u_int, [self.g2[1]]))
+        u = _solve_with_boundary(cb, f, h, -self._g1_int, self.g2)
         self._memo_key, self._memo = key, (u, exp_phi, cb)
         return self._memo
 
@@ -168,36 +175,43 @@ class Darcy1D:
         u = self.solution(theta)
         return np.interp(np.atleast_1d(np.asarray(x, dtype=float)), self._grid, u)
 
-    def _dir_grad_nodes(self, theta, v):
+    def _directions(self, theta, v):
+        """State at theta and Phi(v) on the grid, one column per direction."""
         u, exp_phi, cb = self._state(theta)
-        fv = exp_phi * (self._E_grid @ np.asarray(v, dtype=float))
-        rhs = _apply_operator(fv, u)  # = L_{f_v} u at interior nodes
-        w_int = cho_solve_banded((cb, False), rhs)  # solves (-L_f) w = L_{f_v} u
-        return np.concatenate(([0.0], w_int, [0.0]))
+        phiv = self._E_grid @ np.asarray(v, dtype=float).reshape(self.basis.p, -1)
+        return u[:, None], exp_phi[:, None], cb, phiv
+
+    @staticmethod
+    def _solve(cb, rhs):
+        """(-L_f)^{-1} rhs for every column of rhs, with zero boundary rows."""
+        w = np.zeros((rhs.shape[0] + 2, rhs.shape[1]))
+        w[1:-1] = cho_solve_banded((cb, False), rhs)
+        return w
+
+    def _at(self, x, nodes, v):
+        """np.interp(x, grid, c) for each column c of nodes, bit for bit; a single
+        direction v of shape (p,) gets a single column back."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        g = self._grid
+        j = np.minimum(np.searchsorted(g, x, side="right") - 1, self.M)
+        slopes = np.diff(nodes, axis=0) / np.diff(g)[:, None]
+        out = np.take(slopes, j, axis=0) * (x - g[j])[:, None] + np.take(nodes, j, axis=0)
+        out[x == g[-1]] = nodes[-1]
+        return out[:, 0] if np.ndim(v) == 1 else out
 
     def dir_grad(self, theta, v, x):
-        w = self._dir_grad_nodes(theta, v)
-        return np.interp(np.atleast_1d(np.asarray(x, dtype=float)), self._grid, w)
+        u, exp_phi, cb, phiv = self._directions(theta, v)
+        w = self._solve(cb, _apply_operator(exp_phi * phiv, u))  # (-L_f) w = L_{f_v} u
+        return self._at(x, w, v)
 
     def grad_rows(self, theta, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = self.basis.p
-        rows = np.empty((x.size, p))
-        for k in range(p):
-            v = np.zeros(p)
-            v[k] = 1.0
-            rows[:, k] = self.dir_grad(theta, v, x)
-        return rows
+        return self.dir_grad(theta, np.eye(self.basis.p), x)
 
     def dir_hess(self, theta, v, x):
-        u, exp_phi, cb = self._state(theta)
-        phiv = self._E_grid @ np.asarray(v, dtype=float)
+        u, exp_phi, cb, phiv = self._directions(theta, v)
         fv = exp_phi * phiv
         fv2 = exp_phi * phiv ** 2
-        w1_int = cho_solve_banded((cb, False), _apply_operator(fv, u))
-        w1 = np.concatenate(([0.0], -w1_int, [0.0]))  # L_f^{-1} L_{f_v} u
-        w2_int = -cho_solve_banded((cb, False), _apply_operator(fv, w1))
-        w3_int = -cho_solve_banded((cb, False), _apply_operator(fv2, u))
-        nodes_int = 2.0 * w2_int - w3_int
-        nodes = np.concatenate(([0.0], nodes_int, [0.0]))
-        return np.interp(np.atleast_1d(np.asarray(x, dtype=float)), self._grid, nodes)
+        w1 = -self._solve(cb, _apply_operator(fv, u))  # L_f^{-1} L_{f_v} u
+        w2 = -self._solve(cb, _apply_operator(fv, w1))
+        w3 = -self._solve(cb, _apply_operator(fv2, u))
+        return self._at(x, 2.0 * w2 - w3, v)

@@ -27,10 +27,8 @@ from .expfam import ExpFamily, LinkFunction, natural_param, natural_param_d1, na
 from .forward import LinearPhi
 
 
-def gauss_legendre_01(nodes: int):
-    """Gauss-Legendre rule transplanted to [0, 1]."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (t + 1.0), 0.5 * w
+# Gauss-Legendre nodes on [0, 1] for the density model's log-partition integral.
+QUADRATURE_NODES = 256
 
 
 @dataclass
@@ -111,23 +109,22 @@ class ModelInstance:
     family: ExpFamily | None
     link: LinkFunction | None
     forward: object | None
-    quadrature_nodes: int = 256
 
     def __post_init__(self):
         if self.dataset.kind == "density":
             if self.basis.kind != "cosine-centered":
                 raise ValueError("density estimation requires the cosine-centered basis")
-            self._qx, self._qw = gauss_legendre_01(self.quadrature_nodes)
+            t, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+            self._qx, self._qw = 0.5 * (t + 1.0), 0.5 * w
             self._E_quad = self.basis.design_matrix(self._qx)
+            if self.dataset.n:
+                self._E_data = self.basis.design_matrix(self.dataset.x)
+                self._grad_data_const = self._E_data.sum(axis=0)
         else:
             if self.forward is None:
                 raise ValueError("regression model needs a forward operator")
-            if self.forward.kind == "darcy-1d" and self.basis.kind != "dirichlet-sine":
-                raise ValueError("the Darcy model requires the dirichlet-sine basis")
-        self._E_data = self.basis.design_matrix(self.dataset.x) if self.dataset.n else None
-        self._grad_data_const = (
-            self._E_data.sum(axis=0) if (self.dataset.kind == "density" and self.dataset.n) else None
-        )
+            if self.forward.basis != self.basis:
+                raise ValueError("the forward operator must use the model's basis")
 
     @property
     def p(self) -> int:
@@ -140,13 +137,6 @@ class ModelInstance:
     @property
     def kind(self) -> str:
         return self.dataset.kind
-
-    # -- regression internals ------------------------------------------------
-
-    def _forward_values(self, theta):
-        if isinstance(self.forward, LinearPhi):
-            return self._E_data @ theta
-        return self.forward.values(theta, self.dataset.x)
 
     # -- density internals ---------------------------------------------------
 
@@ -169,8 +159,11 @@ class ModelInstance:
         if self.kind == "density":
             phi_quad = self._E_quad @ theta
             return float(np.sum(self._E_data @ theta) - self.n * self._log_partition(phi_quad))
-        u = self._forward_values(theta)
-        b = natural_param(self.family, self.link, u)
+        u = self.forward.values(theta, self.dataset.x)
+        try:
+            b = natural_param(self.family, self.link, u)
+        except ValueError:  # u outside the link's range: zero likelihood
+            return -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self.dataset.y * b - self.family.A(b)
         total = np.sum(terms)
@@ -182,64 +175,48 @@ class ModelInstance:
             return np.zeros(self.p)
         if self.kind == "density":
             phi_quad = self._E_quad @ theta
-            a = self._log_partition(phi_quad)
-            p_quad = np.exp(phi_quad - a)
+            p_quad = np.exp(phi_quad - self._log_partition(phi_quad))
             return self._grad_data_const - self.n * (self._E_quad.T @ (self._qw * p_quad))
-        u = self._forward_values(theta)
+        x = self.dataset.x
+        u = self.forward.values(theta, x)
         b = natural_param(self.family, self.link, u)
         with np.errstate(over="ignore", invalid="ignore"):
             resid = (self.dataset.y - self.family.A1(b)) * natural_param_d1(self.family, self.link, u)
         if not np.all(np.isfinite(resid)):
             raise FloatingPointError("non-finite likelihood gradient (overflowed natural parameter)")
-        if isinstance(self.forward, LinearPhi):
-            return self._E_data.T @ resid
-        return self.forward.grad_rows(theta, self.dataset.x).T @ resid
+        return self.forward.grad_rows(theta, x).T @ resid
 
     def hess_dir(self, theta, v) -> float:
         """Directional second derivative v' hess l_n(theta) v."""
-        theta = self._check(theta)
-        v = np.asarray(v, dtype=float)
-        if self.n == 0:
-            return 0.0
-        if self.kind == "density":
-            phi_quad = self._E_quad @ theta
-            a = self._log_partition(phi_quad)
-            p_quad = np.exp(phi_quad - a)
-            phiv = self._E_quad @ v
-            mean = np.sum(self._qw * phiv * p_quad)
-            var = np.sum(self._qw * (phiv - mean) ** 2 * p_quad)
-            return float(-self.n * var)
-        u = self._forward_values(theta)
-        b = natural_param(self.family, self.link, u)
-        if isinstance(self.forward, LinearPhi):
-            gu = self._E_data @ v
-            hu = 0.0
-        else:
-            gu = self.forward.dir_grad(theta, v, self.dataset.x)
-            hu = self.forward.dir_hess(theta, v, self.dataset.x)
-        q1 = natural_param_d1(self.family, self.link, u)
-        q2 = natural_param_d2(self.family, self.link, u)
-        db = q1 * gu
-        d2b = q2 * gu ** 2 + q1 * hu
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = np.sum((self.dataset.y - self.family.A1(b)) * d2b - self.family.A2(b) * db ** 2)
-        if not np.isfinite(val):
-            raise FloatingPointError("non-finite directional Hessian")
-        return float(val)
+        return float(self.hess_dir_many(theta, np.asarray(v, dtype=float)[:, None])[0])
 
     def hess_dir_many(self, theta, V) -> np.ndarray:
-        """v' hess l_n v for all columns of V at once (fast path for LinearPhi)."""
+        """v' hess l_n(theta) v for every column v of the (p, k) array V."""
         theta = self._check(theta)
         V = np.asarray(V, dtype=float)
-        if self.kind == "regression" and isinstance(self.forward, LinearPhi) and self.n:
-            u = self._forward_values(theta)
+        if self.n == 0:
+            return np.zeros(V.shape[1])
+        if self.kind == "density":
+            # -n times the variance of Phi(v) under p_theta, by quadrature
+            phi_quad = self._E_quad @ theta
+            wp = self._qw * np.exp(phi_quad - self._log_partition(phi_quad))
+            PV = self._E_quad @ V
+            vals = -self.n * (wp @ (PV - wp @ PV) ** 2)
+        else:
+            x = self.dataset.x
+            u = self.forward.values(theta, x)
             b = natural_param(self.family, self.link, u)
             q1 = natural_param_d1(self.family, self.link, u)
             q2 = natural_param_d2(self.family, self.link, u)
-            GU = self._E_data @ V  # (n, ndir)
-            w_hess = (self.dataset.y - self.family.A1(b)) * q2 - self.family.A2(b) * q1 ** 2
-            return w_hess @ GU ** 2
-        return np.array([self.hess_dir(theta, V[:, j]) for j in range(V.shape[1])])
+            GU = self.forward.dir_grad(theta, V, x)  # (n, k)
+            HU = self.forward.dir_hess(theta, V, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = self.dataset.y - self.family.A1(b)
+                w_hess = r * q2 - self.family.A2(b) * q1 ** 2
+                vals = w_hess @ GU ** 2 + (r * q1) @ HU
+        if not np.all(np.isfinite(vals)):
+            raise FloatingPointError("non-finite directional Hessian")
+        return vals
 
     def hess_matrix(self, theta) -> np.ndarray:
         """Full Hessian by polarization of directional forms (small p only)."""
@@ -247,12 +224,11 @@ class ModelInstance:
             raise ValueError("full Hessian assembly is restricted to p <= 16")
         p = self.p
         eye = np.eye(p)
-        diag = np.array([self.hess_dir(theta, eye[k]) for k in range(p)])
+        i, j = np.triu_indices(p, 1)
+        d = self.hess_dir_many(theta, np.concatenate([eye, eye[:, i] + eye[:, j]], axis=1))
+        diag = d[:p]
         H = np.diag(diag)
-        for i in range(p):
-            for j in range(i + 1, p):
-                d = self.hess_dir(theta, eye[i] + eye[j])
-                H[i, j] = H[j, i] = 0.5 * (d - diag[i] - diag[j])
+        H[i, j] = H[j, i] = 0.5 * (d[p:] - diag[i] - diag[j])
         return H
 
     def curvature_probe(self, center, eta, n_probes, seed) -> CurvatureReport:

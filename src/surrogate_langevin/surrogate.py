@@ -22,6 +22,10 @@ from .likelihood import CurvatureReport, ModelInstance
 from .prior import SievePrior
 
 
+CUTOFF_GRID_SIZE = 10_001  # grid on [3/4, 7/8] for the cutoff's derivative bounds
+PENALTY_QUAD_NODES = 64  # Gauss-Legendre nodes of the penalty's mollifier quadrature
+
+
 class ConfigurationError(ValueError):
     pass
 
@@ -59,8 +63,8 @@ def _smoothstep_deriv(s):
 class CutoffV:
     """Smooth radial cutoff: 1 for t <= 3/4, 0 for t >= 7/8."""
 
-    def __init__(self, grid_size: int = 10_001):
-        t = np.linspace(0.75, 0.875, grid_size)
+    def __init__(self):
+        t = np.linspace(0.75, 0.875, CUTOFF_GRID_SIZE)
         v = self.eval(t)
         v1 = self.deriv(t)
         h = t[1] - t[0]
@@ -88,12 +92,12 @@ class CutoffV:
 class MollifiedPenalty:
     """Convex penalty v_eta = phi_{eta/8} * gamma_eta by fixed quadrature."""
 
-    def __init__(self, eta: float, quad_nodes: int = 64):
+    def __init__(self, eta: float):
         if eta <= 0:
             raise ValueError("eta must be positive")
         self.eta = float(eta)
         self.s = self.eta / 8.0
-        z, w = np.polynomial.legendre.leggauss(quad_nodes)
+        z, w = np.polynomial.legendre.leggauss(PENALTY_QUAD_NODES)
         phi = _bump_unnormalized(z)
         norm = np.sum(w * phi)
         self._z = z

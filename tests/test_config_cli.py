@@ -1,13 +1,18 @@
 import csv
 import json
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surrogate_langevin import experiment
 from surrogate_langevin.cli import main
 from surrogate_langevin.config import (ConfigValidationError, ExperimentConfig,
                                        load_config)
-from surrogate_langevin.experiment import run_cell
+from surrogate_langevin.experiment import build_model, resolve_cell, run_cell, run_experiment
 
 MINIMAL = """\
 [model]
@@ -264,3 +269,57 @@ diagnostics = recovery
     slopes = {r["fitted_slope"] for r in rows}
     assert len(slopes) == 1
     float(slopes.pop())  # slope field present and numeric
+
+
+def test_cli_sample_reports_divergence(tmp_path, capsys):
+    text = MINIMAL + """
+[surrogate]
+eta_rule = fixed
+eta_value = 0.05
+"""
+    text = text.replace("seeds = 0\n", "seeds = 0\ngamma_rule = fixed\ngamma_value = 0.001\n")
+    out = tmp_path / "smp"
+    assert main(["sample", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("sample failed")
+    assert "ChainDivergedError" in err[0]
+    assert not (out / "sample_summary.json").exists()
+
+
+def test_cube_link_cell_skips_probe_points_outside_the_link_range():
+    cfg = ExperimentConfig(model_preset="glm-gaussian-cube", j_in_rule="fixed",
+                           j_in_value=0, j=200)
+    model, theta0, preset = build_model(cfg, 300, cfg.p_for(300), 0)
+    surrogate, _, _, _ = resolve_cell(cfg, model, theta0, preset, 0)
+    assert surrogate.probe.skipped > 0
+    cell = run_cell(cfg, 300, 0)
+    assert cell.status == "ok", cell.message
+
+
+FAILING_CELLS_GRID = [(n, seed) for n in (20, 30) for seed in (0, 1, 2)]
+
+
+@settings(max_examples=15)
+@given(failing=st.sets(st.sampled_from(FAILING_CELLS_GRID)))
+def test_failed_cells_never_abort_a_run(failing):
+    cfg = ExperimentConfig(n_grid=[20, 30], seeds=[0, 1, 2], p_value=1, n_probes=1,
+                           j_in_rule="fixed", j=10)
+    build = experiment.build_model
+
+    def flaky_build(cfg, n, p, seed):
+        if (n, seed) in failing:
+            raise RuntimeError(f"injected failure at n={n} seed={seed}")
+        return build(cfg, n, p, seed)
+
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(experiment, "build_model", flaky_build):
+        results, report = run_experiment(cfg, out_dir=out)
+        with open(report) as fh:
+            rows = list(csv.DictReader(fh))
+    assert sorted((r.n, r.seed) for r in results) == FAILING_CELLS_GRID
+    assert sorted((int(r["n"]), int(r["seed"])) for r in rows) == FAILING_CELLS_GRID
+    for row in rows:
+        if (int(row["n"]), int(row["seed"])) in failing:
+            assert row["status"] == "failed" and row["message"]
+        else:
+            assert row["status"] == "ok"

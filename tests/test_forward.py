@@ -70,6 +70,15 @@ def test_linear_phi_trivialities():
     assert np.all(op.dir_hess(np.ones(3), np.ones(3), x) == 0.0)
 
 
+def test_linear_phi_design_memo_follows_x():
+    basis = BasisFamily("cosine-with-constant", 3)
+    op = LinearPhi(basis)
+    theta = np.array([0.5, -0.2, 0.1])
+    x1, x2 = np.linspace(0, 1, 7), np.linspace(0.05, 0.95, 5)
+    for x in (x1, x2, x1):
+        np.testing.assert_array_equal(op.values(theta, x), basis.design_matrix(x) @ theta)
+
+
 def _darcy(p=4, M=256, **kw):
     return Darcy1D(BasisFamily("dirichlet-sine", p), M=M, **kw)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from surrogate_langevin.basis import BasisFamily
-from surrogate_langevin.expfam import ExpFamily, LinkFunction
+from surrogate_langevin.expfam import (ExpFamily, LinkFunction, natural_param,
+                                       natural_param_d1, natural_param_d2)
 from surrogate_langevin.forward import Darcy1D, LinearPhi
 from surrogate_langevin.likelihood import Dataset, ModelInstance, generate_data
 
@@ -206,13 +207,40 @@ def test_hess_dir_matches_fd(builder):
         assert model.hess_dir(theta, v) == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
+def _hess_dir_reference(model, theta, v):
+    """v' hess l_n(theta) v for one direction, by the per-direction formulas."""
+    if model.kind == "density":
+        E_quad = model.basis.design_matrix(model._qx)
+        phi_quad = E_quad @ theta
+        p_quad = np.exp(phi_quad) / np.sum(model._qw * np.exp(phi_quad))
+        phiv = E_quad @ v
+        mean = np.sum(model._qw * phiv * p_quad)
+        return -model.n * np.sum(model._qw * (phiv - mean) ** 2 * p_quad)
+    fam, link, x = model.family, model.link, model.dataset.x
+    u = model.forward.values(theta, x)
+    b = natural_param(fam, link, u)
+    gu = model.forward.dir_grad(theta, v, x)
+    hu = model.forward.dir_hess(theta, v, x)
+    q1 = natural_param_d1(fam, link, u)
+    q2 = natural_param_d2(fam, link, u)
+    d2b = q2 * gu ** 2 + q1 * hu
+    return np.sum((model.dataset.y - fam.A1(b)) * d2b - fam.A2(b) * (q1 * gu) ** 2)
+
+
 def test_hess_dir_many_matches_loop():
-    model, theta0 = glm_model(family="poisson")
     rng = np.random.default_rng(19)
-    V = rng.standard_normal((3, 8))
-    vals = model.hess_dir_many(theta0, V)
-    for j in range(8):
-        assert vals[j] == pytest.approx(model.hess_dir(theta0, V[:, j]), rel=1e-10)
+    for builder in (lambda: glm_model(family="poisson"),
+                    lambda: glm_model(family="gaussian", link="cube",
+                                      theta0=np.array([2.0, 0.3, 0.1])),
+                    density_model, darcy_model):
+        model, theta0 = builder()
+        V = rng.standard_normal((theta0.size, 8))
+        vals = model.hess_dir_many(theta0, V)
+        assert vals.shape == (8,)
+        for j in range(8):
+            expected = _hess_dir_reference(model, theta0, V[:, j])
+            assert vals[j] == pytest.approx(expected, rel=1e-10)
+            assert model.hess_dir(theta0, V[:, j]) == pytest.approx(expected, rel=1e-10)
 
 
 def test_hess_matrix_polarization():
@@ -295,6 +323,26 @@ def test_darcy_grad_and_hess_fd():
 
 
 def test_loglik_minus_inf_sentinel():
-    model, _ = glm_model(family="poisson", n=50)
-    val = model.log_lik(np.array([900.0, 0.0, 0.0]))
-    assert val == -np.inf
+    overflow, _ = glm_model(family="poisson", n=50)
+    assert overflow.log_lik(np.array([900.0, 0.0, 0.0])) == -np.inf
+    # outside the link's range (u <= 0 for the cube link)
+    cube, _ = glm_model(family="gaussian", link="cube", theta0=np.array([2.0, 0.3, 0.1]))
+    assert cube.log_lik(np.array([-2.0, 0.0, 0.0])) == -np.inf
+
+
+def test_darcy_block_directions():
+    model, theta0 = darcy_model(p=4)
+    op, x = model.forward, model.dataset.x
+    theta = theta0 + 0.1
+    V = np.random.default_rng(41).standard_normal((4, 6))
+    G, H = op.dir_grad(theta, V, x), op.dir_hess(theta, V, x)
+    assert G.shape == H.shape == (x.size, 6)
+    for j in range(6):
+        np.testing.assert_allclose(G[:, j], op.dir_grad(theta, V[:, j], x), rtol=1e-12)
+        np.testing.assert_allclose(H[:, j], op.dir_hess(theta, V[:, j], x), rtol=1e-12)
+    # the likelihood gradient (and so every pilot ascent) is built on these bits
+    stacked = np.stack([op.dir_grad(theta, e, x) for e in np.eye(4)], axis=1)
+    np.testing.assert_array_equal(op.grad_rows(theta, x), stacked)
+    with pytest.raises(ValueError, match="basis"):
+        ModelInstance(model.dataset, BasisFamily("dirichlet-sine", 3), model.family,
+                      model.link, op)
