@@ -77,7 +77,8 @@ def cmd_sample(args, cfg) -> int:
     summary = {"n": n, "p": p, "seed": seed,
                "posterior_mean": [float(v) for v in np.atleast_1d(mean)],
                "exit_step": trace.exit_step,
-               "resolved": {k: float(v) for k, v in resolved.items()}}
+               "resolved": {k: v if isinstance(v, bool) else float(v)
+                            for k, v in resolved.items()}}
     (out / "sample_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

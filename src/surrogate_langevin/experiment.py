@@ -19,7 +19,7 @@ from .expfam import ExpFamily, LinkFunction
 from .forward import Darcy1D, LinearPhi
 from .initializers import (oracle_perturbed_init, oracle_projection_init,
                            pilot_ascent_init)
-from .likelihood import ModelInstance, generate_data
+from .likelihood import ModelInstance, generate_data, write_float_csv
 from .prior import SievePrior
 from .sampler import (ChainDivergedError, SamplerConfig, burn_in_steps,
                       discretization_bias, precision_floor, run_chain,
@@ -84,7 +84,8 @@ def build_model(cfg: ExperimentConfig, n: int, p: int, seed: int):
 
 
 def resolve_cell(cfg: ExperimentConfig, model, theta0, preset, seed: int):
-    """Resolve every rule to numbers: init point, eta, K, gamma, J_in.
+    """Resolve every rule to numbers: init point, eta, K, gamma, J_in, and the
+    certified precision floor that the requested epsilon is checked against.
 
     Returns (surrogate, theta_star, resolved, init_info).  With theta0=None
     (real data, no truth) theta_star is None and only pilot-ascent applies;
@@ -111,11 +112,11 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, preset, seed: int):
         gamma = cfg.gamma_value
     else:
         gamma = cfg.gamma_fraction * (bounds[0] if cfg.gamma_bound == "sampling" else bounds[1])
+    bias = discretization_bias(gamma, p, surrogate.m, surrogate.lam)
+    floor = precision_floor(n, delta_n, bias)
     if cfg.j_in_rule == "fixed":
         j_in = cfg.j_in_value
     else:
-        bias = discretization_bias(gamma, p, surrogate.m, surrogate.lam)
-        floor = precision_floor(n, delta_n, bias)
         j_in = burn_in_steps(cfg.epsilon, surrogate.m, gamma, eta,
                              prior.lambda_pi, p, c_w=cfg.c_w, floor=floor)
     resolved = {
@@ -124,6 +125,7 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, preset, seed: int):
         "delta_n": delta_n, "m_pi": prior.m_pi, "lambda_pi": prior.lambda_pi,
         "step_bound_sampling": bounds[0], "step_bound_exit": bounds[1],
         "c_w": cfg.c_w, "epsilon": cfg.epsilon,
+        "precision_floor": floor, "epsilon_below_floor": cfg.epsilon < floor,
     }
     return surrogate, theta_star, resolved, init_info
 
@@ -159,6 +161,7 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
         result.trace = trace
         mean = trace.ergodic_average("identity")
         result.metrics["exit_step"] = trace.exit_step
+        result.metrics["guard_trigger_count"] = trace.guard_trigger_count
         result.metrics["mean_error"] = float(np.linalg.norm(mean - theta_star))
         if "contraction" in cfg.diagnostics:
             beta = ((cfg.alpha + 1.0) / (cfg.alpha - 1.0)
@@ -259,11 +262,9 @@ def _write_recovery(out: Path, cfg: ExperimentConfig, results):
 
 def _write_trace(path: Path, result: CellResult):
     trace = result.trace
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"coord_{k + 1}" for k in range(result.p)])
-        for i, state in enumerate(trace.states):
-            writer.writerow([i * trace.stride] + [repr(float(v)) for v in state])
+    steps = range(0, len(trace.states) * trace.stride, trace.stride)
+    write_float_csv(path, ["step"] + [f"coord_{k + 1}" for k in range(result.p)],
+                    trace.states, index=steps)
     meta = {"seed": trace.seed, "gamma": trace.gamma, "j_in": trace.j_in,
             "j": trace.j, "exit_step": trace.exit_step,
             "guard_trigger_count": trace.guard_trigger_count,

@@ -45,13 +45,16 @@ class ExpFamily:
             return np.logaddexp(0.0, h)
 
     def A1(self, h):
-        h = np.asarray(h, dtype=float)
         with np.errstate(over="ignore"):
-            if self.kind == "gaussian":
-                return h + 0.0
-            if self.kind == "poisson":
-                return np.exp(h)
-            return _sigmoid(np.atleast_1d(h))[()] if h.ndim == 0 else _sigmoid(h)
+            return self._A1(np.asarray(h, dtype=float))
+
+    def _A1(self, h):
+        """A' of the float array h, under the caller's floating-point error state."""
+        if self.kind == "gaussian":
+            return h + 0.0
+        if self.kind == "poisson":
+            return np.exp(h)
+        return _sigmoid(np.atleast_1d(h))[()] if h.ndim == 0 else _sigmoid(h)
 
     def A2(self, h):
         h = np.asarray(h, dtype=float)

@@ -30,6 +30,29 @@ from .forward import LinearPhi
 # Gauss-Legendre nodes on [0, 1] for the density model's log-partition integral.
 QUADRATURE_NODES = 256
 
+# Rows formatted and written at a time by write_float_csv.
+CSV_BLOCK_ROWS = 1024
+
+
+def write_float_csv(path, header, values, index=None):
+    """Write `header` and the rows of the 2-D float array `values` as CSV.
+
+    The bytes are those of csv.writer with every value written as
+    repr(float(v)), after an integer first column taken from `index` if it is
+    given.  Rows are formatted and written CSV_BLOCK_ROWS at a time, so a long
+    trace is never held as one string.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(values), CSV_BLOCK_ROWS):
+            rows = values[lo:lo + CSV_BLOCK_ROWS].tolist()
+            if index is None:
+                lines = [",".join(map(repr, row)) for row in rows]
+            else:
+                lines = [",".join([str(i), *map(repr, row)])
+                         for i, row in zip(index[lo:lo + CSV_BLOCK_ROWS], rows)]
+            fh.write("\r\n".join(lines) + "\r\n")  # csv.writer's line terminator
+
 
 @dataclass
 class Dataset:
@@ -58,16 +81,10 @@ class Dataset:
     def save(self, path):
         """Write data as CSV plus a JSON metadata sidecar."""
         path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.kind == "regression":
-                writer.writerow(["x", "y"])
-                for xi, yi in zip(self.x, self.y):
-                    writer.writerow([repr(float(xi)), repr(float(yi))])
-            else:
-                writer.writerow(["x"])
-                for xi in self.x:
-                    writer.writerow([repr(float(xi))])
+        if self.kind == "regression":
+            write_float_csv(path, ["x", "y"], np.column_stack((self.x, self.y)))
+        else:
+            write_float_csv(path, ["x"], self.x[:, None])
         meta = {
             "kind": self.kind,
             "n": self.n,
@@ -181,8 +198,10 @@ class ModelInstance:
         u = self.forward.values(theta, x)
         b = natural_param(self.family, self.link, u)
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = (self.dataset.y - self.family.A1(b)) * natural_param_d1(self.family, self.link, u)
-        if not np.all(np.isfinite(resid)):
+            resid = self.dataset.y - self.family._A1(b)  # one error state per call
+            if self.link.kind != "canonical":  # the canonical factor is exactly 1.0
+                resid = resid * natural_param_d1(self.family, self.link, u)
+        if not np.isfinite(resid).all():
             raise FloatingPointError("non-finite likelihood gradient (overflowed natural parameter)")
         return self.forward.grad_rows(theta, x).T @ resid
 

@@ -8,6 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Steps of noise drawn per call to the generator in run_chain.
+NOISE_BLOCK = 1024
+
 
 class ChainDivergedError(RuntimeError):
     """Raised when a chain hits a non-finite state or drift with guard='none'."""
@@ -63,7 +66,7 @@ class ChainTrace:
 def ula_step(drift, state, gamma, noise):
     """One Euler step: state + gamma * drift(state) + sqrt(2 gamma) * noise."""
     d = np.asarray(drift(state), dtype=float)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise FloatingPointError("non-finite drift")
     return state + gamma * d + math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float)
 
@@ -77,9 +80,11 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     averaging window (steps j_in+1 .. j_in+j) are accumulated at full
     resolution regardless of trace thinning.  The first step k >= 1 with
     ||state_k - region_center|| > region_radius is recorded as the exit step;
-    the chain keeps running.
+    the chain keeps running.  The noise is drawn NOISE_BLOCK steps at a time
+    from default_rng(seed), which gives the same draws as one per step.
     """
     functionals = functionals or {}
+    fns = list(functionals.values())
     theta = np.asarray(theta_init, dtype=float)
     p = theta.size
     total = config.j_in + config.j
@@ -87,50 +92,52 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     while (total // stride + 1) * p > storage_budget:
         stride *= 2
     rng = np.random.default_rng(config.seed)
-    accname = list(functionals)
-    acc = {name: None for name in accname}
-    stored = [theta.copy()]
+    acc = [None] * len(fns)
+    states = np.empty((total // stride + 1, p))
+    states[0] = theta
     exit_step = None
     guard_count = 0
     track_exit = region_center is not None and region_radius is not None
+    gamma, j_in = config.gamma, config.j_in
+    reflect = config.guard == "reflect"
     radius = config.guard_radius
-    for k in range(1, total + 1):
-        noise = rng.standard_normal(p)
-        try:
-            new = ula_step(drift, theta, config.gamma, noise)
-        except FloatingPointError:
-            if config.guard != "reflect":
-                raise ChainDivergedError(k, theta) from None
-            # pull the state back inside the guard radius and retry once
-            r = np.linalg.norm(theta)
-            if r > radius:
-                theta = theta * (radius / r)
-            guard_count += 1
+    for lo in range(0, total, NOISE_BLOCK):
+        block = rng.standard_normal((min(NOISE_BLOCK, total - lo), p))
+        for k, noise in enumerate(block, lo + 1):
             try:
-                new = ula_step(drift, theta, config.gamma, noise)
+                new = ula_step(drift, theta, gamma, noise)
             except FloatingPointError:
-                raise ChainDivergedError(k, theta) from None
-        theta = new
-        if config.guard == "reflect":
-            r = float(np.linalg.norm(theta))
-            if r > radius:
-                theta = theta * _fold_radius(2.0 * radius - r, radius) / r
+                if not reflect:
+                    raise ChainDivergedError(k, theta) from None
+                # pull the state back inside the guard radius and retry once
+                r = np.linalg.norm(theta)
+                if r > radius:
+                    theta = theta * (radius / r)
                 guard_count += 1
-        if not np.all(np.isfinite(theta)):
-            raise ChainDivergedError(k, stored[-1])
-        if track_exit and exit_step is None:
-            if np.linalg.norm(theta - region_center) > region_radius:
-                exit_step = k
-        if k % stride == 0:
-            stored.append(theta.copy())
-        if k > config.j_in:
-            for name, f in functionals.items():
-                val = np.asarray(f(theta), dtype=float)
-                acc[name] = val if acc[name] is None else acc[name] + val
-    for name in accname:
-        if acc[name] is None:
-            acc[name] = 0.0
-    return ChainTrace(np.asarray(stored), stride, exit_step, acc,
+                try:
+                    new = ula_step(drift, theta, gamma, noise)
+                except FloatingPointError:
+                    raise ChainDivergedError(k, theta) from None
+            theta = new
+            if reflect:
+                r = math.sqrt(theta.dot(theta))  # == float(np.linalg.norm(theta))
+                if r > radius:
+                    theta = theta * _fold_radius(2.0 * radius - r, radius) / r
+                    guard_count += 1
+            if not np.isfinite(theta).all():
+                raise ChainDivergedError(k, states[(k - 1) // stride].copy())
+            if track_exit and exit_step is None:
+                d = theta - region_center
+                if math.sqrt(d.dot(d)) > region_radius:
+                    exit_step = k
+            if k % stride == 0:
+                states[k // stride] = theta
+            if k > j_in:
+                for i, f in enumerate(fns):
+                    val = np.asarray(f(theta), dtype=float)
+                    acc[i] = val if acc[i] is None else acc[i] + val
+    accumulators = {name: 0.0 if a is None else a for name, a in zip(functionals, acc)}
+    return ChainTrace(states, stride, exit_step, accumulators,
                       config.j_in, config.j, config.seed, config.gamma,
                       guard_trigger_count=guard_count, final_state=theta)
 

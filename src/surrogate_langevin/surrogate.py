@@ -14,6 +14,7 @@ equals the base log-likelihood there exactly (including its gradient).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,12 +219,16 @@ class SurrogateSpec:
 
     def log_lik(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
-        t = float(np.linalg.norm(theta - self.theta_init))
+        diff = theta - self.theta_init
+        t = math.sqrt(diff.dot(diff))  # == float(np.linalg.norm(diff))
         if t <= 0.5 * self.eta:
             # cutoff == 1 and penalty == 0 hold identically here; return the
             # base value directly so the region identity is exact in floats
             return self.model.log_lik(theta)
-        vt = float(self.cutoff.eval(t / self.eta))
+        s = t / self.eta
+        if s >= 0.875:  # the cutoff is exactly 0 from 7/8 on
+            return self._ll_init - self.K * float(self.penalty.eval(t))
+        vt = float(self.cutoff.eval(s))
         pen = float(self.penalty.eval(t))
         if vt == 0.0:
             return self._ll_init - self.K * pen
@@ -235,12 +240,15 @@ class SurrogateSpec:
     def grad(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         diff = theta - self.theta_init
-        t = float(np.linalg.norm(diff))
+        t = math.sqrt(diff.dot(diff))  # == float(np.linalg.norm(diff))
         if t <= 0.5 * self.eta:
             return self.model.grad_log_lik(theta)
         radial = diff / t
-        vt = float(self.cutoff.eval(t / self.eta))
-        dv = float(self.cutoff.deriv(t / self.eta)) / self.eta
+        s = t / self.eta
+        if s >= 0.875:  # the cutoff and its derivative are exactly 0 from 7/8 on
+            return -self.K * float(self.penalty.deriv(t)) * radial
+        vt = float(self.cutoff.eval(s))
+        dv = float(self.cutoff.deriv(s)) / self.eta
         dpen = float(self.penalty.deriv(t))
         out = -self.K * dpen * radial
         if vt != 0.0 or dv != 0.0:

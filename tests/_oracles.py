@@ -1,5 +1,8 @@
 """Independent numerical oracles used only by the test suite."""
 
+import csv
+import io
+
 import numpy as np
 
 
@@ -41,3 +44,28 @@ def darcy_values_longdouble(op, theta):
     f = np.longdouble(op.f_min) + np.exp(phi)
     g1 = np.full(op.M, np.longdouble(op.g1))
     return darcy_solve_longdouble(f, g1, op.g2)
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer writes for `header` and `rows`, with each float of a row
+    formatted as repr(float(v)) and any other value left to the writer."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                         for v in row])
+    return buf.getvalue().encode()
+
+
+AWKWARD_FLOATS = (-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -2.0, 1.0,
+                  1e16, 0.1, np.nan, np.inf, -np.inf)
+
+
+def awkward_floats(rows, cols, seed, rows_at=()):
+    """(rows, cols) floats spread over many magnitudes; the rows `rows_at` hold
+    the values of AWKWARD_FLOATS in turn."""
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 299, (rows, cols))
+    out[list(rows_at)] = np.resize(np.array(AWKWARD_FLOATS), (len(rows_at), cols))
+    return out

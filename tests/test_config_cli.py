@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from surrogate_langevin.cli import main
 from surrogate_langevin.config import (ConfigValidationError, ExperimentConfig,
                                        load_config)
 from surrogate_langevin.experiment import build_model, resolve_cell, run_cell, run_experiment
+from surrogate_langevin.likelihood import CSV_BLOCK_ROWS
+from surrogate_langevin.sampler import ChainTrace, discretization_bias, precision_floor
 
 MINIMAL = """\
 [model]
@@ -294,6 +297,55 @@ def test_cube_link_cell_skips_probe_points_outside_the_link_range():
     assert surrogate.probe.skipped > 0
     cell = run_cell(cfg, 300, 0)
     assert cell.status == "ok", cell.message
+
+
+def test_write_trace_bytes_match_csv_writer(tmp_path):
+    from _oracles import awkward_floats, csv_writer_bytes
+
+    rows, p, stride = 2 * CSV_BLOCK_ROWS + 5, 3, 4
+    edges = (0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, rows - 1)
+    states = awkward_floats(rows, p, 0, rows_at=edges)
+    trace = ChainTrace(states, stride, None, {}, 0, rows * stride, 0, 0.1)
+    path = tmp_path / "trace.csv"
+    experiment._write_trace(path, experiment.CellResult(n=1, p=p, seed=0, trace=trace))
+    expected = csv_writer_bytes(["step", "coord_1", "coord_2", "coord_3"],
+                                [[i * stride, *row] for i, row in enumerate(states)])
+    assert path.read_bytes() == expected
+
+
+def test_jobs_run_records_floor_and_guard_triggers(tmp_path):
+    # the posterior sits near theta0 = 1, outside the guard radius, so the
+    # reflect guard triggers on most steps
+    path = write_cfg(tmp_path, MINIMAL.replace(
+        "seeds = 0", "seeds = 0 1\nguard = reflect\nguard_radius = 0.5"))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "two"),
+                 "--jobs", "2"]) == 0
+    results, _ = run_experiment(load_config(path), out_dir=tmp_path / "one")
+    for name in ("report.csv", "trace_n200_p1_seed0.csv", "trace_n200_p1_seed1.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    manifest = json.loads((tmp_path / "two" / "manifest.json").read_text())
+    assert len(manifest["cells"]) == 2
+    for cell, result in zip(manifest["cells"], results):
+        r = cell["resolved"]
+        assert r["precision_floor"] == result.resolved["precision_floor"] > 0.0
+        assert r["epsilon_below_floor"] is (r["epsilon"] < r["precision_floor"])
+        count = cell["metrics"]["guard_trigger_count"]
+        assert count == result.trace.guard_trigger_count > 0
+
+
+def test_precision_floor_recorded_under_both_burn_in_rules():
+    for rule in ("fixed", "auto"):
+        cfg = ExperimentConfig(n_grid=[50], seeds=[0], p_value=1, n_probes=5,
+                               j_in_rule=rule, j=10)
+        model, theta0, preset = build_model(cfg, 50, 1, 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            surrogate, _, resolved, _ = resolve_cell(cfg, model, theta0, preset, 0)
+        bias = discretization_bias(resolved["gamma"], 1, surrogate.m, surrogate.lam)
+        assert resolved["precision_floor"] == precision_floor(50, resolved["delta_n"], bias)
+        assert resolved["epsilon_below_floor"] is (cfg.epsilon < resolved["precision_floor"])
+        floor_warned = any("certified floor" in str(w.message) for w in caught)
+        assert floor_warned is (rule == "auto" and resolved["epsilon_below_floor"])
 
 
 FAILING_CELLS_GRID = [(n, seed) for n in (20, 30) for seed in (0, 1, 2)]

@@ -5,7 +5,7 @@ from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import (ExpFamily, LinkFunction, natural_param,
                                        natural_param_d1, natural_param_d2)
 from surrogate_langevin.forward import Darcy1D, LinearPhi
-from surrogate_langevin.likelihood import Dataset, ModelInstance, generate_data
+from surrogate_langevin.likelihood import CSV_BLOCK_ROWS, Dataset, ModelInstance, generate_data
 
 
 def glm_model(n=200, p=3, family="gaussian", link="canonical", seed=0, theta0=None):
@@ -85,6 +85,21 @@ def test_dataset_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.x, model.dataset.x)
     np.testing.assert_array_equal(loaded.y, model.dataset.y)
     np.testing.assert_array_equal(loaded.truth_theta0, theta0)
+
+
+def test_dataset_save_bytes_match_csv_writer(tmp_path):
+    from _oracles import awkward_floats, csv_writer_bytes
+
+    n = CSV_BLOCK_ROWS + 7
+    x = np.random.default_rng(3).random(n)
+    x[:6] = [-0.0, 0.0, 5e-324, 2.5e-310, 1.0, 0.5]
+    y = awkward_floats(n, 1, 4, rows_at=range(n - 14, n))[:, 0]
+    for ds, header, rows in (
+            (Dataset("regression", x, y, n), ["x", "y"], zip(x, y)),
+            (Dataset("density", x, None, n), ["x"], x[:, None])):
+        path = tmp_path / f"{ds.kind}.csv"
+        ds.save(path)
+        assert path.read_bytes() == csv_writer_bytes(header, rows)
 
 
 # -- log-likelihood values ----------------------------------------------------

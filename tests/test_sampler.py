@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surrogate_langevin.config import ConfigValidationError, ExperimentConfig
-from surrogate_langevin.sampler import (ChainDivergedError,
+from surrogate_langevin.sampler import (NOISE_BLOCK, ChainDivergedError,
                                         ConfigurationStepError, SamplerConfig,
                                         burn_in_steps, discretization_bias,
                                         precision_floor, run_chain,
@@ -240,6 +240,116 @@ def test_post_burn_in_states_window():
     post = trace.post_burn_in_states()
     assert post.shape[0] == 20
     np.testing.assert_array_equal(post, trace.states[11:])
+
+
+def _per_step_chain(drift, theta_init, config, functionals, region_center,
+                    region_radius, storage_budget):
+    """run_chain written with one noise draw per step: the reference for block
+    noise.  Returns the trace fields, or ("diverged", step, last_state)."""
+    theta = np.asarray(theta_init, dtype=float)
+    p = theta.size
+    total = config.j_in + config.j
+    stride = 1
+    while (total // stride + 1) * p > storage_budget:
+        stride *= 2
+    rng = np.random.default_rng(config.seed)
+    c = math.sqrt(2.0 * config.gamma)
+
+    def step(state, noise):
+        d = np.asarray(drift(state), dtype=float)
+        if not np.all(np.isfinite(d)):
+            raise FloatingPointError
+        return state + config.gamma * d + c * noise
+
+    acc = {name: None for name in functionals}
+    stored = [theta.copy()]
+    exit_step, guards, R = None, 0, config.guard_radius
+    for k in range(1, total + 1):
+        noise = rng.standard_normal(p)
+        try:
+            new = step(theta, noise)
+        except FloatingPointError:
+            if config.guard != "reflect":
+                return ("diverged", k, theta)
+            r = np.linalg.norm(theta)
+            if r > R:
+                theta = theta * (R / r)
+            guards += 1
+            try:
+                new = step(theta, noise)
+            except FloatingPointError:
+                return ("diverged", k, theta)
+        theta = new
+        if config.guard == "reflect":
+            r = float(np.linalg.norm(theta))
+            if r > R:
+                s = 2.0 * R - r
+                if s < -R:
+                    s = (s + R) % (4.0 * R) - R
+                    if s > R:
+                        s = 2.0 * R - s
+                theta = theta * s / r
+                guards += 1
+        if not np.all(np.isfinite(theta)):
+            return ("diverged", k, stored[-1])
+        if exit_step is None and np.linalg.norm(theta - region_center) > region_radius:
+            exit_step = k
+        if k % stride == 0:
+            stored.append(theta.copy())
+        if k > config.j_in:
+            for name, f in functionals.items():
+                val = np.asarray(f(theta), dtype=float)
+                acc[name] = val if acc[name] is None else acc[name] + val
+    return np.asarray(stored), stride, exit_step, acc, guards, theta
+
+
+B = NOISE_BLOCK
+
+
+@pytest.mark.parametrize("total", [1, B - 1, B, B + 1, 2 * B + 1])
+@settings(max_examples=15)
+@given(burn_frac=st.floats(0.0, 1.0), p=st.integers(1, 3),
+       guard=st.sampled_from(["none", "reflect"]),
+       budget=st.sampled_from([10_000_000, 40, 700]),
+       scale=st.floats(-3.0, 3.0), offset=st.sampled_from([0.3, 1e308]),
+       bad_norm=st.floats(0.5, 5.0) | st.none(), seed=st.integers(0, 2 ** 16))
+def test_block_noise_matches_per_step_draws(total, burn_frac, p, guard, budget,
+                                            scale, offset, bad_norm, seed):
+    # linear drift that may expand (reflect guard triggers, or the chain
+    # diverges), may turn non-finite beyond a norm (the retry path), and with
+    # offset 1e308 overflows the state while the drift stays finite
+    def drift(s):
+        if bad_norm is not None and np.linalg.norm(s) > bad_norm:
+            return np.full_like(s, np.nan)
+        return scale * s + offset
+
+    j_in = min(int(burn_frac * total), total - 1)
+    cfg = SamplerConfig(gamma=0.05, j_in=j_in, j=total - j_in, seed=seed,
+                        guard=guard, guard_radius=2.0)
+    fns = {"id": lambda s: s, "sq": lambda s: s @ s}
+    center, radius = np.full(p, 0.1), 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _per_step_chain(drift, np.zeros(p), cfg, fns, center, radius, budget)
+        try:
+            trace = run_chain(drift, np.zeros(p), cfg, functionals=fns,
+                              region_center=center, region_radius=radius,
+                              storage_budget=budget)
+        except ChainDivergedError as exc:
+            assert ref[0] == "diverged"
+            assert exc.step == ref[1]
+            assert exc.last_state.tobytes() == np.asarray(ref[2]).tobytes()
+            return
+    states, stride, exit_step, acc, guards, final = ref
+    assert trace.stride == stride
+    if budget < 10_000_000 and total > 1:
+        assert stride > 1
+    assert trace.states.shape == states.shape
+    assert trace.states.tobytes() == states.tobytes()
+    assert trace.final_state.tobytes() == final.tobytes()
+    assert trace.exit_step == exit_step
+    assert trace.guard_trigger_count == guards
+    for name in fns:
+        assert np.asarray(trace.accumulators[name]).tobytes() == np.asarray(acc[name]).tobytes()
 
 
 # -- step size / bias / burn-in ------------------------------------------------

@@ -175,6 +175,45 @@ def test_far_field_value_and_grad():
                                rtol=1e-12)
 
 
+def _full_cutoff_formula(spec, theta):
+    """(log_lik, grad) with the cutoff and its derivative evaluated at every
+    t > eta/2: the reference for the far-field short-circuit."""
+    ll_init = spec.model.log_lik(spec.theta_init)
+    diff = theta - spec.theta_init
+    t = float(np.linalg.norm(diff))
+    radial = diff / t
+    vt = float(spec.cutoff.eval(t / spec.eta))
+    dv = float(spec.cutoff.deriv(t / spec.eta)) / spec.eta
+    pen = float(spec.penalty.eval(t))
+    value = ll_init - spec.K * pen
+    grad = -spec.K * float(spec.penalty.deriv(t)) * radial
+    if vt != 0.0 or dv != 0.0:
+        ll = spec.model.log_lik(theta)
+        if vt != 0.0:
+            value = vt * (ll - ll_init) + ll_init - spec.K * pen
+        grad = grad + dv * (ll - ll_init) * radial
+        if vt != 0.0:
+            grad = grad + vt * spec.model.grad_log_lik(theta)
+    return value, grad
+
+
+def test_far_field_short_circuit_is_bitwise():
+    # t / eta at exactly 7/8, one ulp either side of it, and far out; eta = 1/2
+    # and a step along the first axis make t and t / eta exact
+    spec = build_spec(eta=0.5)
+    x0 = spec.theta_init[0]
+    edge = x0 + 0.4375
+    for x, ratio in ((edge, "eq"), (np.nextafter(edge, np.inf), "gt"),
+                     (np.nextafter(edge, -np.inf), "lt"), (x0 + 2.5, "gt")):
+        theta = spec.theta_init.copy()
+        theta[0] = x
+        s = float(np.linalg.norm(theta - spec.theta_init)) / spec.eta
+        assert {"eq": s == 0.875, "gt": s > 0.875, "lt": 0.75 < s < 0.875}[ratio]
+        value, grad = _full_cutoff_formula(spec, theta)
+        assert np.float64(spec.log_lik(theta)).tobytes() == np.float64(value).tobytes()
+        assert spec.grad(theta).tobytes() == grad.tobytes()
+
+
 def test_surrogate_grad_matches_fd_in_annulus():
     spec = build_spec(n=100)
     rng = np.random.default_rng(43)
