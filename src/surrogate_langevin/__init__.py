@@ -21,13 +21,12 @@ from .prior import SievePrior
 from .sampler import (ChainTrace, SamplerConfig, burn_in_steps,
                       discretization_bias, precision_floor, run_chain,
                       step_size_bound, ula_step)
-from .surrogate import (CutoffV, MollifiedPenalty, SurrogateSpec, choose_K,
-                        preset_exponents)
+from .surrogate import MollifiedPenalty, SurrogateSpec, choose_K
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASIS_KINDS", "BasisFamily", "ChainTrace", "CurvatureReport", "CutoffV",
+    "BASIS_KINDS", "BasisFamily", "ChainTrace", "CurvatureReport",
     "Darcy1D", "Dataset", "ExpFamily", "GridPosterior", "LangevinGLMRegressor",
     "LinearPhi", "LinkFunction", "ModelInstance", "MollifiedPenalty",
     "RecoveryReport", "SamplerConfig", "SievePrior", "SurrogateSpec",
@@ -35,6 +34,6 @@ __all__ = [
     "darcy_solve", "discretization_bias", "empirical_w2",
     "exit_time_stats", "generate_data", "grid_posterior", "grid_tv_distance",
     "natural_param", "oracle_perturbed_init", "oracle_projection_init",
-    "pilot_ascent_init", "precision_floor", "preset_exponents", "run_chain",
+    "pilot_ascent_init", "precision_floor", "run_chain",
     "step_size_bound", "ula_step",
 ]

@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, desc in [
         ("generate", "draw a synthetic dataset and write it as CSV"),
         ("sample", "run one chain for the first (n, seed) cell"),
-        ("diagnose", "run one cell with all diagnostics enabled"),
+        ("diagnose", "run every (n, seed) cell with the grid-posterior, contraction "
+                     "and condition-numbers diagnostics"),
         ("experiment", "run the full (n, p, seed) experiment matrix"),
     ]:
         p = sub.add_parser(name, help=desc)
@@ -52,7 +53,7 @@ def cmd_generate(args, cfg) -> int:
         for seed in cfg.seeds:
             seed += args.seed_offset
             try:
-                model, _, _ = build_model(cfg, n, p, seed)
+                model, _ = build_model(cfg, n, p, seed)
                 model.dataset.save(out / f"data_n{n}_p{p}_seed{seed}.csv")
             except Exception as exc:
                 print(f"generate failed for n={n} seed={seed}: {exc}", file=sys.stderr)
@@ -66,9 +67,9 @@ def cmd_sample(args, cfg) -> int:
     seed = cfg.seeds[0] + args.seed_offset
     p = cfg.p_for(n)
     try:
-        model, theta0, preset = build_model(cfg, n, p, seed)
-        surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, preset, seed)
-        trace = sample_cell(cfg, model, surrogate, resolved, theta_star, seed)
+        model, theta0 = build_model(cfg, n, p, seed)
+        surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, seed)
+        trace = sample_cell(cfg, surrogate, resolved, theta_star, seed)
     except Exception as exc:
         print(f"sample failed for n={n} seed={seed}: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -7,15 +7,26 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
+
+
+class ModelPreset(NamedTuple):
+    kind: str                      # data kind: "regression" | "density"
+    family: str | None
+    link: str | None
+    basis: str
+    exponents: tuple = (0.0, 0.5)  # (kappa1, kappa2) of choose_K
+    eta_power: float = -0.5        # eta = p ** eta_power under eta_rule = preset
+
 
 MODEL_PRESETS = {
-    # preset -> (data kind, family, link, basis, curvature-exponent preset)
-    "glm-gaussian": ("regression", "gaussian", "canonical", "cosine-with-constant", "glm"),
-    "glm-poisson": ("regression", "poisson", "canonical", "cosine-with-constant", "glm"),
-    "glm-logistic": ("regression", "bernoulli", "canonical", "cosine-with-constant", "glm"),
-    "glm-gaussian-cube": ("regression", "gaussian", "cube", "cosine-with-constant", "glm"),
-    "density": ("density", None, None, "cosine-centered", "density"),
-    "darcy-1d": ("regression", "gaussian", "canonical", "dirichlet-sine", "darcy"),
+    "glm-gaussian": ModelPreset("regression", "gaussian", "canonical", "cosine-with-constant"),
+    "glm-poisson": ModelPreset("regression", "poisson", "canonical", "cosine-with-constant"),
+    "glm-logistic": ModelPreset("regression", "bernoulli", "canonical", "cosine-with-constant"),
+    "glm-gaussian-cube": ModelPreset("regression", "gaussian", "cube", "cosine-with-constant"),
+    "density": ModelPreset("density", None, None, "cosine-centered"),
+    "darcy-1d": ModelPreset("regression", "gaussian", "canonical", "dirichlet-sine",
+                            exponents=(0.0, 2.0), eta_power=-8.0),
 }
 
 INIT_MODES = ("oracle-projection", "oracle-perturbed", "pilot-ascent")
@@ -82,9 +93,7 @@ class ExperimentConfig:
     def eta_for(self, p: int) -> float:
         if self.eta_rule == "fixed":
             return self.eta_value
-        if self.model_preset == "darcy-1d":
-            return float(p) ** -8.0
-        return float(p) ** -0.5
+        return float(p) ** MODEL_PRESETS[self.model_preset].eta_power
 
     def delta_n(self, n: int) -> float:
         return float(n) ** (-self.alpha / (2.0 * self.alpha + 1.0))

@@ -68,9 +68,8 @@ class LangevinGLMRegressor:
         link = LinkFunction(self.link)
         dataset = Dataset(kind="regression", x=x, y=y, n=n)
         model = ModelInstance(dataset, basis, family, link, LinearPhi(basis))
-        surrogate, _, resolved, info = resolve_cell(cfg, model, None, "glm", self.seed)
-        trace = sample_cell(cfg, model, surrogate, resolved, surrogate.theta_init,
-                            self.seed)
+        surrogate, _, resolved, info = resolve_cell(cfg, model, None, self.seed)
+        trace = sample_cell(cfg, surrogate, resolved, surrogate.theta_init, self.seed)
 
         self.model_ = model
         self.surrogate_ = surrogate

@@ -65,25 +65,24 @@ class CellResult:
 
 def build_model(cfg: ExperimentConfig, n: int, p: int, seed: int):
     """Generate data and assemble the likelihood engine for one cell."""
-    kind, family_name, link_name, basis_kind, preset = MODEL_PRESETS[cfg.model_preset]
-    basis = BasisFamily(basis_kind, p)
-    family = ExpFamily(family_name) if family_name else None
-    link = LinkFunction(link_name) if link_name else None
+    preset = MODEL_PRESETS[cfg.model_preset]
+    basis = BasisFamily(preset.basis, p)
+    family = ExpFamily(preset.family) if preset.family else None
+    link = LinkFunction(preset.link) if preset.link else None
     theta0 = cfg.theta0_for(p)
     if cfg.model_preset == "darcy-1d":
         forward = Darcy1D(basis, M=cfg.darcy_mesh, f_min=cfg.darcy_f_min,
                           g1=cfg.darcy_source, g2=cfg.darcy_boundary)
-    elif kind == "regression":
+    elif preset.kind == "regression":
         forward = LinearPhi(basis)
     else:
         forward = None
-    dataset = generate_data(basis, theta0, n, seed, kind=kind, family=family,
+    dataset = generate_data(basis, theta0, n, seed, kind=preset.kind, family=family,
                             link=link, forward=forward)
-    model = ModelInstance(dataset, basis, family, link, forward)
-    return model, theta0, preset
+    return ModelInstance(dataset, basis, family, link, forward), theta0
 
 
-def resolve_cell(cfg: ExperimentConfig, model, theta0, preset, seed: int):
+def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
     """Resolve every rule to numbers: init point, eta, K, gamma, J_in, and the
     certified precision floor that the requested epsilon is checked against.
 
@@ -105,7 +104,8 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, preset, seed: int):
         theta_init, init_info = pilot_ascent_init(model, prior, theta_star=theta_star,
                                                   eta=eta)
     probe = model.curvature_probe(theta_init, eta, cfg.n_probes, seed)
-    kappa = choose_K(probe, n, p, delta_n, preset=preset, override=cfg.k_override)
+    kappa = choose_K(probe, n, p, delta_n, MODEL_PRESETS[cfg.model_preset].exponents,
+                     override=cfg.k_override)
     surrogate = SurrogateSpec(model, prior, theta_init, eta, kappa, probe)
     bounds = step_size_bound(surrogate.m, surrogate.lam)
     if cfg.gamma_rule == "fixed":
@@ -126,12 +126,12 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, preset, seed: int):
         "step_bound_sampling": bounds[0], "step_bound_exit": bounds[1],
         "c_w": cfg.c_w, "epsilon": cfg.epsilon,
         "precision_floor": floor, "epsilon_below_floor": cfg.epsilon < floor,
+        "probe_skipped": probe.skipped,
     }
     return surrogate, theta_star, resolved, init_info
 
 
-def sample_cell(cfg: ExperimentConfig, model, surrogate, resolved, region_center,
-                seed: int):
+def sample_cell(cfg: ExperimentConfig, surrogate, resolved, region_center, seed: int):
     """Run the cell's ULA chain on the drift `cfg.variant` names.
 
     The identity functional gives the posterior mean; the exit step is taken
@@ -140,7 +140,7 @@ def sample_cell(cfg: ExperimentConfig, model, surrogate, resolved, region_center
     if cfg.variant == "surrogate":
         drift = surrogate.posterior_grad
     else:
-        drift = lambda t: model.grad_log_lik(t) + surrogate.prior.grad_log_density(t)
+        drift = lambda t: surrogate.model.grad_log_lik(t) + surrogate.prior.grad_log_density(t)
     sconf = SamplerConfig(gamma=resolved["gamma"], j_in=resolved["j_in"], j=cfg.j,
                           seed=seed, guard=cfg.guard, guard_radius=cfg.guard_radius)
     return run_chain(drift, surrogate.theta_init, sconf,
@@ -154,10 +154,10 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     p = cfg.p_for(n)
     result = CellResult(n=n, p=p, seed=seed)
     try:
-        model, theta0, preset = build_model(cfg, n, p, seed)
-        surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, preset, seed)
+        model, theta0 = build_model(cfg, n, p, seed)
+        surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, seed)
         result.resolved = resolved
-        trace = sample_cell(cfg, model, surrogate, resolved, theta_star, seed)
+        trace = sample_cell(cfg, surrogate, resolved, theta_star, seed)
         result.trace = trace
         mean = trace.ergodic_average("identity")
         result.metrics["exit_step"] = trace.exit_step

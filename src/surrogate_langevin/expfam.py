@@ -139,10 +139,6 @@ class LinkFunction:
         u = np.asarray(u, dtype=float)
         return -2.0 * np.cbrt(u) / (9.0 * u * u)
 
-    def g_inv_d3(self, u):
-        u = np.asarray(u, dtype=float)
-        return 10.0 * np.cbrt(u) / (27.0 * u ** 3)
-
 
 def natural_param(fam: ExpFamily, link: LinkFunction, u):
     """b = (A')^{-1} o g^{-1} evaluated at the forward-map output u."""

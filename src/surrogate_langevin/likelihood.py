@@ -16,6 +16,7 @@ quadrature, so that differentiation commutes with the nodes.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +33,16 @@ QUADRATURE_NODES = 256
 
 # Rows formatted and written at a time by write_float_csv.
 CSV_BLOCK_ROWS = 1024
+
+
+@functools.cache
+def _density_quadrature():
+    """The QUADRATURE_NODES nodes and weights on [0, 1], built on first use and
+    shared, read-only, by every density model."""
+    t, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+    qx, qw = 0.5 * (t + 1.0), 0.5 * w
+    qx.flags.writeable = qw.flags.writeable = False
+    return qx, qw
 
 
 def write_float_csv(path, header, values, index=None):
@@ -131,8 +142,7 @@ class ModelInstance:
         if self.dataset.kind == "density":
             if self.basis.kind != "cosine-centered":
                 raise ValueError("density estimation requires the cosine-centered basis")
-            t, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-            self._qx, self._qw = 0.5 * (t + 1.0), 0.5 * w
+            self._qx, self._qw = _density_quadrature()
             self._E_quad = self.basis.design_matrix(self._qx)
             if self.dataset.n:
                 self._E_data = self.basis.design_matrix(self.dataset.x)
@@ -160,12 +170,6 @@ class ModelInstance:
     def _log_partition(self, phi_quad):
         mx = np.max(phi_quad)
         return mx + np.log(np.sum(self._qw * np.exp(phi_quad - mx)))
-
-    def density_on_grid(self, theta, x):
-        """p_theta evaluated at x (density model)."""
-        phi_quad = self._E_quad @ theta
-        a = self._log_partition(phi_quad)
-        return np.exp(self.basis.design_matrix(np.atleast_1d(x)) @ theta - a)
 
     # -- public likelihood surface -------------------------------------------
 

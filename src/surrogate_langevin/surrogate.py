@@ -61,49 +61,56 @@ def _smoothstep_deriv(s):
     return out
 
 
-class CutoffV:
-    """Smooth radial cutoff: 1 for t <= 3/4, 0 for t >= 7/8."""
+def cutoff(t):
+    """Smooth radial cutoff v: 1 for t <= 3/4, 0 for t >= 7/8."""
+    t = np.asarray(t, dtype=float)
+    s = (7.0 / 8.0 - t) * 8.0
+    return np.where(t <= 0.75, 1.0, np.where(t >= 0.875, 0.0, _smoothstep(np.clip(s, 0.0, 1.0))))[()]
 
-    def __init__(self):
-        t = np.linspace(0.75, 0.875, CUTOFF_GRID_SIZE)
-        v = self.eval(t)
-        v1 = self.deriv(t)
-        h = t[1] - t[0]
-        v2 = np.gradient(v1, h)
-        self.c2_norm = float(max(np.max(np.abs(v)), np.max(np.abs(v1)), np.max(np.abs(v2))))
-        self.sup_d1 = float(np.max(np.abs(v1)))
-        self.sup_d2 = float(np.max(np.abs(v2)))
 
-    @staticmethod
-    def eval(t):
-        t = np.asarray(t, dtype=float)
-        s = (7.0 / 8.0 - t) * 8.0
-        return np.where(t <= 0.75, 1.0, np.where(t >= 0.875, 0.0, _smoothstep(np.clip(s, 0.0, 1.0))))[()]
+def cutoff_deriv(t):
+    """The cutoff's derivative v'."""
+    t = np.asarray(t, dtype=float)
+    s = (7.0 / 8.0 - t) * 8.0
+    inner = (t > 0.75) & (t < 0.875)
+    out = np.zeros_like(t)
+    out[inner] = -8.0 * _smoothstep_deriv(s[inner])
+    return out[()]
 
-    @staticmethod
-    def deriv(t):
-        t = np.asarray(t, dtype=float)
-        s = (7.0 / 8.0 - t) * 8.0
-        inner = (t > 0.75) & (t < 0.875)
-        out = np.zeros_like(t)
-        out[inner] = -8.0 * _smoothstep_deriv(s[inner])
-        return out[()]
+
+def _cutoff_c2_norm() -> float:
+    """max(sup|v|, sup|v'|, sup|v''|) over the transition [3/4, 7/8], v'' by
+    differences of v' on a CUTOFF_GRID_SIZE grid."""
+    t = np.linspace(0.75, 0.875, CUTOFF_GRID_SIZE)
+    v1 = cutoff_deriv(t)
+    v2 = np.gradient(v1, t[1] - t[0])
+    return float(max(np.max(np.abs(cutoff(t))), np.max(np.abs(v1)), np.max(np.abs(v2))))
+
+
+CUTOFF_C2_NORM = _cutoff_c2_norm()
+
+
+def _mollifier_quadrature():
+    """Gauss-Legendre nodes z on [-1, 1] and the weights of the unit-mass bump
+    at them; the mollifier of width s = eta/8 uses the nodes s * z."""
+    z, w = np.polynomial.legendre.leggauss(PENALTY_QUAD_NODES)
+    wphi = w * _bump_unnormalized(z)
+    return z, wphi / np.sum(wphi)
+
+
+_MOLLIFIER_Z, _MOLLIFIER_W = _mollifier_quadrature()
 
 
 class MollifiedPenalty:
     """Convex penalty v_eta = phi_{eta/8} * gamma_eta by fixed quadrature."""
+
+    sigma2_phi = float(np.sum(_MOLLIFIER_W * _MOLLIFIER_Z ** 2))  # variance of the unit bump
 
     def __init__(self, eta: float):
         if eta <= 0:
             raise ValueError("eta must be positive")
         self.eta = float(eta)
         self.s = self.eta / 8.0
-        z, w = np.polynomial.legendre.leggauss(PENALTY_QUAD_NODES)
-        phi = _bump_unnormalized(z)
-        norm = np.sum(w * phi)
-        self._z = z
-        self._wphi = w * phi / norm  # weights of the unit-mass mollifier
-        self.sigma2_phi = float(np.sum(self._wphi * z ** 2))
 
     def _hinge(self, t):
         d = t - 5.0 * self.eta / 8.0
@@ -115,53 +122,37 @@ class MollifiedPenalty:
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        shifted = t[..., None] - self.s * self._z
-        return np.sum(self._wphi * self._hinge(shifted), axis=-1)[()]
+        shifted = t[..., None] - self.s * _MOLLIFIER_Z
+        return np.sum(_MOLLIFIER_W * self._hinge(shifted), axis=-1)[()]
 
     def deriv(self, t):
         t = np.asarray(t, dtype=float)
-        shifted = t[..., None] - self.s * self._z
-        return np.sum(self._wphi * self._hinge_deriv(shifted), axis=-1)[()]
+        shifted = t[..., None] - self.s * _MOLLIFIER_Z
+        return np.sum(_MOLLIFIER_W * self._hinge_deriv(shifted), axis=-1)[()]
 
     def tail_closed_form(self, t):
         """Exact value for t >= 3 eta / 4 (the mollifier cross term cancels)."""
         return (np.asarray(t, dtype=float) - 5.0 * self.eta / 8.0) ** 2 + self.s ** 2 * self.sigma2_phi
 
 
-_PRESET_EXPONENTS = {
-    # (kappa1, kappa2, kappa3)
-    "glm": (0.0, 0.5, 0.0),
-    "density": (0.0, 0.5, 0.0),
-    "darcy": (0.0, 2.0, 6.0),
-}
-
-
 def choose_K(probe: CurvatureReport, n: int, p: int, delta_n: float,
-             preset: str = "glm", override: float | None = None,
-             cutoff: CutoffV | None = None) -> float:
+             exponents: tuple = (0.0, 0.5), override: float | None = None) -> float:
     """Penalty weight from the empirical curvature probe.
 
     Floor: 60 * c_hat_max * ||v||_C2 * n * (1 + p^kappa2), with c_hat_max
-    estimated from the probe's Hessian maximum and center gradient norm.
+    estimated from the probe's Hessian maximum and center gradient norm and
+    (kappa1, kappa2) = `exponents`, the model preset's (config.MODEL_PRESETS).
     A user override can only raise the result.
     """
-    if preset not in _PRESET_EXPONENTS:
-        raise ConfigurationError(f"unknown preset {preset!r}")
-    kappa1, kappa2, _ = _PRESET_EXPONENTS[preset]
+    kappa1, kappa2 = exponents
     if probe.lambda_max_est <= 0.0 and probe.grad_norm_at_center <= 0.0:
         raise ConfigurationError("curvature probe is degenerate (no data?); cannot choose K")
-    if cutoff is None:
-        cutoff = CutoffV()
     c_hat = max(probe.lambda_max_est / (n * p ** kappa2),
                 probe.grad_norm_at_center / (n * delta_n * p ** kappa1))
-    K = 60.0 * c_hat * cutoff.c2_norm * n * (1.0 + p ** kappa2)
+    K = 60.0 * c_hat * CUTOFF_C2_NORM * n * (1.0 + p ** kappa2)
     if override is not None:
         K = max(K, float(override))
     return float(K)
-
-
-def preset_exponents(preset: str):
-    return _PRESET_EXPONENTS[preset]
 
 
 @dataclass
@@ -178,7 +169,6 @@ class SurrogateSpec:
     eta: float
     K: float
     probe: CurvatureReport
-    cutoff: CutoffV = field(default_factory=CutoffV)
     penalty: MollifiedPenalty = field(init=False)
 
     def __post_init__(self):
@@ -228,7 +218,7 @@ class SurrogateSpec:
         s = t / self.eta
         if s >= 0.875:  # the cutoff is exactly 0 from 7/8 on
             return self._ll_init - self.K * float(self.penalty.eval(t))
-        vt = float(self.cutoff.eval(s))
+        vt = float(cutoff(s))
         pen = float(self.penalty.eval(t))
         if vt == 0.0:
             return self._ll_init - self.K * pen
@@ -247,8 +237,8 @@ class SurrogateSpec:
         s = t / self.eta
         if s >= 0.875:  # the cutoff and its derivative are exactly 0 from 7/8 on
             return -self.K * float(self.penalty.deriv(t)) * radial
-        vt = float(self.cutoff.eval(s))
-        dv = float(self.cutoff.deriv(s)) / self.eta
+        vt = float(cutoff(s))
+        dv = float(cutoff_deriv(s)) / self.eta
         dpen = float(self.penalty.deriv(t))
         out = -self.K * dpen * radial
         if vt != 0.0 or dv != 0.0:

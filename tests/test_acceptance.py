@@ -43,7 +43,7 @@ def build_glm(n, p, family="gaussian", link="canonical", seed=0, scale=0.5,
     theta_star = oracle_projection_init(theta0, p)
     eta = eta if eta is not None else p ** -0.5
     probe = model.curvature_probe(theta_star, eta, n_probes, seed)
-    kappa = choose_K(probe, n, p, n ** (-1.0 / 3.0), preset="glm")
+    kappa = choose_K(probe, n, p, n ** (-1.0 / 3.0))
     spec = SurrogateSpec(model, prior, theta_star, eta, kappa, probe)
     return spec, theta_star
 

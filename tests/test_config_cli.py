@@ -200,6 +200,22 @@ p_value = 1
     assert not list(out.glob("trace_*.csv"))
 
 
+def test_cli_diagnose_runs_every_cell(tmp_path, capsys):
+    path = write_cfg(tmp_path, MINIMAL.replace("seeds = 0", "seeds = 0 1"))
+    out = tmp_path / "diag"
+    assert main(["diagnose", "--config", str(path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["cell n=200 p=1 seed=0: ok", "cell n=200 p=1 seed=1: ok",
+                     f"report: {out / 'report.csv'}"]
+    with open(out / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    for row in rows:
+        for key in ("cond_surrogate", "grid_tv", "contraction_fraction"):
+            assert row[key] != ""
+    assert not (out / "recovery.csv").exists()
+
+
 def test_cli_sample_writes_summary(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL)
     out = tmp_path / "smp"
@@ -207,6 +223,7 @@ def test_cli_sample_writes_summary(tmp_path, capsys):
     summary = json.loads((out / "sample_summary.json").read_text())
     assert summary["n"] == 200 and summary["p"] == 1
     assert len(summary["posterior_mean"]) == 1
+    assert summary["resolved"]["probe_skipped"] == 0
 
 
 @pytest.mark.parametrize("variant", ["surrogate", "vanilla"])
@@ -292,9 +309,10 @@ eta_value = 0.05
 def test_cube_link_cell_skips_probe_points_outside_the_link_range():
     cfg = ExperimentConfig(model_preset="glm-gaussian-cube", j_in_rule="fixed",
                            j_in_value=0, j=200)
-    model, theta0, preset = build_model(cfg, 300, cfg.p_for(300), 0)
-    surrogate, _, _, _ = resolve_cell(cfg, model, theta0, preset, 0)
+    model, theta0 = build_model(cfg, 300, cfg.p_for(300), 0)
+    surrogate, _, resolved, _ = resolve_cell(cfg, model, theta0, 0)
     assert surrogate.probe.skipped > 0
+    assert resolved["probe_skipped"] == surrogate.probe.skipped > 0
     cell = run_cell(cfg, 300, 0)
     assert cell.status == "ok", cell.message
 
@@ -329,6 +347,7 @@ def test_jobs_run_records_floor_and_guard_triggers(tmp_path):
         r = cell["resolved"]
         assert r["precision_floor"] == result.resolved["precision_floor"] > 0.0
         assert r["epsilon_below_floor"] is (r["epsilon"] < r["precision_floor"])
+        assert r["probe_skipped"] == result.resolved["probe_skipped"] == 0
         count = cell["metrics"]["guard_trigger_count"]
         assert count == result.trace.guard_trigger_count > 0
 
@@ -337,10 +356,10 @@ def test_precision_floor_recorded_under_both_burn_in_rules():
     for rule in ("fixed", "auto"):
         cfg = ExperimentConfig(n_grid=[50], seeds=[0], p_value=1, n_probes=5,
                                j_in_rule=rule, j=10)
-        model, theta0, preset = build_model(cfg, 50, 1, 0)
+        model, theta0 = build_model(cfg, 50, 1, 0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            surrogate, _, resolved, _ = resolve_cell(cfg, model, theta0, preset, 0)
+            surrogate, _, resolved, _ = resolve_cell(cfg, model, theta0, 0)
         bias = discretization_bias(resolved["gamma"], 1, surrogate.m, surrogate.lam)
         assert resolved["precision_floor"] == precision_floor(50, resolved["delta_n"], bias)
         assert resolved["epsilon_below_floor"] is (cfg.epsilon < resolved["precision_floor"])

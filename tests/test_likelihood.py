@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from surrogate_langevin.basis import BasisFamily
-from surrogate_langevin.expfam import (ExpFamily, LinkFunction, natural_param,
-                                       natural_param_d1, natural_param_d2)
+from surrogate_langevin.expfam import (FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction,
+                                       natural_param, natural_param_d1, natural_param_d2)
 from surrogate_langevin.forward import Darcy1D, LinearPhi
 from surrogate_langevin.likelihood import CSV_BLOCK_ROWS, Dataset, ModelInstance, generate_data
 
@@ -258,6 +260,15 @@ def test_hess_dir_many_matches_loop():
             assert model.hess_dir(theta0, V[:, j]) == pytest.approx(expected, rel=1e-10)
 
 
+def test_hess_matrix_size_guard():
+    model, theta0 = glm_model(n=50, p=16)
+    H = model.hess_matrix(theta0)
+    assert H.shape == (16, 16) and np.array_equal(H, H.T)
+    model17, theta17 = glm_model(n=50, p=17)
+    with pytest.raises(ValueError, match="p <= 16"):
+        model17.hess_matrix(theta17)
+
+
 def test_hess_matrix_polarization():
     model, theta0 = glm_model(family="bernoulli")
     H = model.hess_matrix(theta0)
@@ -318,6 +329,31 @@ def test_probe_zero_data():
                           LinearPhi(basis))
     probe = model.curvature_probe(np.zeros(2), 0.5, 10, 0)
     assert probe.lambda_min_est == probe.lambda_max_est == probe.grad_norm_at_center == 0.0
+
+
+@given(model_kind=st.sampled_from([(f, lk) for f in FAMILY_KINDS for lk in LINK_KINDS]
+                                   + [("density", None)]),
+       data=st.data())
+def test_empty_data_likelihood_is_zero(model_kind, data):
+    family, link = model_kind
+    p = data.draw(st.integers(1, 6), label="p")
+    k = data.draw(st.integers(1, 5), label="k")
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    theta = np.array(data.draw(st.lists(finite, min_size=p, max_size=p), label="theta"))
+    V = np.array(data.draw(st.lists(finite, min_size=p * k, max_size=p * k),
+                           label="V")).reshape(p, k)
+    if family == "density":
+        basis = BasisFamily("cosine-centered", p)
+        model = ModelInstance(Dataset("density", np.zeros(0), None, 0), basis, None, None, None)
+    else:
+        basis = BasisFamily("cosine-with-constant", p)
+        model = ModelInstance(Dataset("regression", np.zeros(0), np.zeros(0), 0), basis,
+                              ExpFamily(family), LinkFunction(link), LinearPhi(basis))
+    assert model.log_lik(theta) == 0.0
+    grad = model.grad_log_lik(theta)
+    assert grad.shape == (p,) and np.array_equal(grad, np.zeros(p))
+    hess = model.hess_dir_many(theta, V)
+    assert hess.shape == (k,) and np.array_equal(hess, np.zeros(k))
 
 
 # -- darcy regression end to end ---------------------------------------------

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from surrogate_langevin.basis import BasisFamily
+from surrogate_langevin.config import MODEL_PRESETS
 from surrogate_langevin.expfam import ExpFamily, LinkFunction
 from surrogate_langevin.forward import LinearPhi
 from surrogate_langevin.likelihood import CurvatureReport, ModelInstance, generate_data
 from surrogate_langevin.prior import SievePrior
-from surrogate_langevin.surrogate import (ConfigurationError, CutoffV,
-                                          MollifiedPenalty, SurrogateSpec,
-                                          choose_K, preset_exponents)
+from surrogate_langevin.surrogate import (CUTOFF_C2_NORM, ConfigurationError,
+                                          MollifiedPenalty, SurrogateSpec, choose_K,
+                                          cutoff, cutoff_deriv)
 
-CUTOFF = CutoffV()
+GLM_EXPONENTS = MODEL_PRESETS["glm-gaussian"].exponents
 
 
 def build_spec(n=300, p=3, family="gaussian", seed=0, eta=None):
@@ -22,40 +23,40 @@ def build_spec(n=300, p=3, family="gaussian", seed=0, eta=None):
     prior = SievePrior(1.0, n, p)
     eta = eta if eta is not None else p ** -0.5
     probe = model.curvature_probe(theta0, eta, 100, seed)
-    K = choose_K(probe, n, p, n ** (-1 / 3), preset="glm", cutoff=CUTOFF)
-    return SurrogateSpec(model, prior, theta0, eta, K, probe, cutoff=CUTOFF)
+    K = choose_K(probe, n, p, n ** (-1 / 3), GLM_EXPONENTS)
+    return SurrogateSpec(model, prior, theta0, eta, K, probe)
 
 
 # -- cutoff --------------------------------------------------------------------
 
 def test_cutoff_plateaus():
-    assert CUTOFF.eval(0.5) == 1.0
-    assert CUTOFF.eval(0.75) == 1.0
-    assert CUTOFF.eval(0.9) == 0.0
-    assert CUTOFF.eval(0.875) == 0.0
+    assert cutoff(0.5) == 1.0
+    assert cutoff(0.75) == 1.0
+    assert cutoff(0.9) == 0.0
+    assert cutoff(0.875) == 0.0
 
 
 def test_cutoff_transition():
-    v = CUTOFF.eval(0.8)
+    v = cutoff(0.8)
     assert 0.0 < v < 1.0
-    assert CUTOFF.deriv(0.8) < 0.0
-    assert CUTOFF.deriv(0.5) == 0.0
-    assert CUTOFF.deriv(0.95) == 0.0
+    assert cutoff_deriv(0.8) < 0.0
+    assert cutoff_deriv(0.5) == 0.0
+    assert cutoff_deriv(0.95) == 0.0
 
 
 def test_cutoff_monotone_and_c2():
     t = np.linspace(0.75, 0.875, 500)
-    v = CUTOFF.eval(t)
+    v = cutoff(t)
     assert np.all(np.diff(v) <= 1e-12)
-    assert np.isfinite(CUTOFF.c2_norm)
-    assert CUTOFF.c2_norm >= 1.0
+    assert np.isfinite(CUTOFF_C2_NORM)
+    assert CUTOFF_C2_NORM >= 1.0
 
 
 def test_cutoff_deriv_matches_fd():
     t = np.linspace(0.76, 0.87, 23)
     eps = 1e-7
-    fd = (CUTOFF.eval(t + eps) - CUTOFF.eval(t - eps)) / (2 * eps)
-    np.testing.assert_allclose(CUTOFF.deriv(t), fd, rtol=1e-5, atol=1e-8)
+    fd = (cutoff(t + eps) - cutoff(t - eps)) / (2 * eps)
+    np.testing.assert_allclose(cutoff_deriv(t), fd, rtol=1e-5, atol=1e-8)
 
 
 # -- mollified penalty ---------------------------------------------------------
@@ -112,36 +113,55 @@ def test_penalty_deriv_matches_fd():
 
 # -- choose_K ------------------------------------------------------------------
 
-class _FakeCutoff:
-    c2_norm = 10.0
-
-
 def test_choose_K_floor_example():
-    # c_hat_max = 1 via lambda_max_est = n p^{1/2}, ||v||_C2 = 10
+    # c_hat_max = 1 via lambda_max_est = n p^{1/2}
     probe = CurvatureReport(0.0, 1000 * 3.0, 0.0, 10, np.zeros(9), 0.3)
-    K = choose_K(probe, 1000, 9, 0.1, preset="glm", cutoff=_FakeCutoff())
-    assert K == pytest.approx(60 * 10 * 1000 * (1 + 3), rel=1e-12)
+    K = choose_K(probe, 1000, 9, 0.1, GLM_EXPONENTS)
+    assert K == pytest.approx(60 * CUTOFF_C2_NORM * 1000 * (1 + 3), rel=1e-12)
 
 
 def test_choose_K_override_only_raises():
     probe = CurvatureReport(0.0, 1000 * 3.0, 0.0, 10, np.zeros(9), 0.3)
-    floor = choose_K(probe, 1000, 9, 0.1, preset="glm", cutoff=_FakeCutoff())
-    assert choose_K(probe, 1000, 9, 0.1, preset="glm", override=5e6,
-                    cutoff=_FakeCutoff()) == pytest.approx(5e6)
-    assert choose_K(probe, 1000, 9, 0.1, preset="glm", override=1.0,
-                    cutoff=_FakeCutoff()) == pytest.approx(floor)
+    floor = choose_K(probe, 1000, 9, 0.1, GLM_EXPONENTS)  # about 1.5e8
+    assert choose_K(probe, 1000, 9, 0.1, GLM_EXPONENTS, override=5e9) == pytest.approx(5e9)
+    assert choose_K(probe, 1000, 9, 0.1, GLM_EXPONENTS, override=1.0) == pytest.approx(floor)
 
 
 def test_choose_K_degenerate_probe():
     probe = CurvatureReport(0.0, 0.0, 0.0, 10, np.zeros(2), 0.3)
     with pytest.raises(ConfigurationError):
-        choose_K(probe, 100, 2, 0.1, preset="glm")
+        choose_K(probe, 100, 2, 0.1, GLM_EXPONENTS)
 
 
 def test_preset_exponents():
-    assert preset_exponents("glm") == (0.0, 0.5, 0.0)
-    assert preset_exponents("density") == (0.0, 0.5, 0.0)
-    assert preset_exponents("darcy") == (0.0, 2.0, 6.0)
+    for name in ("glm-gaussian", "glm-poisson", "glm-logistic", "glm-gaussian-cube"):
+        assert MODEL_PRESETS[name].exponents == (0.0, 0.5)
+    assert MODEL_PRESETS["density"].exponents == (0.0, 0.5)
+    assert MODEL_PRESETS["darcy-1d"].exponents == (0.0, 2.0)
+    assert choose_K.__defaults__[0] == GLM_EXPONENTS
+
+
+def test_constants_are_built_once(monkeypatch):
+    # after one warm-up build, neither a density model nor a surrogate (at any
+    # eta) computes Gauss-Legendre nodes again
+    basis = BasisFamily("cosine-centered", 3)
+    theta0 = np.array([0.3, -0.2, 0.1])
+
+    def density_model(seed):
+        ds = generate_data(basis, theta0, 50, seed, kind="density")
+        return ModelInstance(ds, basis, None, None, None)
+
+    density_model(0)
+    build_spec(n=50, eta=0.5)
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    models = [density_model(1), density_model(2)]
+    specs = [build_spec(n=50, eta=0.3), build_spec(n=50, eta=0.7)]
+    assert calls == []
+    assert specs[0].penalty.eval(1.0) != specs[1].penalty.eval(1.0)
+    assert models[0].log_lik(theta0) != models[1].log_lik(theta0)
 
 
 # -- surrogate spec ------------------------------------------------------------
@@ -182,8 +202,8 @@ def _full_cutoff_formula(spec, theta):
     diff = theta - spec.theta_init
     t = float(np.linalg.norm(diff))
     radial = diff / t
-    vt = float(spec.cutoff.eval(t / spec.eta))
-    dv = float(spec.cutoff.deriv(t / spec.eta)) / spec.eta
+    vt = float(cutoff(t / spec.eta))
+    dv = float(cutoff_deriv(t / spec.eta)) / spec.eta
     pen = float(spec.penalty.eval(t))
     value = ll_init - spec.K * pen
     grad = -spec.K * float(spec.penalty.deriv(t)) * radial
@@ -269,7 +289,7 @@ def test_posterior_grad_zero_data_prior_only():
                           LinearPhi(basis))
     prior = SievePrior(1.0, 9, 2)
     probe = CurvatureReport(0.0, 1.0, 1.0, 1, np.zeros(2), 0.5)
-    spec = SurrogateSpec(model, prior, np.zeros(2), 0.5, 10.0, probe, cutoff=CUTOFF)
+    spec = SurrogateSpec(model, prior, np.zeros(2), 0.5, 10.0, probe)
     np.testing.assert_allclose(spec.posterior_grad(np.zeros(2)), 0.0, atol=1e-14)
 
 
@@ -349,6 +369,6 @@ def test_penalty_nonnegative_convex_everywhere(eta, t):
 @settings(max_examples=50, deadline=None)
 @given(t=st.floats(0.0, 1.5))
 def test_cutoff_range_and_monotonicity(t):
-    v = CUTOFF.eval(t)
+    v = cutoff(t)
     assert 0.0 <= v <= 1.0
-    assert CUTOFF.eval(t + 1e-3) <= v + 1e-12
+    assert cutoff(t + 1e-3) <= v + 1e-12
