@@ -177,10 +177,12 @@ class RecoveryReport:
 
     @classmethod
     def from_errors(cls, n_grid, errors, alpha: float) -> "RecoveryReport":
+        """The report of the errors at the sample sizes n_grid; the slope is
+        NaN with fewer than two sizes."""
         errors = [float(e) for e in errors]
         if any(e < 0 for e in errors):
             raise ValueError("errors must be nonnegative")
-        slope = loglog_slope(n_grid, errors)
+        slope = loglog_slope(n_grid, errors) if len(errors) >= 2 else float("nan")
         return cls(list(n_grid), errors, slope, -alpha / (2.0 * alpha + 1.0))
 
 

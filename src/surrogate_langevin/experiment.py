@@ -13,8 +13,9 @@ import numpy as np
 
 from .basis import BasisFamily
 from .config import MODEL_PRESETS, ExperimentConfig
-from .diagnostics import (condition_numbers, contraction_metric,
-                          grid_posterior, grid_tv_distance, loglog_slope)
+from .diagnostics import (RecoveryReport, condition_numbers, contraction_metric,
+                          grid_posterior, grid_tv_distance)
+from .diagnostics import loglog_slope  # noqa: F401  (perfbench/spans.py times it from here)
 from .expfam import ExpFamily, LinkFunction
 from .forward import Darcy1D, LinearPhi
 from .initializers import (oracle_perturbed_init, oracle_projection_init,
@@ -61,6 +62,18 @@ class CellResult:
             fmt(m.get("cond_surrogate")), fmt(m.get("cond_prior")),
             fmt(m.get("grid_tv")), self.message,
         ]
+
+
+def json_scalar(v):
+    """A resolved value or metric as written to JSON: integer counts as int,
+    reals as float, flags as bool; None and anything else unchanged."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return v
 
 
 def build_model(cfg: ExperimentConfig, n: int, p: int, seed: int):
@@ -229,9 +242,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
                    "skipped": len(cells) > TRACE_CELL_LIMIT},
         "cells": [
             {"n": r.n, "p": r.p, "seed": r.seed, "status": r.status,
-             "resolved": {k: (float(v) if isinstance(v, (np.floating, np.integer)) else v)
-                          for k, v in r.resolved.items()},
-             "metrics": {k: (None if v is None else float(v)) for k, v in r.metrics.items()}}
+             "resolved": {k: json_scalar(v) for k, v in r.resolved.items()},
+             "metrics": {k: json_scalar(v) for k, v in r.metrics.items()}}
             for r in results
         ],
     }
@@ -246,18 +258,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
 
 
 def _write_recovery(out: Path, cfg: ExperimentConfig, results):
+    """recovery.csv: the RecoveryReport of the ok cells' median mean error per n."""
     by_n = {}
     for r in results:
         if r.status == "ok":
             by_n.setdefault(r.n, []).append(r.metrics["mean_error"])
-    rows = [(n, float(np.median(errs))) for n, errs in sorted(by_n.items())]
-    slope = loglog_slope([r[0] for r in rows], [r[1] for r in rows]) if len(rows) >= 2 else float("nan")
+    ns = sorted(by_n)
+    rep = RecoveryReport.from_errors(ns, [np.median(by_n[n]) for n in ns], cfg.alpha)
     with open(out / "recovery.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "median_mean_error", "fitted_slope", "target_rate"])
-        for n, err in rows:
-            writer.writerow([n, repr(err), repr(slope),
-                             repr(-cfg.alpha / (2 * cfg.alpha + 1))])
+        for n, err in zip(rep.n_grid, rep.errors):
+            writer.writerow([n, repr(err), repr(rep.slope), repr(rep.target_rate)])
 
 
 def _write_trace(path: Path, result: CellResult):

@@ -11,7 +11,7 @@ A direction v is either one vector of shape (p,), giving results of shape
 (len(x),), or a block of k directions as the columns of a (p, k) array,
 giving results of shape (len(x), k).  Each operator memoizes the work it can
 reuse across calls: `LinearPhi` its design matrix at x, `Darcy1D` its
-solution and factorization at theta.
+solution and factorization at theta and its interpolation weights at x.
 
 The Darcy operator maps coefficients theta to the solution u of the
 conservative boundary value problem  (f u')' = g1 on (0,1), u = g2 on {0,1},
@@ -29,9 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import get_lapack_funcs
 
 from .basis import BasisFamily
+
+# The LAPACK routines behind scipy.linalg.cholesky_banded and cho_solve_banded,
+# called directly; the finiteness and `info` checks those wrappers make are
+# made explicitly by _factorized_operator and _banded_solve.
+_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty((2, 1)),))
 
 
 def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.ndarray:
@@ -60,13 +65,31 @@ def _factorized_operator(f: np.ndarray):
     ab = np.zeros((2, M))
     ab[0, 1:] = -faces[1:-1] / h ** 2  # superdiagonal
     ab[1, :] = (faces[:-1] + faces[1:]) / h ** 2
-    try:
-        cb = cholesky_banded(ab, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"tridiagonal factorization failed: {exc}") from exc
+    _require_finite(ab)
+    cb, info = _pbtrf(ab, lower=0)
+    if info > 0:
+        raise ArithmeticError(f"tridiagonal factorization failed: {info}-th leading "
+                              "minor not positive definite")
+    if info < 0:
+        raise ValueError(f"pbtrf failed with info={info}")
     if np.min(np.abs(cb[1, :])) <= 1e-14:
         raise ArithmeticError("tridiagonal factorization has near-zero pivots")
+    _require_finite(cb)  # once here, not on every solve with this factor
     return cb, h
+
+
+def _require_finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _banded_solve(cb, b):
+    """(-L_f)^{-1} b from the factor cb, for b of shape (M,) or (M, k)."""
+    _require_finite(b)
+    x, info = _pbtrs(cb, b, lower=0)
+    if info != 0:
+        raise ValueError(f"pbtrs failed with info={info}")
+    return x
 
 
 def _solve_with_boundary(cb, f, h, rhs_neg, g2):
@@ -76,7 +99,7 @@ def _solve_with_boundary(cb, f, h, rhs_neg, g2):
     b = rhs_neg.copy()
     b[0] += faces[0] * g2[0] / h ** 2
     b[-1] += faces[-1] * g2[1] / h ** 2
-    return np.concatenate(([g2[0]], cho_solve_banded((cb, False), b), [g2[1]]))
+    return np.concatenate(([g2[0]], _banded_solve(cb, b), [g2[1]]))
 
 
 def _apply_operator(c: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -135,9 +158,14 @@ class Darcy1D:
             raise ValueError("f_min must be strictly positive")
         self._grid = np.linspace(0.0, 1.0, self.M + 2)
         self._g1_int = np.full(self.M, float(self.g1))
+        self._dgrid = np.diff(self._grid)[:, None]
         self._E_grid = self.basis.design_matrix(self._grid)
         self._memo_key = None
         self._memo = None
+        self._tangent_key = None
+        self._tangent_memo = None
+        self._x_key = None
+        self._x_memo = None
 
     @property
     def grid(self) -> np.ndarray:
@@ -172,46 +200,71 @@ class Darcy1D:
         return float(np.max(np.abs(_apply_operator(f, u) - self._g1_int)))
 
     def values(self, theta, x):
-        u = self.solution(theta)
-        return np.interp(np.atleast_1d(np.asarray(x, dtype=float)), self._grid, u)
+        return self._at(x, self.solution(theta)[:, None])[:, 0]
 
-    def _directions(self, theta, v):
-        """State at theta and Phi(v) on the grid, one column per direction."""
+    def _tangent(self, theta, v):
+        """State at theta, Phi(v) and f_v on the grid, and the tangent
+        w = (-L_f)^{-1} L_{f_v} u, one column per direction.  Memoized on the
+        last (theta, v), so dir_hess reuses the solve dir_grad made."""
         u, exp_phi, cb = self._state(theta)
-        phiv = self._E_grid @ np.asarray(v, dtype=float).reshape(self.basis.p, -1)
-        return u[:, None], exp_phi[:, None], cb, phiv
+        v = np.asarray(v, dtype=float)
+        key = self._memo_key + v.tobytes()
+        if self._tangent_key != key:
+            u, exp_phi = u[:, None], exp_phi[:, None]
+            phiv = self._E_grid @ v.reshape(self.basis.p, -1)
+            fv = exp_phi * phiv
+            w = self._solve(cb, _apply_operator(fv, u))
+            self._tangent_key = key
+            self._tangent_memo = u, exp_phi, cb, phiv, fv, w
+        return self._tangent_memo
 
     @staticmethod
     def _solve(cb, rhs):
         """(-L_f)^{-1} rhs for every column of rhs, with zero boundary rows."""
         w = np.zeros((rhs.shape[0] + 2, rhs.shape[1]))
-        w[1:-1] = cho_solve_banded((cb, False), rhs)
+        w[1:-1] = _banded_solve(cb, rhs)
         return w
 
-    def _at(self, x, nodes, v):
-        """np.interp(x, grid, c) for each column c of nodes, bit for bit; a single
-        direction v of shape (p,) gets a single column back."""
+    def _interp_weights(self, x):
+        """Interval index j, offset x - grid[j] and end-point fix-ups of the
+        points x (memoized on the bytes of x)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = self._grid
-        j = np.minimum(np.searchsorted(g, x, side="right") - 1, self.M)
-        slopes = np.diff(nodes, axis=0) / np.diff(g)[:, None]
-        out = np.take(slopes, j, axis=0) * (x - g[j])[:, None] + np.take(nodes, j, axis=0)
-        out[x == g[-1]] = nodes[-1]
-        return out[:, 0] if np.ndim(v) == 1 else out
+        key = x.tobytes()
+        if self._x_key != key:
+            g = self._grid
+            j = np.minimum(np.searchsorted(g, x, side="right") - 1, self.M)
+            # np.interp returns the end values at and beyond the ends
+            ends = np.flatnonzero((x < g[0]) | (x >= g[-1]))
+            end_rows = np.where(x[ends] < g[0], 0, -1)
+            j[ends] = 0
+            self._x_key = key
+            self._x_memo = j, (x - g[j])[:, None], ends, end_rows
+        return self._x_memo
+
+    def _at(self, x, nodes):
+        """np.interp(x, grid, c) for each column c of the (M+2, k) array nodes,
+        bit for bit."""
+        j, dx, ends, end_rows = self._interp_weights(x)
+        out = ((nodes[1:] - nodes[:-1]) / self._dgrid).take(j, axis=0)
+        out *= dx
+        out += nodes.take(j, axis=0)
+        if ends.size:
+            out[ends] = nodes[end_rows]
+        return out
 
     def dir_grad(self, theta, v, x):
-        u, exp_phi, cb, phiv = self._directions(theta, v)
-        w = self._solve(cb, _apply_operator(exp_phi * phiv, u))  # (-L_f) w = L_{f_v} u
-        return self._at(x, w, v)
+        w = self._tangent(theta, v)[-1]
+        out = self._at(x, w)
+        return out[:, 0] if np.ndim(v) == 1 else out
 
     def grad_rows(self, theta, x):
         return self.dir_grad(theta, np.eye(self.basis.p), x)
 
     def dir_hess(self, theta, v, x):
-        u, exp_phi, cb, phiv = self._directions(theta, v)
-        fv = exp_phi * phiv
+        u, exp_phi, cb, phiv, fv, w = self._tangent(theta, v)
         fv2 = exp_phi * phiv ** 2
-        w1 = -self._solve(cb, _apply_operator(fv, u))  # L_f^{-1} L_{f_v} u
+        w1 = -w  # L_f^{-1} L_{f_v} u
         w2 = -self._solve(cb, _apply_operator(fv, w1))
         w3 = -self._solve(cb, _apply_operator(fv2, u))
-        return self._at(x, 2.0 * w2 - w3, v)
+        out = self._at(x, 2.0 * w2 - w3)
+        return out[:, 0] if np.ndim(v) == 1 else out

@@ -139,6 +139,7 @@ class ModelInstance:
     forward: object | None
 
     def __post_init__(self):
+        self._theta_shape = (self.basis.p,)
         if self.dataset.kind == "density":
             if self.basis.kind != "cosine-centered":
                 raise ValueError("density estimation requires the cosine-centered basis")
@@ -168,8 +169,8 @@ class ModelInstance:
     # -- density internals ---------------------------------------------------
 
     def _log_partition(self, phi_quad):
-        mx = np.max(phi_quad)
-        return mx + np.log(np.sum(self._qw * np.exp(phi_quad - mx)))
+        mx = phi_quad.max()
+        return mx + np.log((self._qw * np.exp(phi_quad - mx)).sum())
 
     # -- public likelihood surface -------------------------------------------
 
@@ -179,7 +180,7 @@ class ModelInstance:
             return 0.0
         if self.kind == "density":
             phi_quad = self._E_quad @ theta
-            return float(np.sum(self._E_data @ theta) - self.n * self._log_partition(phi_quad))
+            return float((self._E_data @ theta).sum() - self.n * self._log_partition(phi_quad))
         u = self.forward.values(theta, self.dataset.x)
         try:
             b = natural_param(self.family, self.link, u)
@@ -187,7 +188,7 @@ class ModelInstance:
             return -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self.dataset.y * b - self.family.A(b)
-        total = np.sum(terms)
+        total = terms.sum()
         return float(total) if np.isfinite(total) else -np.inf
 
     def grad_log_lik(self, theta) -> np.ndarray:
@@ -237,7 +238,7 @@ class ModelInstance:
                 r = self.dataset.y - self.family.A1(b)
                 w_hess = r * q2 - self.family.A2(b) * q1 ** 2
                 vals = w_hess @ GU ** 2 + (r * q1) @ HU
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise FloatingPointError("non-finite directional Hessian")
         return vals
 
@@ -290,7 +291,7 @@ class ModelInstance:
 
     def _check(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.p,):
+        if theta.shape != self._theta_shape:
             raise ValueError(f"theta must have length p={self.p}, got shape {theta.shape}")
         return theta
 

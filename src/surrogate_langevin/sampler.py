@@ -66,7 +66,7 @@ class ChainTrace:
 def ula_step(drift, state, gamma, noise):
     """One Euler step: state + gamma * drift(state) + sqrt(2 gamma) * noise."""
     d = np.asarray(drift(state), dtype=float)
-    if not np.isfinite(d).all():
+    if not _finite(d):
         raise FloatingPointError("non-finite drift")
     return state + gamma * d + math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float)
 
@@ -119,12 +119,14 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
                 except FloatingPointError:
                     raise ChainDivergedError(k, theta) from None
             theta = new
+            sq = theta.dot(theta)
             if reflect:
-                r = math.sqrt(theta.dot(theta))  # == float(np.linalg.norm(theta))
+                r = math.sqrt(sq)  # == float(np.linalg.norm(theta))
                 if r > radius:
                     theta = theta * _fold_radius(2.0 * radius - r, radius) / r
                     guard_count += 1
-            if not np.isfinite(theta).all():
+                    sq = theta.dot(theta)
+            if not math.isfinite(sq) and not np.isfinite(theta).all():
                 raise ChainDivergedError(k, states[(k - 1) // stride].copy())
             if track_exit and exit_step is None:
                 d = theta - region_center
@@ -134,12 +136,21 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
                 states[k // stride] = theta
             if k > j_in:
                 for i, f in enumerate(fns):
-                    val = np.asarray(f(theta), dtype=float)
-                    acc[i] = val if acc[i] is None else acc[i] + val
+                    if acc[i] is None:
+                        acc[i] = np.array(f(theta), dtype=float)  # a copy, added to in place
+                    else:
+                        acc[i] += f(theta)
     accumulators = {name: 0.0 if a is None else a for name, a in zip(functionals, acc)}
     return ChainTrace(states, stride, exit_step, accumulators,
                       config.j_in, config.j, config.seed, config.gamma,
                       guard_trigger_count=guard_count, final_state=theta)
+
+
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of v is finite.  A NaN or infinite entry makes v.v
+    NaN or inf, so the element-wise test runs only when v.v is not finite
+    (which a finite v whose squares overflow also gives)."""
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def _fold_radius(s: float, radius: float) -> float:

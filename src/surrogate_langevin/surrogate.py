@@ -130,6 +130,12 @@ class MollifiedPenalty:
         shifted = t[..., None] - self.s * _MOLLIFIER_Z
         return np.sum(_MOLLIFIER_W * self._hinge_deriv(shifted), axis=-1)[()]
 
+    def far_deriv(self, t: float) -> float:
+        """deriv(t) for t >= 7 eta / 8, bit for bit: there every shifted node
+        t - s z lies past the hinge at 5 eta / 8, so no node needs the test."""
+        d = (t - self.s * _MOLLIFIER_Z) - 5.0 * self.eta / 8.0
+        return float((_MOLLIFIER_W * (2.0 * d)).sum())
+
     def tail_closed_form(self, t):
         """Exact value for t >= 3 eta / 4 (the mollifier cross term cancels)."""
         return (np.asarray(t, dtype=float) - 5.0 * self.eta / 8.0) ** 2 + self.s ** 2 * self.sigma2_phi
@@ -236,7 +242,7 @@ class SurrogateSpec:
         radial = diff / t
         s = t / self.eta
         if s >= 0.875:  # the cutoff and its derivative are exactly 0 from 7/8 on
-            return -self.K * float(self.penalty.deriv(t)) * radial
+            return -self.K * self.penalty.far_deriv(t) * radial
         vt = float(cutoff(s))
         dv = float(cutoff_deriv(s)) / self.eta
         dpen = float(self.penalty.deriv(t))

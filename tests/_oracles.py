@@ -46,6 +46,29 @@ def darcy_values_longdouble(op, theta):
     return darcy_solve_longdouble(f, g1, op.g2)
 
 
+def recovery_csv_bytes(results, alpha):
+    """recovery.csv as the experiment harness first wrote it, from its own
+    median, log-log slope and target rate: the reference for the harness's
+    use of RecoveryReport."""
+    by_n = {}
+    for r in results:
+        if r.status == "ok":
+            by_n.setdefault(r.n, []).append(r.metrics["mean_error"])
+    rows = [(n, float(np.median(errs))) for n, errs in sorted(by_n.items())]
+    if len(rows) >= 2:
+        lx = np.log(np.asarray([r[0] for r in rows], dtype=float))
+        ly = np.log(np.asarray([r[1] for r in rows], dtype=float))
+        slope = float(np.polyfit(lx, ly, 1)[0])
+    else:
+        slope = float("nan")
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["n", "median_mean_error", "fitted_slope", "target_rate"])
+    for n, err in rows:
+        writer.writerow([n, repr(err), repr(slope), repr(-alpha / (2 * alpha + 1))])
+    return buf.getvalue().encode()
+
+
 def csv_writer_bytes(header, rows):
     """What csv.writer writes for `header` and `rows`, with each float of a row
     formatted as repr(float(v)) and any other value left to the writer."""

@@ -2,6 +2,7 @@ import csv
 import json
 import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -289,6 +290,47 @@ diagnostics = recovery
     slopes = {r["fitted_slope"] for r in rows}
     assert len(slopes) == 1
     float(slopes.pop())  # slope field present and numeric
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=st.lists(st.tuples(st.sampled_from([50, 100, 400, 1600]),
+                                st.floats(1e-6, 10.0),
+                                st.sampled_from(["ok", "ok", "failed", "diverged"])),
+                      max_size=12),
+       alpha=st.sampled_from([1.0, 1.5, 3]))
+def test_recovery_csv_matches_the_first_computation(cells, alpha):
+    # one size, no ok cell and failed cells included: the slope is then NaN
+    from _oracles import recovery_csv_bytes
+
+    results = [experiment.CellResult(n=n, p=1, seed=i, status=status,
+                                     metrics={"mean_error": err} if status == "ok" else {})
+               for i, (n, err, status) in enumerate(cells)]
+    cfg = ExperimentConfig(alpha=alpha)
+    with tempfile.TemporaryDirectory() as out:
+        experiment._write_recovery(Path(out), cfg, results)
+        written = (Path(out) / "recovery.csv").read_bytes()
+    assert written == recovery_csv_bytes(results, alpha)
+
+
+def test_counts_are_json_ints_in_summary_and_manifest(tmp_path):
+    path = write_cfg(tmp_path, MINIMAL.replace(
+        "seeds = 0", "seeds = 0\nguard = reflect\nguard_radius = 0.5"))
+    assert main(["sample", "--config", str(path), "--out", str(tmp_path / "smp")]) == 0
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")]) == 0
+    summary = json.loads((tmp_path / "smp" / "sample_summary.json").read_text())
+    cell = json.loads((tmp_path / "exp" / "manifest.json").read_text())["cells"][0]
+    counts = ("j", "j_in", "probe_skipped")
+    reals = ("gamma", "eta", "kappa_const", "m", "lambda", "delta_n", "precision_floor")
+    for resolved in (summary["resolved"], cell["resolved"]):
+        assert all(type(resolved[k]) is int for k in counts)
+        assert all(type(resolved[k]) is float for k in reals)
+        assert type(resolved["epsilon_below_floor"]) is bool
+    assert summary["resolved"] == cell["resolved"]
+    metrics = cell["metrics"]
+    assert type(metrics["guard_trigger_count"]) is int and metrics["guard_trigger_count"] > 0
+    assert type(metrics["exit_step"]) is int
+    assert type(summary["exit_step"]) is int
+    assert type(metrics["mean_error"]) is float
 
 
 def test_cli_sample_reports_divergence(tmp_path, capsys):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from surrogate_langevin import forward
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.forward import Darcy1D, LinearPhi, darcy_solve
 
@@ -179,3 +183,131 @@ def test_forward_lipschitz_bounded():
 def test_darcy_requires_sine_basis():
     with pytest.raises(ValueError):
         Darcy1D(BasisFamily("cosine-centered", 4))
+
+
+# -- the direct LAPACK calls and the memoized interpolation ----------------------
+
+def _banded(f):
+    """The upper banded form of -L_f that _factorized_operator factors."""
+    M = f.size - 2
+    h = 1.0 / (M + 1)
+    faces = 0.5 * (f[:-1] + f[1:])
+    ab = np.zeros((2, M))
+    ab[0, 1:] = -faces[1:-1] / h ** 2
+    ab[1, :] = (faces[:-1] + faces[1:]) / h ** 2
+    return ab
+
+
+@settings(max_examples=50, deadline=None)
+@given(M=st.integers(1, 300), k=st.integers(1, 12), log_scale=st.floats(-6.0, 6.0),
+       seed=st.integers(0, 2 ** 16))
+def test_direct_lapack_matches_scipy_wrappers(M, k, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    f = 10.0 ** log_scale * (0.1 + rng.random(M + 2))
+    cb, _ = forward._factorized_operator(f)
+    assert cb.tobytes() == cholesky_banded(_banded(f), lower=False).tobytes()
+    for b in (rng.standard_normal(M), rng.standard_normal((M, k))):
+        x = forward._banded_solve(cb, b)
+        assert x.shape == b.shape
+        assert x.tobytes() == cho_solve_banded((cb, False), b).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_solver_inputs_raise_value_error(bad):
+    M = 16
+    f, g1 = np.ones(M + 2), np.ones(M)
+    cb, _ = forward._factorized_operator(f)
+    for arr, at in ((f, 3), (g1, 5)):
+        poisoned = arr.copy()
+        poisoned[at] = bad
+        args = (poisoned, g1) if arr is f else (f, poisoned)
+        with pytest.raises(ValueError):
+            darcy_solve(*args, (0.0, 0.0))
+    for at in (0, 4, M + 1):  # -inf makes a negative pivot: the input test comes first
+        poisoned = f.copy()
+        poisoned[at] = bad
+        with pytest.raises(ValueError):
+            forward._factorized_operator(poisoned)
+    for shape in ((M,), (M, 3)):
+        b = np.ones(shape)
+        b[2] = bad
+        with pytest.raises(ValueError):
+            forward._banded_solve(cb, b)
+    op = _darcy(M=M)
+    v = np.ones(4)
+    v[1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        op.dir_grad(np.zeros(4), v, op.grid)
+
+
+def test_failed_factorization_raises_arithmetic_error():
+    # f = -1 makes the banded matrix negative definite: pbtrf reports info > 0
+    with pytest.raises(ArithmeticError, match="not positive definite"):
+        forward._factorized_operator(-np.ones(10))
+
+
+def _points(M, draws):
+    """The ends, every interior grid node and the given random points in [0, 1]."""
+    return np.concatenate(([0.0, 1.0], np.linspace(0.0, 1.0, M + 2)[1:-1], draws))
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 64), k=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+def test_darcy_interpolation_is_np_interp(M, k, seed):
+    rng = np.random.default_rng(seed)
+    op = _darcy(M=M)
+    xs = [_points(M, rng.random(7)), rng.random(5), np.array([-0.5, 0.25, 1.5, 1.0]),
+          np.array([0.5])]
+    for _ in range(2):  # every x again after the others: the memo follows x
+        for x in xs:
+            theta = rng.standard_normal(4)
+            u = op.solution(theta)
+            assert op.values(theta, x).tobytes() == np.interp(x, op.grid, u).tobytes()
+            nodes = rng.standard_normal((M + 2, k))
+            ref = np.stack([np.interp(x, op.grid, c) for c in nodes.T], axis=1)
+            assert op._at(x, nodes).tobytes() == ref.tobytes()
+    assert op.values(np.zeros(4), 0.5).shape == (1,)
+
+
+def _tangent_reference(op, theta, V, x):
+    """(V' grad G, V' hess G V) at x, computed afresh: each tangent solve made
+    anew and interpolated column by column with np.interp."""
+    u, exp_phi, cb = op._state(theta)
+    u, exp_phi = u[:, None], exp_phi[:, None]
+    phiv = op._E_grid @ V
+    fv, fv2 = exp_phi * phiv, exp_phi * phiv ** 2
+
+    def solve(rhs):
+        w = np.zeros((rhs.shape[0] + 2, rhs.shape[1]))
+        w[1:-1] = cho_solve_banded((cb, False), rhs)
+        return w
+
+    w = solve(forward._apply_operator(fv, u))
+    w1 = -solve(forward._apply_operator(fv, u))
+    w2 = -solve(forward._apply_operator(fv, w1))
+    w3 = -solve(forward._apply_operator(fv2, u))
+
+    def interp(nodes):
+        return np.stack([np.interp(x, op.grid, c) for c in nodes.T], axis=1)
+
+    return interp(w), interp(2.0 * w2 - w3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(calls=st.lists(st.tuples(st.sampled_from(["grad", "hess"]), st.integers(0, 2),
+                                st.integers(0, 2)), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 16))
+def test_darcy_tangent_memo_keeps_the_bits(calls, seed):
+    # dir_hess reuses the tangent solve of the dir_grad call before it when
+    # (theta, v) agree; any sequence of calls must give the fresh results
+    rng = np.random.default_rng(seed)
+    op = _darcy(M=32)
+    x = rng.random(20)
+    thetas = 0.3 * rng.standard_normal((3, 4))
+    blocks = [rng.standard_normal((4, 3)), rng.standard_normal((4, 1)), np.eye(4)]
+    for kind, i, j in calls:
+        G, H = _tangent_reference(op, thetas[i], blocks[j], x)
+        if kind == "grad":
+            assert op.dir_grad(thetas[i], blocks[j], x).tobytes() == G.tobytes()
+        else:
+            assert op.dir_hess(thetas[i], blocks[j], x).tobytes() == H.tobytes()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surrogate_langevin.basis import BasisFamily
@@ -397,3 +397,35 @@ def test_darcy_block_directions():
     with pytest.raises(ValueError, match="basis"):
         ModelInstance(model.dataset, BasisFamily("dirichlet-sine", 3), model.family,
                       model.link, op)
+
+
+@settings(max_examples=50, deadline=None)
+@given(direction=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       scale=st.sampled_from([1e-3, 0.1, 1.0, 30.0]), n=st.sampled_from([1, 37, 500]))
+def test_density_reductions_match_the_np_formula(direction, scale, n):
+    # the log-partition and log_lik reduce with ndarray methods; the bits are
+    # those of np.max / np.sum.  Near theta = 0 the partition sum is close to
+    # 1, where its log keeps a change in the sum's last bit.
+    model, _ = density_model(n=n)
+    theta = scale * np.asarray(direction)
+    phi_quad = model._E_quad @ theta
+    mx = np.max(phi_quad)
+    log_z = mx + np.log(np.sum(model._qw * np.exp(phi_quad - mx)))
+    ll = float(np.sum(model._E_data @ theta) - model.n * log_z)
+    grad = model._grad_data_const - model.n * (
+        model._E_quad.T @ (model._qw * np.exp(phi_quad - log_z)))
+    assert np.float64(model.log_lik(theta)).tobytes() == np.float64(ll).tobytes()
+    assert model.grad_log_lik(theta).tobytes() == grad.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       family=st.sampled_from(FAMILY_KINDS))
+def test_regression_log_lik_matches_the_np_formula(theta, family):
+    model, _ = glm_model(family=family, n=150)
+    theta = np.asarray(theta)
+    b = natural_param(model.family, model.link, model.forward.values(theta, model.dataset.x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(model.dataset.y * b - model.family.A(b))
+    expected = float(total) if np.isfinite(total) else -np.inf
+    assert np.float64(model.log_lik(theta)).tobytes() == np.float64(expected).tobytes()

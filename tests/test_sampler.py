@@ -35,6 +35,26 @@ def test_ula_step_nonfinite_drift_raises():
                  np.array([0.0]))
 
 
+@settings(max_examples=200)
+@given(d=st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                  | st.sampled_from([1e160, -1e200, 1.7e308, np.nan, np.inf]),
+                  min_size=1, max_size=5),
+       gamma=st.floats(1e-6, 1.0))
+def test_ula_step_rejects_exactly_the_nonfinite_drifts(d, gamma):
+    # the drift is tested through d.d first; a finite drift whose squares
+    # overflow must still pass, and any NaN or inf entry must still raise
+    d = np.array(d)
+    state, noise = np.ones(d.size), np.full(d.size, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(d).all():
+            out = ula_step(lambda s: d, state, gamma, noise)
+            ref = state + gamma * d + math.sqrt(2.0 * gamma) * noise
+            assert out.tobytes() == ref.tobytes()
+        else:
+            with pytest.raises(FloatingPointError):
+                ula_step(lambda s: d, state, gamma, noise)
+
+
 def test_ula_stationary_variance_ar1():
     # drift -x: the chain is AR(1) with exact stationary variance 1/(1 - g/2)
     gamma = 0.01
@@ -311,13 +331,14 @@ B = NOISE_BLOCK
 @given(burn_frac=st.floats(0.0, 1.0), p=st.integers(1, 3),
        guard=st.sampled_from(["none", "reflect"]),
        budget=st.sampled_from([10_000_000, 40, 700]),
-       scale=st.floats(-3.0, 3.0), offset=st.sampled_from([0.3, 1e308]),
+       scale=st.floats(-3.0, 3.0), offset=st.sampled_from([0.3, 1e160, 1e308]),
        bad_norm=st.floats(0.5, 5.0) | st.none(), seed=st.integers(0, 2 ** 16))
 def test_block_noise_matches_per_step_draws(total, burn_frac, p, guard, budget,
                                             scale, offset, bad_norm, seed):
     # linear drift that may expand (reflect guard triggers, or the chain
-    # diverges), may turn non-finite beyond a norm (the retry path), and with
-    # offset 1e308 overflows the state while the drift stays finite
+    # diverges), may turn non-finite beyond a norm (the retry path), with
+    # offset 1e160 stays finite while its square and the state's overflow, and
+    # with offset 1e308 overflows the state while the drift stays finite
     def drift(s):
         if bad_norm is not None and np.linalg.norm(s) > bad_norm:
             return np.full_like(s, np.nan)

@@ -372,3 +372,11 @@ def test_cutoff_range_and_monotonicity(t):
     v = cutoff(t)
     assert 0.0 <= v <= 1.0
     assert cutoff(t + 1e-3) <= v + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=st.floats(1e-9, 1e3), ratio=st.floats(0.875, 1e6))
+def test_far_field_penalty_derivative_skips_the_hinge_test(eta, ratio):
+    penalty = MollifiedPenalty(eta)
+    t = max(ratio * eta, 0.875 * eta)
+    assert np.float64(penalty.far_deriv(t)).tobytes() == np.float64(penalty.deriv(t)).tobytes()
