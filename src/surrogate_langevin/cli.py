@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigValidationError, load_config
-from .experiment import build_model, json_scalar, resolve_cell, run_experiment, sample_cell
+from .experiment import (build_model, drift_call_counts, json_scalar, resolve_cell,
+                         run_experiment, sample_cell)
 
 
 def _add_common(parser):
@@ -78,7 +79,8 @@ def cmd_sample(args, cfg) -> int:
     summary = {"n": n, "p": p, "seed": seed,
                "posterior_mean": [float(v) for v in np.atleast_1d(mean)],
                "exit_step": trace.exit_step,
-               "resolved": {k: json_scalar(v) for k, v in resolved.items()}}
+               "resolved": {k: json_scalar(v) for k, v in resolved.items()},
+               **drift_call_counts(cfg, surrogate)}
     (out / "sample_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

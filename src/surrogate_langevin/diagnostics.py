@@ -137,15 +137,6 @@ def empirical_w2(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
-def w2_sorted_1d(samples_a, samples_b) -> float:
-    """Independent 1-D oracle: W2 equals the L2 distance of sorted samples."""
-    a = np.sort(np.ravel(samples_a))
-    b = np.sort(np.ravel(samples_b))
-    if a.shape != b.shape:
-        raise ValueError("sample counts differ")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
 def contraction_metric(samples, center, beta: float, big_l: float,
                        delta_n: float) -> float:
     """Fraction of samples with ||theta - center||^beta > L * delta_n."""

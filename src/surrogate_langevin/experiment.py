@@ -163,6 +163,15 @@ def sample_cell(cfg: ExperimentConfig, surrogate, resolved, region_center, seed:
                      storage_budget=cfg.thinning_budget)
 
 
+def drift_call_counts(cfg: ExperimentConfig, surrogate) -> dict:
+    """The chain's drift calls per surrogate region (SurrogateSpec.drift_calls)
+    as drift_calls_inner, drift_calls_annulus and drift_calls_far; empty for
+    the vanilla drift, which does not go through the surrogate."""
+    if cfg.variant != "surrogate":
+        return {}
+    return {f"drift_calls_{region}": calls for region, calls in surrogate.drift_calls.items()}
+
+
 def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     p = cfg.p_for(n)
     result = CellResult(n=n, p=p, seed=seed)
@@ -175,6 +184,7 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
         mean = trace.ergodic_average("identity")
         result.metrics["exit_step"] = trace.exit_step
         result.metrics["guard_trigger_count"] = trace.guard_trigger_count
+        result.metrics.update(drift_call_counts(cfg, surrogate))
         result.metrics["mean_error"] = float(np.linalg.norm(mean - theta_star))
         if "contraction" in cfg.diagnostics:
             beta = ((cfg.alpha + 1.0) / (cfg.alpha - 1.0)

@@ -129,7 +129,7 @@ class LinearPhi:
         return self._memo
 
     def values(self, theta, x):
-        return self._design(x) @ np.asarray(theta, dtype=float)
+        return self._design(x).dot(np.asarray(theta, dtype=float))  # ndarray.dot: the gemv of @
 
     def grad_rows(self, theta, x):
         return self._design(x)

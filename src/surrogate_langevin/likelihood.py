@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,13 +140,17 @@ class ModelInstance:
     forward: object | None
 
     def __post_init__(self):
+        # Settled once here rather than on every call: the model kind, the
+        # sample size and, for regression, the data and the link's form.
         self._theta_shape = (self.basis.p,)
-        if self.dataset.kind == "density":
+        self._n = self.dataset.n
+        self._density = self.dataset.kind == "density"
+        if self._density:
             if self.basis.kind != "cosine-centered":
                 raise ValueError("density estimation requires the cosine-centered basis")
             self._qx, self._qw = _density_quadrature()
             self._E_quad = self.basis.design_matrix(self._qx)
-            if self.dataset.n:
+            if self._n:
                 self._E_data = self.basis.design_matrix(self.dataset.x)
                 self._grad_data_const = self._E_data.sum(axis=0)
         else:
@@ -153,6 +158,9 @@ class ModelInstance:
                 raise ValueError("regression model needs a forward operator")
             if self.forward.basis != self.basis:
                 raise ValueError("the forward operator must use the model's basis")
+            self._x, self._y = self.dataset.x, self.dataset.y
+            self._canonical = self.link.kind == "canonical"
+            self._A1 = self.family._A1
 
     @property
     def p(self) -> int:
@@ -176,39 +184,48 @@ class ModelInstance:
 
     def log_lik(self, theta) -> float:
         theta = self._check(theta)
-        if self.n == 0:
+        if self._n == 0:
             return 0.0
-        if self.kind == "density":
-            phi_quad = self._E_quad @ theta
-            return float((self._E_data @ theta).sum() - self.n * self._log_partition(phi_quad))
-        u = self.forward.values(theta, self.dataset.x)
-        try:
-            b = natural_param(self.family, self.link, u)
-        except ValueError:  # u outside the link's range: zero likelihood
-            return -np.inf
+        if self._density:
+            phi_quad = self._E_quad.dot(theta)  # ndarray.dot: the gemv of @, less dispatch
+            return float(self._E_data.dot(theta).sum() - self._n * self._log_partition(phi_quad))
+        u = self.forward.values(theta, self._x)
+        if self._canonical:
+            b = u + 0.0
+        else:
+            try:
+                b = natural_param(self.family, self.link, u)
+            except ValueError:  # u outside the link's range: zero likelihood
+                return -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.dataset.y * b - self.family.A(b)
+            terms = self._y * b - self.family.A(b)
         total = terms.sum()
         return float(total) if np.isfinite(total) else -np.inf
 
     def grad_log_lik(self, theta) -> np.ndarray:
         theta = self._check(theta)
-        if self.n == 0:
+        if self._n == 0:
             return np.zeros(self.p)
-        if self.kind == "density":
-            phi_quad = self._E_quad @ theta
+        if self._density:
+            phi_quad = self._E_quad.dot(theta)
             p_quad = np.exp(phi_quad - self._log_partition(phi_quad))
-            return self._grad_data_const - self.n * (self._E_quad.T @ (self._qw * p_quad))
-        x = self.dataset.x
+            return self._grad_data_const - self._n * (self._qw * p_quad).dot(self._E_quad)
+        x = self._x
         u = self.forward.values(theta, x)
-        b = natural_param(self.family, self.link, u)
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = self.dataset.y - self.family._A1(b)  # one error state per call
-            if self.link.kind != "canonical":  # the canonical factor is exactly 1.0
-                resid = resid * natural_param_d1(self.family, self.link, u)
-        if not np.isfinite(resid).all():
+        if self._canonical:
+            # the natural parameter is u + 0.0, which differs from u only at
+            # -0.0, where every A' gives the bits it gives at 0.0; the
+            # canonical factor natural_param_d1 is exactly 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid = self._y - self._A1(u)
+        else:
+            b = natural_param(self.family, self.link, u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid = (self._y - self._A1(b)) * natural_param_d1(self.family, self.link, u)
+        # a NaN or inf entry makes resid.resid NaN or inf (see sampler._step)
+        if not math.isfinite(resid.dot(resid)) and not np.isfinite(resid).all():
             raise FloatingPointError("non-finite likelihood gradient (overflowed natural parameter)")
-        return self.forward.grad_rows(theta, x).T @ resid
+        return resid.dot(self.forward.grad_rows(theta, x))
 
     def hess_dir(self, theta, v) -> float:
         """Directional second derivative v' hess l_n(theta) v."""

@@ -15,13 +15,14 @@ class SievePrior:
     k = 1..p.  The log-density (up to its normalizing constant) is
     m_pi-strongly concave with lambda_pi-Lipschitz gradient, where
     m_pi = n^{1/(2*alpha+1)} and lambda_pi = n^{1/(2*alpha+1)} p^{2*alpha}.
+    Its gradient is grad_diag * theta.
     """
 
     alpha: float
     n: int
     p: int
     sigma_alpha_diag: np.ndarray = field(init=False, repr=False)
-    _neg_scaled_diag: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha <= 0.5:
@@ -30,7 +31,7 @@ class SievePrior:
             raise ValueError("n and p must be positive integers")
         diag = np.arange(1, self.p + 1, dtype=float) ** (2.0 * self.alpha)
         object.__setattr__(self, "sigma_alpha_diag", diag)
-        object.__setattr__(self, "_neg_scaled_diag", -self.scale * diag)
+        object.__setattr__(self, "grad_diag", -self.scale * diag)
 
     @property
     def scale(self) -> float:
@@ -57,7 +58,7 @@ class SievePrior:
     def grad_log_density(self, theta) -> np.ndarray:
         """Gradient of the log prior density: -n^{1/(2a+1)} Sigma_a theta."""
         theta = self._check(theta)
-        return self._neg_scaled_diag * theta  # == -self.scale * self.sigma_alpha_diag * theta
+        return self.grad_diag * theta  # == -self.scale * self.sigma_alpha_diag * theta
 
     def sample(self, seed) -> np.ndarray:
         """One prior draw; deterministic for a fixed seed."""

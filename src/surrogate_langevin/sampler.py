@@ -65,10 +65,20 @@ class ChainTrace:
 
 def ula_step(drift, state, gamma, noise):
     """One Euler step: state + gamma * drift(state) + sqrt(2 gamma) * noise."""
-    d = np.asarray(drift(state), dtype=float)
-    if not _finite(d):
+    return _step(drift, state, gamma, math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float))
+
+
+def _step(drift, state, gamma, scaled_noise):
+    """state + gamma * drift(state) + scaled_noise, the one ULA step formula;
+    raises FloatingPointError for a drift with a NaN or infinite entry."""
+    d = drift(state)
+    if type(d) is not np.ndarray:  # a list, say
+        d = np.asarray(d, dtype=float)
+    # A NaN or infinite entry makes d.d NaN or inf, so the element-wise test
+    # runs only then (a finite d whose squares overflow gets there and passes).
+    if not math.isfinite(d.dot(d)) and not np.isfinite(d).all():
         raise FloatingPointError("non-finite drift")
-    return state + gamma * d + math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float)
+    return state + gamma * d + scaled_noise
 
 
 def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
@@ -101,29 +111,33 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     gamma, j_in = config.gamma, config.j_in
     reflect = config.guard == "reflect"
     radius = config.guard_radius
+    noise_scale = math.sqrt(2.0 * gamma)
     for lo in range(0, total, NOISE_BLOCK):
         block = rng.standard_normal((min(NOISE_BLOCK, total - lo), p))
+        block *= noise_scale  # the same bits as noise_scale * noise, step by step
         for k, noise in enumerate(block, lo + 1):
             try:
-                new = ula_step(drift, theta, gamma, noise)
+                new = _step(drift, theta, gamma, noise)
             except FloatingPointError:
                 if not reflect:
                     raise ChainDivergedError(k, theta) from None
                 # pull the state back inside the guard radius and retry once
-                r = np.linalg.norm(theta)
+                r = _norm(theta, theta.dot(theta))
                 if r > radius:
                     theta = theta * (radius / r)
                 guard_count += 1
                 try:
-                    new = ula_step(drift, theta, gamma, noise)
+                    new = _step(drift, theta, gamma, noise)
                 except FloatingPointError:
                     raise ChainDivergedError(k, theta) from None
             theta = new
             sq = theta.dot(theta)
             if reflect:
-                r = math.sqrt(sq)  # == float(np.linalg.norm(theta))
+                r = _norm(theta, sq)
                 if r > radius:
-                    theta = theta * _fold_radius(2.0 * radius - r, radius) / r
+                    s = _fold_radius(2.0 * radius - r, radius)
+                    # theta / r first where theta * s could overflow
+                    theta = theta * s / r if math.isfinite(sq) else theta / r * s
                     guard_count += 1
                     sq = theta.dot(theta)
             if not math.isfinite(sq) and not np.isfinite(theta).all():
@@ -146,11 +160,11 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
                       guard_trigger_count=guard_count, final_state=theta)
 
 
-def _finite(v: np.ndarray) -> bool:
-    """Whether every entry of v is finite.  A NaN or infinite entry makes v.v
-    NaN or inf, so the element-wise test runs only when v.v is not finite
-    (which a finite v whose squares overflow also gives)."""
-    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+def _norm(v: np.ndarray, sq: float) -> float:
+    """||v|| from sq = v.v, the same bits as np.linalg.norm(v).  Where sq is
+    not finite, math.hypot scales the entries, so a finite v whose squares
+    overflow keeps its finite norm."""
+    return math.sqrt(sq) if math.isfinite(sq) else math.hypot(*v)
 
 
 def _fold_radius(s: float, radius: float) -> float:

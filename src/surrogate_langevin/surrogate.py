@@ -111,34 +111,36 @@ class MollifiedPenalty:
             raise ValueError("eta must be positive")
         self.eta = float(eta)
         self.s = self.eta / 8.0
+        self._nodes = self.s * _MOLLIFIER_Z  # the mollifier's nodes s z
+        self._hinge_at = 5.0 * self.eta / 8.0
 
     def _hinge(self, t):
-        d = t - 5.0 * self.eta / 8.0
+        d = t - self._hinge_at
         return np.where(d > 0, d * d, 0.0)
 
     def _hinge_deriv(self, t):
-        d = t - 5.0 * self.eta / 8.0
+        d = t - self._hinge_at
         return np.where(d > 0, 2.0 * d, 0.0)
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        shifted = t[..., None] - self.s * _MOLLIFIER_Z
+        shifted = t[..., None] - self._nodes
         return np.sum(_MOLLIFIER_W * self._hinge(shifted), axis=-1)[()]
 
     def deriv(self, t):
         t = np.asarray(t, dtype=float)
-        shifted = t[..., None] - self.s * _MOLLIFIER_Z
+        shifted = t[..., None] - self._nodes
         return np.sum(_MOLLIFIER_W * self._hinge_deriv(shifted), axis=-1)[()]
 
     def far_deriv(self, t: float) -> float:
         """deriv(t) for t >= 7 eta / 8, bit for bit: there every shifted node
         t - s z lies past the hinge at 5 eta / 8, so no node needs the test."""
-        d = (t - self.s * _MOLLIFIER_Z) - 5.0 * self.eta / 8.0
+        d = (t - self._nodes) - self._hinge_at
         return float((_MOLLIFIER_W * (2.0 * d)).sum())
 
     def tail_closed_form(self, t):
         """Exact value for t >= 3 eta / 4 (the mollifier cross term cancels)."""
-        return (np.asarray(t, dtype=float) - 5.0 * self.eta / 8.0) ** 2 + self.s ** 2 * self.sigma2_phi
+        return (np.asarray(t, dtype=float) - self._hinge_at) ** 2 + self.s ** 2 * self.sigma2_phi
 
 
 def choose_K(probe: CurvatureReport, n: int, p: int, delta_n: float,
@@ -166,7 +168,10 @@ class SurrogateSpec:
     """Surrogate log-likelihood lt and the constants it certifies.
 
     lambda_tilde = 7K, lambda_total = 7K + Lambda_pi and
-    m_total = (probe curvature minimum) + m_pi.
+    m_total = (probe curvature minimum) + m_pi.  `drift_calls` counts the
+    posterior_grad calls made in each region of t = ||theta - theta_init||:
+    "inner" (t <= eta/2, the exact likelihood), "annulus" (the blended cutoff)
+    and "far" (t >= 7 eta/8, the penalty alone).
     """
 
     model: ModelInstance
@@ -184,6 +189,8 @@ class SurrogateSpec:
         if self.eta <= 0 or self.K <= 0:
             raise ValueError("eta and K must be positive")
         self.penalty = MollifiedPenalty(self.eta)
+        self._inner_edge = 0.5 * self.eta
+        self.drift_calls = {"inner": 0, "annulus": 0, "far": 0}
         self._ll_init = self.model.log_lik(self.theta_init)
         if not np.isfinite(self._ll_init):
             raise ValueError("log-likelihood is not finite at theta_init")
@@ -217,7 +224,7 @@ class SurrogateSpec:
         theta = np.asarray(theta, dtype=float)
         diff = theta - self.theta_init
         t = math.sqrt(diff.dot(diff))  # == float(np.linalg.norm(diff))
-        if t <= 0.5 * self.eta:
+        if t <= self._inner_edge:
             # cutoff == 1 and penalty == 0 hold identically here; return the
             # base value directly so the region identity is exact in floats
             return self.model.log_lik(theta)
@@ -237,12 +244,23 @@ class SurrogateSpec:
         theta = np.asarray(theta, dtype=float)
         diff = theta - self.theta_init
         t = math.sqrt(diff.dot(diff))  # == float(np.linalg.norm(diff))
-        if t <= 0.5 * self.eta:
+        return self._region_grad(self._region(t), theta, diff, t)
+
+    def _region(self, t: float) -> str:
+        """The region of drift_calls that t = ||theta - theta_init|| falls in."""
+        if t <= self._inner_edge:
+            return "inner"
+        # the cutoff and its derivative are exactly 0 from 7/8 on
+        return "far" if t / self.eta >= 0.875 else "annulus"
+
+    def _region_grad(self, region, theta, diff, t):
+        """grad lt(theta) in `region`, at t = ||diff||, diff = theta - theta_init."""
+        if region == "inner":
             return self.model.grad_log_lik(theta)
         radial = diff / t
-        s = t / self.eta
-        if s >= 0.875:  # the cutoff and its derivative are exactly 0 from 7/8 on
+        if region == "far":
             return -self.K * self.penalty.far_deriv(t) * radial
+        s = t / self.eta
         vt = float(cutoff(s))
         dv = float(cutoff_deriv(s)) / self.eta
         dpen = float(self.penalty.deriv(t))
@@ -261,5 +279,13 @@ class SurrogateSpec:
         return self.log_lik(theta) + self.prior.log_density(theta)
 
     def posterior_grad(self, theta) -> np.ndarray:
-        """The Langevin drift: grad lt + grad log prior."""
-        return self.grad(theta) + self.prior.grad_log_density(theta)
+        """The Langevin drift: grad lt + grad log prior, counted in
+        `drift_calls` by its region."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != self.theta_init.shape:
+            raise ValueError(f"theta must have length p={self.model.p}, got shape {theta.shape}")
+        diff = theta - self.theta_init
+        t = math.sqrt(diff.dot(diff))
+        region = self._region(t)
+        self.drift_calls[region] += 1
+        return self._region_grad(region, theta, diff, t) + self.prior.grad_diag * theta

@@ -2,8 +2,13 @@
 
 import csv
 import io
+import math
 
 import numpy as np
+
+from surrogate_langevin.expfam import natural_param, natural_param_d1
+from surrogate_langevin.likelihood import _density_quadrature
+from surrogate_langevin.surrogate import _MOLLIFIER_W, _MOLLIFIER_Z, cutoff, cutoff_deriv
 
 
 def darcy_solve_longdouble(f, g1, g2):
@@ -92,3 +97,180 @@ def awkward_floats(rows, cols, seed, rows_at=()):
     out = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 299, (rows, cols))
     out[list(rows_at)] = np.resize(np.array(AWKWARD_FLOATS), (len(rows_at), cols))
     return out
+
+
+def w2_sorted_1d(samples_a, samples_b) -> float:
+    """Independent 1-D oracle: W2 equals the L2 distance of sorted samples."""
+    a = np.sort(np.ravel(samples_a))
+    b = np.sort(np.ravel(samples_b))
+    if a.shape != b.shape:
+        raise ValueError("sample counts differ")
+    return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+# -- the drift and the chain as first composed ----------------------------------
+#
+# These compose the Langevin drift and the ULA chain from the public pieces,
+# one call and one decision at a time, as the package did before its step,
+# surrogate and likelihood settled their dispatch once per cell.  The package
+# must give the same bits.
+
+def log_lik_composed(model, theta) -> float:
+    theta = np.asarray(theta, dtype=float)
+    ds = model.dataset
+    if ds.n == 0:
+        return 0.0
+    if ds.kind == "density":
+        qx, qw = _density_quadrature()
+        phi_quad = model.basis.design_matrix(qx) @ theta
+        mx = phi_quad.max()
+        log_partition = mx + np.log((qw * np.exp(phi_quad - mx)).sum())
+        return float((model.basis.design_matrix(ds.x) @ theta).sum() - ds.n * log_partition)
+    u = model.forward.values(theta, ds.x)
+    try:
+        b = natural_param(model.family, model.link, u)
+    except ValueError:
+        return -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = ds.y * b - model.family.A(b)
+    total = terms.sum()
+    return float(total) if np.isfinite(total) else -np.inf
+
+
+def grad_log_lik_composed(model, theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    ds = model.dataset
+    if ds.n == 0:
+        return np.zeros(model.p)
+    if ds.kind == "density":
+        qx, qw = _density_quadrature()
+        E_quad = model.basis.design_matrix(qx)
+        phi_quad = E_quad @ theta
+        mx = phi_quad.max()
+        p_quad = np.exp(phi_quad - (mx + np.log((qw * np.exp(phi_quad - mx)).sum())))
+        return (model.basis.design_matrix(ds.x).sum(axis=0)
+                - ds.n * (E_quad.T @ (qw * p_quad)))
+    u = model.forward.values(theta, ds.x)
+    b = natural_param(model.family, model.link, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = ds.y - model.family.A1(b)
+        if model.link.kind != "canonical":
+            resid = resid * natural_param_d1(model.family, model.link, u)
+    if not np.all(np.isfinite(resid)):
+        raise FloatingPointError("non-finite likelihood gradient")
+    return model.forward.grad_rows(theta, ds.x).T @ resid
+
+
+def _penalty_deriv(eta, t):
+    """The mollified hinge's derivative at t by the 64-node quadrature."""
+    d = (np.asarray(t, dtype=float)[..., None] - (eta / 8.0) * _MOLLIFIER_Z) - 5.0 * eta / 8.0
+    return np.sum(_MOLLIFIER_W * np.where(d > 0, 2.0 * d, 0.0), axis=-1)[()]
+
+
+def drift_region(spec, theta) -> str:
+    """The region of theta: inner (t <= eta/2), far (t/eta >= 7/8) or annulus."""
+    t = float(np.linalg.norm(np.asarray(theta, dtype=float) - spec.theta_init))
+    if t <= 0.5 * spec.eta:
+        return "inner"
+    return "far" if t / spec.eta >= 0.875 else "annulus"
+
+
+def grad_composed(spec, theta) -> np.ndarray:
+    """grad lt(theta), region by region."""
+    theta = np.asarray(theta, dtype=float)
+    model, eta, K = spec.model, spec.eta, spec.K
+    diff = theta - spec.theta_init
+    t = float(np.linalg.norm(diff))
+    region = drift_region(spec, theta)
+    if region == "inner":
+        return grad_log_lik_composed(model, theta)
+    radial = diff / t
+    s = t / eta
+    if region == "far":
+        return -K * float(_penalty_deriv(eta, t)) * radial
+    vt = float(cutoff(s))
+    dv = float(cutoff_deriv(s)) / eta
+    out = -K * float(_penalty_deriv(eta, t)) * radial
+    if vt != 0.0 or dv != 0.0:
+        ll = log_lik_composed(model, theta)
+        if not np.isfinite(ll):
+            raise FloatingPointError("non-finite base likelihood inside the cutoff support")
+        out = out + dv * (ll - log_lik_composed(model, spec.theta_init)) * radial
+        if vt != 0.0:
+            out = out + vt * grad_log_lik_composed(model, theta)
+    return out
+
+
+def posterior_grad_composed(spec, theta) -> np.ndarray:
+    """grad lt(theta) + grad log prior(theta)."""
+    prior = spec.prior
+    return grad_composed(spec, theta) + (-prior.scale * prior.sigma_alpha_diag) * theta
+
+
+def ula_step_composed(drift, state, gamma, noise):
+    d = np.asarray(drift(state), dtype=float)
+    if not np.all(np.isfinite(d)):
+        raise FloatingPointError("non-finite drift")
+    return state + gamma * d + math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float)
+
+
+def run_chain_per_step(drift, theta_init, config, functionals, region_center,
+                       region_radius, storage_budget):
+    """run_chain with one noise draw and one ula_step_composed per step.
+
+    Returns (states, stride, exit_step, accumulators, guard_triggers, final
+    state), or ("diverged", step, last_state).
+    """
+    theta = np.asarray(theta_init, dtype=float)
+    p = theta.size
+    total = config.j_in + config.j
+    stride = 1
+    while (total // stride + 1) * p > storage_budget:
+        stride *= 2
+    rng = np.random.default_rng(config.seed)
+    acc = {name: None for name in functionals}
+    stored = [theta.copy()]
+    exit_step, guards, R = None, 0, config.guard_radius
+    for k in range(1, total + 1):
+        noise = rng.standard_normal(p)
+        try:
+            new = ula_step_composed(drift, theta, config.gamma, noise)
+        except FloatingPointError:
+            if config.guard != "reflect":
+                return ("diverged", k, theta)
+            r = float(np.linalg.norm(theta))
+            if not math.isfinite(r):
+                r = math.hypot(*theta)
+            if r > R:
+                theta = theta * (R / r)
+            guards += 1
+            try:
+                new = ula_step_composed(drift, theta, config.gamma, noise)
+            except FloatingPointError:
+                return ("diverged", k, theta)
+        theta = new
+        if config.guard == "reflect":
+            r = float(np.linalg.norm(theta))
+            overflow = not math.isfinite(r)
+            if overflow:
+                r = math.hypot(*theta)
+            if r > R:
+                s = 2.0 * R - r
+                if s < -R:
+                    s = (s + R) % (4.0 * R) - R
+                    if s > R:
+                        s = 2.0 * R - s
+                theta = theta / r * s if overflow else theta * s / r
+                guards += 1
+        if not np.all(np.isfinite(theta)):
+            return ("diverged", k, stored[-1])
+        if (region_center is not None and exit_step is None
+                and np.linalg.norm(theta - region_center) > region_radius):
+            exit_step = k
+        if k % stride == 0:
+            stored.append(theta.copy())
+        if k > config.j_in:
+            for name, f in functionals.items():
+                val = np.asarray(f(theta), dtype=float)
+                acc[name] = val if acc[name] is None else acc[name] + val
+    return np.asarray(stored), stride, exit_step, acc, guards, theta

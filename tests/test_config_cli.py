@@ -242,6 +242,16 @@ def test_sample_and_experiment_agree(tmp_path, variant):
     assert summary["exit_step"] == cell.metrics["exit_step"]
     np.testing.assert_array_equal(summary["posterior_mean"],
                                   cell.trace.ergodic_average("identity"))
+    # the surrogate drift's calls per region, one per step; none for vanilla
+    keys = [f"drift_calls_{region}" for region in ("inner", "annulus", "far")]
+    calls = {k: v for k, v in summary.items() if k.startswith("drift_calls_")}
+    assert calls == {k: v for k, v in cell.metrics.items() if k.startswith("drift_calls_")}
+    if variant == "vanilla":
+        assert calls == {}
+    else:
+        assert sorted(calls) == sorted(keys)
+        assert all(type(v) is int for v in calls.values())
+        assert sum(calls.values()) == 550 and calls["drift_calls_far"] > 0
 
 
 def test_cli_seed_offset_changes_data(tmp_path):

@@ -8,8 +8,7 @@ from surrogate_langevin.diagnostics import (BoundaryMassError, ExitTimeSummary,
                                             RecoveryReport, condition_numbers,
                                             contraction_metric, empirical_w2,
                                             exit_time_stats, grid_posterior,
-                                            grid_tv_distance, loglog_slope,
-                                            w2_sorted_1d)
+                                            grid_tv_distance, loglog_slope)
 from surrogate_langevin.expfam import ExpFamily, LinkFunction
 from surrogate_langevin.forward import LinearPhi
 from surrogate_langevin.likelihood import CurvatureReport, Dataset, ModelInstance
@@ -133,6 +132,8 @@ def test_w2_constant_shift():
 
 
 def test_w2_matches_sorted_1d_oracle():
+    from _oracles import w2_sorted_1d
+
     rng = np.random.default_rng(2)
     a = rng.standard_normal(200)
     b = 0.5 * rng.standard_normal(200) + 0.2

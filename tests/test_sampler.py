@@ -12,6 +12,8 @@ from surrogate_langevin.sampler import (NOISE_BLOCK, ChainDivergedError,
                                         precision_floor, run_chain,
                                         step_size_bound, ula_step)
 
+from _oracles import run_chain_per_step
+
 
 # -- ula_step ------------------------------------------------------------------
 
@@ -217,15 +219,26 @@ def test_guard_reflect_retry_keeps_interior_state():
     assert np.linalg.norm(trace.final_state) < 0.1
 
 
+def test_guard_reflect_folds_a_state_whose_square_overflows():
+    # theta.theta of the state [1e160, 0] overflows, its norm does not
+    cfg = SamplerConfig(gamma=1.0, j=5, seed=0, guard="reflect", guard_radius=2.0)
+    with np.errstate(over="ignore"):
+        trace = run_chain(lambda s: np.array([1e160, 0.0]), np.zeros(2), cfg)
+    assert trace.guard_trigger_count == 5
+    assert np.all(np.linalg.norm(trace.states, axis=1) <= 2.0 * (1.0 + 1e-12))
+
+
 @settings(max_examples=200)
 @given(scale=st.floats(-1e12, 1e12) | st.sampled_from([1e300, -1e300]),
-       offset=st.floats(allow_nan=True, allow_infinity=True),
+       offset=st.floats(allow_nan=True, allow_infinity=True)
+       | st.sampled_from([1e160, -1e200, 1e300]),
        bad_norm=st.floats(0.0, 20.0) | st.none(),
        radius=st.floats(0.1, 10.0), gamma=st.floats(1e-4, 1.0),
        seed=st.integers(0, 2 ** 16))
 def test_guard_reflect_never_leaves_the_ball(scale, offset, bad_norm, radius,
                                              gamma, seed):
-    # any drift: linear, huge, or non-finite beyond some norm or everywhere
+    # any drift: linear, huge, or non-finite beyond some norm or everywhere;
+    # an offset of 1e160 or more sends the state where theta.theta overflows
     def drift(s):
         if bad_norm is not None and np.linalg.norm(s) > bad_norm:
             return np.full_like(s, np.inf)
@@ -237,6 +250,9 @@ def test_guard_reflect_never_leaves_the_ball(scale, offset, bad_norm, radius,
         try:
             trace = run_chain(drift, np.zeros(2), cfg)
         except ChainDivergedError:
+            # only a drift that is not finite on the ball can end the chain:
+            # |drift| <= 1e300 (1 + R) + |offset| stays finite otherwise
+            assert bad_norm is not None or not abs(offset) <= 1e300
             return
     bound = radius * (1.0 + 1e-12)  # the rescaled state's norm is R up to rounding
     assert np.all(np.linalg.norm(trace.states, axis=1) <= bound)
@@ -260,67 +276,6 @@ def test_post_burn_in_states_window():
     post = trace.post_burn_in_states()
     assert post.shape[0] == 20
     np.testing.assert_array_equal(post, trace.states[11:])
-
-
-def _per_step_chain(drift, theta_init, config, functionals, region_center,
-                    region_radius, storage_budget):
-    """run_chain written with one noise draw per step: the reference for block
-    noise.  Returns the trace fields, or ("diverged", step, last_state)."""
-    theta = np.asarray(theta_init, dtype=float)
-    p = theta.size
-    total = config.j_in + config.j
-    stride = 1
-    while (total // stride + 1) * p > storage_budget:
-        stride *= 2
-    rng = np.random.default_rng(config.seed)
-    c = math.sqrt(2.0 * config.gamma)
-
-    def step(state, noise):
-        d = np.asarray(drift(state), dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise FloatingPointError
-        return state + config.gamma * d + c * noise
-
-    acc = {name: None for name in functionals}
-    stored = [theta.copy()]
-    exit_step, guards, R = None, 0, config.guard_radius
-    for k in range(1, total + 1):
-        noise = rng.standard_normal(p)
-        try:
-            new = step(theta, noise)
-        except FloatingPointError:
-            if config.guard != "reflect":
-                return ("diverged", k, theta)
-            r = np.linalg.norm(theta)
-            if r > R:
-                theta = theta * (R / r)
-            guards += 1
-            try:
-                new = step(theta, noise)
-            except FloatingPointError:
-                return ("diverged", k, theta)
-        theta = new
-        if config.guard == "reflect":
-            r = float(np.linalg.norm(theta))
-            if r > R:
-                s = 2.0 * R - r
-                if s < -R:
-                    s = (s + R) % (4.0 * R) - R
-                    if s > R:
-                        s = 2.0 * R - s
-                theta = theta * s / r
-                guards += 1
-        if not np.all(np.isfinite(theta)):
-            return ("diverged", k, stored[-1])
-        if exit_step is None and np.linalg.norm(theta - region_center) > region_radius:
-            exit_step = k
-        if k % stride == 0:
-            stored.append(theta.copy())
-        if k > config.j_in:
-            for name, f in functionals.items():
-                val = np.asarray(f(theta), dtype=float)
-                acc[name] = val if acc[name] is None else acc[name] + val
-    return np.asarray(stored), stride, exit_step, acc, guards, theta
 
 
 B = NOISE_BLOCK
@@ -350,7 +305,7 @@ def test_block_noise_matches_per_step_draws(total, burn_frac, p, guard, budget,
     fns = {"id": lambda s: s, "sq": lambda s: s @ s}
     center, radius = np.full(p, 0.1), 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = _per_step_chain(drift, np.zeros(p), cfg, fns, center, radius, budget)
+        ref = run_chain_per_step(drift, np.zeros(p), cfg, fns, center, radius, budget)
         try:
             trace = run_chain(drift, np.zeros(p), cfg, functionals=fns,
                               region_center=center, region_radius=radius,
