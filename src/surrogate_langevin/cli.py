@@ -14,15 +14,6 @@ from .experiment import (build_model, drift_call_counts, json_scalar, resolve_ce
                          run_experiment, sample_cell)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed-offset", type=int, default=0,
-                        help="added to every seed in the config")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker processes for experiment cells")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="surrogate-langevin",
@@ -36,7 +27,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("experiment", "run the full (n, p, seed) experiment matrix"),
     ]:
         p = sub.add_parser(name, help=desc)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="experiment config file")
+        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        p.add_argument("--seed-offset", type=int, default=0,
+                       help="added to every seed in the config")
+        if name in ("diagnose", "experiment"):  # the commands that run many cells
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel worker processes for the cells")
     return parser
 
 

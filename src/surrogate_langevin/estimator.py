@@ -7,6 +7,8 @@ fitted regression function at new design points.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .basis import BasisFamily
@@ -41,13 +43,12 @@ class LangevinGLMRegressor:
         self.seed = seed
 
     def get_params(self, deep=True):
-        return {k: getattr(self, k) for k in (
-            "p", "alpha", "family", "link", "basis", "eta", "kappa_const",
-            "epsilon", "gamma_fraction", "j", "n_probes", "seed")}
+        names = list(inspect.signature(type(self).__init__).parameters)[1:]  # after self
+        return {k: getattr(self, k) for k in names}
 
     def set_params(self, **params):
         for k, v in params.items():
-            if not hasattr(self, k):
+            if k not in self.get_params():
                 raise ValueError(f"unknown parameter {k!r}")
             setattr(self, k, v)
         return self

@@ -49,19 +49,11 @@ class CellResult:
     trace: object = None
 
     def row(self) -> list:
-        r, m = self.resolved, self.metrics
-        def fmt(v):
-            return "" if v is None else (repr(float(v)) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else str(v))
-        return [
-            self.n, self.p, self.seed, self.status,
-            fmt(r.get("gamma")), r.get("j_in", ""), r.get("j", ""),
-            fmt(r.get("kappa_const")), fmt(r.get("eta")), fmt(r.get("m")),
-            fmt(r.get("lambda")), fmt(r.get("delta_n")),
-            "" if m.get("exit_step") is None else m.get("exit_step"),
-            fmt(m.get("mean_error")), fmt(m.get("contraction_fraction")),
-            fmt(m.get("cond_surrogate")), fmt(m.get("cond_prior")),
-            fmt(m.get("grid_tv")), self.message,
-        ]
+        """The report.csv row: counts and text as is, reals as repr(float(v)), "" if missing."""
+        values = {"n": self.n, "p": self.p, "seed": self.seed, "status": self.status,
+                  "message": self.message, **self.resolved, **self.metrics}
+        return ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                for v in map(values.get, REPORT_COLUMNS)]
 
 
 def json_scalar(v):
@@ -245,8 +237,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
         _write_recovery(out, cfg, results)
 
     manifest = {
-        "config": {k: (list(v) if isinstance(v, (list, tuple)) else v)
-                   for k, v in vars(cfg).items()},
+        "config": vars(cfg),  # json writes the tuples as lists
         "seed_offset": seed_offset,
         "traces": {"cell_limit": TRACE_CELL_LIMIT,
                    "skipped": len(cells) > TRACE_CELL_LIMIT},

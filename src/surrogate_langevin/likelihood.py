@@ -219,7 +219,7 @@ class ModelInstance:
             with np.errstate(over="ignore", invalid="ignore"):
                 resid = self._y - self._A1(u)
         else:
-            b = natural_param(self.family, self.link, u)
+            b = self._natural_param(u)
             with np.errstate(over="ignore", invalid="ignore"):
                 resid = (self._y - self._A1(b)) * natural_param_d1(self.family, self.link, u)
         # a NaN or inf entry makes resid.resid NaN or inf (see sampler._step)
@@ -228,31 +228,32 @@ class ModelInstance:
         return resid.dot(self.forward.grad_rows(theta, x))
 
     def hess_dir(self, theta, v) -> float:
-        """Directional second derivative v' hess l_n(theta) v."""
+        """Directional second derivative v' hess l_n(theta) v: the public
+        single-direction form of hess_dir_many (perfbench/spans.py times it)."""
         return float(self.hess_dir_many(theta, np.asarray(v, dtype=float)[:, None])[0])
 
     def hess_dir_many(self, theta, V) -> np.ndarray:
         """v' hess l_n(theta) v for every column v of the (p, k) array V."""
         theta = self._check(theta)
         V = np.asarray(V, dtype=float)
-        if self.n == 0:
+        if self._n == 0:
             return np.zeros(V.shape[1])
-        if self.kind == "density":
+        if self._density:
             # -n times the variance of Phi(v) under p_theta, by quadrature
             phi_quad = self._E_quad @ theta
             wp = self._qw * np.exp(phi_quad - self._log_partition(phi_quad))
             PV = self._E_quad @ V
-            vals = -self.n * (wp @ (PV - wp @ PV) ** 2)
+            vals = -self._n * (wp @ (PV - wp @ PV) ** 2)
         else:
-            x = self.dataset.x
+            x = self._x
             u = self.forward.values(theta, x)
-            b = natural_param(self.family, self.link, u)
+            b = self._natural_param(u)
             q1 = natural_param_d1(self.family, self.link, u)
             q2 = natural_param_d2(self.family, self.link, u)
             GU = self.forward.dir_grad(theta, V, x)  # (n, k)
             HU = self.forward.dir_hess(theta, V, x)
             with np.errstate(over="ignore", invalid="ignore"):
-                r = self.dataset.y - self.family.A1(b)
+                r = self._y - self.family.A1(b)
                 w_hess = r * q2 - self.family.A2(b) * q1 ** 2
                 vals = w_hess @ GU ** 2 + (r * q1) @ HU
         if not np.isfinite(vals).all():
@@ -305,6 +306,14 @@ class ModelInstance:
             lam_min = lam_max = 0.0
         grad_norm = float(np.linalg.norm(self.grad_log_lik(center)))
         return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta, skipped)
+
+    def _natural_param(self, u):
+        """natural_param at u; outside the link's range (u <= 0 for the cube
+        link) FloatingPointError, so a chain's guard retries or it diverges."""
+        try:
+            return natural_param(self.family, self.link, u)
+        except ValueError as exc:
+            raise FloatingPointError(str(exc)) from None
 
     def _check(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

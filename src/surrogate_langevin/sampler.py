@@ -10,6 +10,8 @@ import numpy as np
 
 # Steps of noise drawn per call to the generator in run_chain.
 NOISE_BLOCK = 1024
+# run_chain at a non-finite drift: end the chain, or pull the state in and retry.
+GUARDS = ("none", "reflect")
 
 
 class ChainDivergedError(RuntimeError):
@@ -27,7 +29,7 @@ class SamplerConfig:
     j_in: int = 0
     j: int = 1
     seed: int = 0
-    guard: str = "none"  # "none" | "reflect"
+    guard: str = "none"  # one of GUARDS
     guard_radius: float = 1e3
 
     def __post_init__(self):
@@ -35,7 +37,7 @@ class SamplerConfig:
             raise ValueError("gamma must be positive")
         if self.j_in < 0 or self.j < 1:
             raise ValueError("need j_in >= 0 and j >= 1")
-        if self.guard not in ("none", "reflect"):
+        if self.guard not in GUARDS:
             raise ValueError(f"unknown guard {self.guard!r}")
 
 

@@ -74,6 +74,30 @@ def recovery_csv_bytes(results, alpha):
     return buf.getvalue().encode()
 
 
+def report_row_hand_written(result):
+    """A report.csv row as the harness first wrote it, one expression per
+    column: the reference for CellResult.row."""
+    r, m = result.resolved, result.metrics
+
+    def fmt(v):
+        if v is None:
+            return ""
+        if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool):
+            return repr(float(v))
+        return str(v)
+
+    return [
+        result.n, result.p, result.seed, result.status,
+        fmt(r.get("gamma")), r.get("j_in", ""), r.get("j", ""),
+        fmt(r.get("kappa_const")), fmt(r.get("eta")), fmt(r.get("m")),
+        fmt(r.get("lambda")), fmt(r.get("delta_n")),
+        "" if m.get("exit_step") is None else m.get("exit_step"),
+        fmt(m.get("mean_error")), fmt(m.get("contraction_fraction")),
+        fmt(m.get("cond_surrogate")), fmt(m.get("cond_prior")),
+        fmt(m.get("grid_tv")), result.message,
+    ]
+
+
 def csv_writer_bytes(header, rows):
     """What csv.writer writes for `header` and `rows`, with each float of a row
     formatted as repr(float(v)) and any other value left to the writer."""

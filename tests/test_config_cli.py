@@ -1,7 +1,10 @@
 import csv
+import io
 import json
+import re
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import AWKWARD_FLOATS, report_row_hand_written
 from surrogate_langevin import experiment
 from surrogate_langevin.cli import main
 from surrogate_langevin.config import (ConfigValidationError, ExperimentConfig,
@@ -138,6 +142,110 @@ def test_default_config_is_valid():
     ExperimentConfig().validate()
 
 
+EVERY_KEY = """\
+[model]
+preset = glm-poisson
+theta0_mode = explicit
+theta0_scale = 0.25
+theta0_power = 3
+theta0_values = 1.0, 2.0
+darcy_mesh = 64
+darcy_f_min = 0.5
+darcy_source = 2
+darcy_boundary = 0.5 2
+[prior]
+alpha = 1.5
+[surrogate]
+eta_rule = fixed
+eta_value = 0.25
+k_override = 7
+init_mode = oracle-perturbed
+init_rho = 0.01
+n_probes = 9
+[sampler]
+variant = vanilla
+gamma_rule = fixed
+gamma_fraction = 0.5
+gamma_bound = exit
+gamma_value = 0.001
+j_in_rule = fixed
+j_in_value = 3
+epsilon = 2
+c_w = 1.5
+j = 11
+seeds = 4 5
+guard = reflect
+guard_radius = 9
+[experiment]
+n_grid = 30 60
+p_rule = rate
+p_value = 2
+diagnostics = contraction recovery
+[output]
+dir = elsewhere
+thinning_budget = 5000
+"""
+
+
+def test_every_key_sets_its_field(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, EVERY_KEY))
+    expected = dict(
+        model_preset="glm-poisson", theta0_mode="explicit", theta0_scale=0.25,
+        theta0_power=3.0, theta0_values=[1.0, 2.0], darcy_mesh=64, darcy_f_min=0.5,
+        darcy_source=2.0, darcy_boundary=(0.5, 2.0), alpha=1.5, eta_rule="fixed",
+        eta_value=0.25, k_override=7.0, init_mode="oracle-perturbed", init_rho=0.01,
+        n_probes=9, variant="vanilla", gamma_rule="fixed", gamma_fraction=0.5,
+        gamma_bound="exit", gamma_value=0.001, j_in_rule="fixed", j_in_value=3,
+        epsilon=2.0, c_w=1.5, j=11, seeds=[4, 5], guard="reflect", guard_radius=9.0,
+        n_grid=[30, 60], p_rule="rate", p_value=2, diagnostics=["contraction", "recovery"],
+        out_dir="elsewhere", thinning_budget=5000)
+    assert vars(cfg) == expected
+    assert {k: type(v) for k, v in vars(cfg).items()} == {k: type(v) for k, v in expected.items()}
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg = load_config(write_cfg(tmp_path, blocks[0]))
+    assert cfg.model_preset == "glm-gaussian" and cfg.p_rule == "rate"
+    assert cfg.seeds == [0, 1, 2] and cfg.n_grid == [200, 800, 3200]
+    assert cfg.diagnostics == ["recovery", "condition-numbers"] and cfg.out_dir == "out"
+
+
+ENUMERATIONS = {
+    "model.preset": ("glm-gaussian", "glm-poisson", "glm-logistic", "glm-gaussian-cube",
+                     "density", "darcy-1d"),
+    "model.theta0_mode": ("decay", "explicit"),
+    "surrogate.eta_rule": ("preset", "fixed"),
+    "surrogate.init_mode": ("oracle-projection", "oracle-perturbed", "pilot-ascent"),
+    "sampler.variant": ("surrogate", "vanilla"),
+    "sampler.gamma_rule": ("fraction", "fixed"),
+    "sampler.gamma_bound": ("sampling", "exit"),
+    "sampler.j_in_rule": ("auto", "fixed"),
+    "sampler.guard": ("none", "reflect"),
+    "experiment.p_rule": ("fixed", "rate"),
+    "experiment.diagnostics": ("grid-posterior", "contraction", "condition-numbers",
+                               "recovery"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_enumerated_option_rejects_an_unknown_value(tmp_path, name):
+    section, key = name.split(".")
+    value = "contraction bogus" if key == "diagnostics" else "bogus"
+    with pytest.raises(ConfigValidationError) as exc:
+        load_config(write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n"))
+    allowed = ", ".join(ENUMERATIONS[name])
+    assert exc.value.problems == [f"{name}: must be one of {allowed}, got 'bogus'"]
+
+
+def test_every_enumerated_option_is_listed():
+    declared = {f"{f.metadata['section']}.{f.metadata['key'] or f.name}": f.metadata["choices"]
+                for f in fields(ExperimentConfig) if f.metadata["choices"]}
+    assert {k: tuple(v) for k, v in declared.items()} == ENUMERATIONS
+
+
 # -- CLI -----------------------------------------------------------------------
 
 def test_cli_invalid_config_exit_code(tmp_path):
@@ -147,6 +255,28 @@ def test_cli_invalid_config_exit_code(tmp_path):
 
 def test_cli_missing_config_exit_code(tmp_path):
     assert main(["experiment", "--config", str(tmp_path / "absent.ini")]) == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "sample"])
+def test_jobs_rejected_by_single_cell_commands(tmp_path, capsys, command):
+    path = write_cfg(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "experiment"])
+def test_jobs_run_matches_one_process(tmp_path, command):
+    path = write_cfg(tmp_path, MINIMAL.replace("seeds = 0", "seeds = 0 1"))
+    for jobs in ("1", "2"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "report.csv" in names and "manifest.json" in names
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_cli_generate(tmp_path):
@@ -320,6 +450,45 @@ def test_recovery_csv_matches_the_first_computation(cells, alpha):
         experiment._write_recovery(Path(out), cfg, results)
         written = (Path(out) / "recovery.csv").read_bytes()
     assert written == recovery_csv_bytes(results, alpha)
+
+
+METRIC_COLUMNS = ("exit_step", "mean_error", "contraction_fraction", "cond_surrogate",
+                  "cond_prior", "grid_tv")
+REAL_COLUMNS = ("gamma", "kappa_const", "eta", "m", "lambda", "delta_n") + METRIC_COLUMNS[1:]
+COUNT_COLUMNS = ("j_in", "j", "exit_step")
+ABSENT = object()
+_real = st.floats() | st.sampled_from(AWKWARD_FLOATS)
+_count = st.integers(0, 10 ** 9)
+
+
+def _csv_line(row):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(row)
+    return buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.fixed_dictionaries(
+           {**{k: st.none() | st.just(ABSENT) | _real | _real.map(np.float64)
+               | st.floats(width=32).map(np.float32) for k in REAL_COLUMNS},
+            **{k: st.none() | st.just(ABSENT) | _count | _count.map(np.int64)
+               for k in COUNT_COLUMNS}}),
+       extra=st.dictionaries(st.sampled_from(["precision_floor", "guard_trigger_count",
+                                              "drift_calls_far", "epsilon_below_floor"]),
+                             st.integers(0, 9) | st.floats() | st.booleans()),
+       status=st.sampled_from(["ok", "failed", "diverged"]),
+       message=st.text(max_size=20))
+def test_report_row_matches_the_hand_written_row(values, extra, status, message):
+    # the columns come from REPORT_COLUMNS alone, with the bytes the
+    # per-column row wrote: Python or numpy scalars, None or absent values
+    # (csv.writer alone would write a float32 in its own shortest form);
+    # resolved and metric keys that are not columns are not written
+    values = {k: v for k, v in values.items() if v is not ABSENT}
+    result = experiment.CellResult(
+        n=200, p=3, seed=7, status=status, message=message,
+        resolved={**extra, **{k: v for k, v in values.items() if k not in METRIC_COLUMNS}},
+        metrics={k: v for k, v in values.items() if k in METRIC_COLUMNS})
+    assert _csv_line(result.row()) == _csv_line(report_row_hand_written(result))
 
 
 def test_counts_are_json_ints_in_summary_and_manifest(tmp_path):

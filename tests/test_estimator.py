@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,19 @@ def test_params_roundtrip():
     assert est.p == 3 and est.seed == 7
     with pytest.raises(ValueError):
         est.set_params(nonsense=1)
+
+
+def test_every_constructor_parameter_round_trips():
+    names = list(inspect.signature(LangevinGLMRegressor.__init__).parameters)[1:]
+    assert len(names) == 12 and names[0] == "p" and names[-1] == "seed"
+    assert list(LangevinGLMRegressor().get_params()) == names
+    values = {name: object() for name in names}  # a distinct value per parameter
+    assert LangevinGLMRegressor(**values).get_params() == values
+    assert LangevinGLMRegressor().set_params(**values).get_params() == values
+    # methods and fitted attributes are not parameters
+    for name in ("fit", "posterior_mean_"):
+        with pytest.raises(ValueError, match=name):
+            LangevinGLMRegressor().set_params(**{name: 1})
 
 
 def test_fit_rejects_step_above_bound():

@@ -7,7 +7,11 @@ from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import (FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction,
                                        natural_param, natural_param_d1, natural_param_d2)
 from surrogate_langevin.forward import Darcy1D, LinearPhi
-from surrogate_langevin.likelihood import CSV_BLOCK_ROWS, Dataset, ModelInstance, generate_data
+from surrogate_langevin.likelihood import (CSV_BLOCK_ROWS, CurvatureReport, Dataset,
+                                           ModelInstance, generate_data)
+from surrogate_langevin.prior import SievePrior
+from surrogate_langevin.sampler import ChainDivergedError, SamplerConfig, run_chain
+from surrogate_langevin.surrogate import SurrogateSpec
 
 
 def glm_model(n=200, p=3, family="gaussian", link="canonical", seed=0, theta0=None):
@@ -379,6 +383,35 @@ def test_loglik_minus_inf_sentinel():
     # outside the link's range (u <= 0 for the cube link)
     cube, _ = glm_model(family="gaussian", link="cube", theta0=np.array([2.0, 0.3, 0.1]))
     assert cube.log_lik(np.array([-2.0, 0.0, 0.0])) == -np.inf
+
+
+def test_cube_link_outside_its_range_raises_floating_point_error():
+    # log_lik is -inf where u <= 0; the gradient and the directional Hessian
+    # raise the error the sampler treats as a non-finite drift
+    cube, _ = glm_model(family="gaussian", link="cube", theta0=np.array([2.0, 0.3, 0.1]))
+    theta = np.array([-2.0, 0.0, 0.0])
+    with pytest.raises(FloatingPointError, match="cube"):
+        cube.grad_log_lik(theta)
+    with pytest.raises(FloatingPointError, match="cube"):
+        cube.hess_dir_many(theta, np.eye(3))
+    with pytest.raises(FloatingPointError, match="cube"):
+        cube.hess_dir(theta, np.ones(3))
+
+
+@pytest.mark.parametrize("guard", ["none", "reflect"])
+def test_cube_link_chain_leaving_the_range_diverges(guard):
+    # u = 0.3 + 0.2 sqrt(2) cos(pi x) > 0 at theta_init, and a chain in the
+    # exact-likelihood ball leaves the link's range within a few steps: it
+    # ends as diverged, after the reflect guard's retry, not with a ValueError
+    theta_init = np.array([0.3, 0.2])
+    model, _ = glm_model(n=200, p=2, link="cube", theta0=theta_init)
+    probe = CurvatureReport(1.0, 2.0, 0.0, 1, theta_init, 0.5)
+    spec = SurrogateSpec(model, SievePrior(1.0, 200, 2), theta_init, 0.5, 30.0, probe)
+    cfg = SamplerConfig(gamma=1e-3, j=200, seed=0, guard=guard, guard_radius=1.0)
+    with pytest.raises(ChainDivergedError) as exc:
+        run_chain(spec.posterior_grad, theta_init, cfg)
+    assert exc.value.step < 200
+    assert spec.drift_calls["annulus"] == spec.drift_calls["far"] == 0
 
 
 def test_darcy_block_directions():
