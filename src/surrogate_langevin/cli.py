@@ -32,9 +32,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-offset", type=int, default=0,
                        help="added to every seed in the config")
         if name in ("diagnose", "experiment"):  # the commands that run many cells
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel worker processes for the cells")
+            p.add_argument("--jobs", type=_positive_int, default=1,
+                           help="parallel worker processes for the cells (at least 1)")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _out_dir(args, cfg) -> Path:

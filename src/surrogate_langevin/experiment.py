@@ -25,7 +25,7 @@ from .prior import SievePrior
 from .sampler import (ChainDivergedError, SamplerConfig, burn_in_steps,
                       discretization_bias, precision_floor, run_chain,
                       step_size_bound)
-from .surrogate import SurrogateSpec, choose_K
+from .surrogate import ConfigurationError, SurrogateSpec, choose_K
 
 # Per-cell trace CSVs are written only for runs of at most this many cells.
 TRACE_CELL_LIMIT = 64
@@ -112,6 +112,12 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
     kappa = choose_K(probe, n, p, delta_n, MODEL_PRESETS[cfg.model_preset].exponents,
                      override=cfg.k_override)
     surrogate = SurrogateSpec(model, prior, theta_init, eta, kappa, probe)
+    if surrogate.m <= 0:
+        raise ConfigurationError(
+            f"the curvature probe reads a negative minimum curvature "
+            f"{probe.lambda_min_est:g} around theta_init (m = {surrogate.m:g} with the "
+            "prior): the likelihood is not concave there, so no step size or burn-in "
+            "can be certified")
     bounds = step_size_bound(surrogate.m, surrogate.lam)
     if cfg.gamma_rule == "fixed":
         gamma = cfg.gamma_value
@@ -215,8 +221,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
 
     Every cell writes into the report CSV; failures are recorded per cell and
     never abort the run.  A manifest echoes the configuration and each cell's
-    resolved parameters.
+    resolved parameters.  `jobs` worker processes run the cells; 1 runs them
+    in this process.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = [(cfg, n, seed + seed_offset) for n in cfg.n_grid for seed in cfg.seeds]

@@ -118,14 +118,21 @@ class LinearPhi:
     """The linear forward operator G(theta) = Phi(theta)."""
 
     basis: BasisFamily
-    _memo_key = None  # not dataclass fields: set per instance by _design
+    _memo_x = None  # not dataclass fields: set per instance by _design
+    _memo_key = None
     _memo = None
 
     def _design(self, x):
-        """Design matrix at x (memoized on the bytes of x)."""
+        """Design matrix at x, memoized.  A read-only array that owns its data
+        (Dataset.x) cannot change, so it is matched by identity; any other x
+        is matched on its bytes."""
+        if x is self._memo_x:
+            return self._memo
         key = np.asarray(x, dtype=float).tobytes()
         if self._memo_key != key:
             self._memo_key, self._memo = key, self.basis.design_matrix(x)
+        frozen = type(x) is np.ndarray and not x.flags.writeable and x.base is None
+        self._memo_x = x if frozen else None
         return self._memo
 
     def values(self, theta, x):

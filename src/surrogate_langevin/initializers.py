@@ -53,9 +53,9 @@ def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None,
         raise ValueError("log posterior is non-finite at the zero start")
     step = rate if rate is not None else 1.0 / max(model.dataset.n, 1)
     consecutive_failures = 0
+    g = gradient(theta)  # computed again only where theta moves
+    gnorm = np.linalg.norm(g)
     for _ in range(steps):
-        g = gradient(theta)
-        gnorm = np.linalg.norm(g)
         if gnorm < 1e-12:
             break
         candidate = theta + step * g
@@ -64,13 +64,15 @@ def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None,
             theta, obj = candidate, cobj
             step *= 1.5
             consecutive_failures = 0
+            g = gradient(theta)
+            gnorm = np.linalg.norm(g)
         else:
             step *= 0.5
             consecutive_failures += 1
             if consecutive_failures >= 50:
                 raise RuntimeError(
                     "pilot ascent failed 50 consecutive backtracking steps")
-    info = {"objective": float(obj), "grad_norm": float(np.linalg.norm(gradient(theta)))}
+    info = {"objective": float(obj), "grad_norm": float(gnorm)}
     if theta_star is not None and eta is not None:
         info["distance_over_eta"] = float(
             np.linalg.norm(theta - np.asarray(theta_star)) / eta)

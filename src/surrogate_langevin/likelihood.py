@@ -78,7 +78,9 @@ class Dataset:
     seed: int | None = None
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
+        # a read-only copy: the forward operators may memoize on it by identity
+        self.x = np.array(self.x, dtype=float)
+        self.x.flags.writeable = False
         if self.x.shape != (self.n,):
             raise ValueError("length of x must equal n")
         if np.any((self.x < 0) | (self.x > 1)):

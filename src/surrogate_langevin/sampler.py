@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -12,6 +13,7 @@ import numpy as np
 NOISE_BLOCK = 1024
 # run_chain at a non-finite drift: end the chain, or pull the state in and retry.
 GUARDS = ("none", "reflect")
+_FLOAT_MAX = sys.float_info.max
 
 
 class ChainDivergedError(RuntimeError):
@@ -88,12 +90,16 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
               storage_budget: int = 10_000_000) -> ChainTrace:
     """Advance j_in + j ULA steps from theta_init.
 
-    `functionals` maps names to callables of the state; their sums over the
-    averaging window (steps j_in+1 .. j_in+j) are accumulated at full
-    resolution regardless of trace thinning.  The first step k >= 1 with
-    ||state_k - region_center|| > region_radius is recorded as the exit step;
-    the chain keeps running.  The noise is drawn NOISE_BLOCK steps at a time
-    from default_rng(seed), which gives the same draws as one per step.
+    `functionals` maps names to block functionals: callables that take a
+    (k, p) array of states and return one value per state, as an array of k
+    rows (`lambda S: S` is the identity, `lambda S: S[:, 0]` the first
+    coordinate).  Their sums over the averaging window (steps j_in+1 ..
+    j_in+j) are accumulated at full resolution regardless of trace thinning,
+    in step order.  The first step k >= 1 with ||state_k - region_center|| >
+    region_radius is recorded as the exit step; the chain keeps running.  The
+    noise is drawn NOISE_BLOCK steps at a time from default_rng(seed), which
+    gives the same draws as one per step; the states of a block are stored,
+    searched for the exit and passed to the functionals once the block is done.
     """
     functionals = functionals or {}
     fns = list(functionals.values())
@@ -107,6 +113,7 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     acc = [None] * len(fns)
     states = np.empty((total // stride + 1, p))
     states[0] = theta
+    buf = np.empty((min(NOISE_BLOCK, total), p))  # the states of one block
     exit_step = None
     guard_count = 0
     track_exit = region_center is not None and region_radius is not None
@@ -117,12 +124,12 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     for lo in range(0, total, NOISE_BLOCK):
         block = rng.standard_normal((min(NOISE_BLOCK, total - lo), p))
         block *= noise_scale  # the same bits as noise_scale * noise, step by step
-        for k, noise in enumerate(block, lo + 1):
+        for i, noise in enumerate(block):
             try:
                 new = _step(drift, theta, gamma, noise)
             except FloatingPointError:
                 if not reflect:
-                    raise ChainDivergedError(k, theta) from None
+                    raise ChainDivergedError(lo + i + 1, theta) from None
                 # pull the state back inside the guard radius and retry once
                 r = _norm(theta, theta.dot(theta))
                 if r > radius:
@@ -131,7 +138,7 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
                 try:
                     new = _step(drift, theta, gamma, noise)
                 except FloatingPointError:
-                    raise ChainDivergedError(k, theta) from None
+                    raise ChainDivergedError(lo + i + 1, theta) from None
             theta = new
             sq = theta.dot(theta)
             if reflect:
@@ -143,23 +150,61 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
                     guard_count += 1
                     sq = theta.dot(theta)
             if not math.isfinite(sq) and not np.isfinite(theta).all():
-                raise ChainDivergedError(k, states[(k - 1) // stride].copy())
-            if track_exit and exit_step is None:
-                d = theta - region_center
-                if math.sqrt(d.dot(d)) > region_radius:
-                    exit_step = k
-            if k % stride == 0:
-                states[k // stride] = theta
-            if k > j_in:
-                for i, f in enumerate(fns):
-                    if acc[i] is None:
-                        acc[i] = np.array(f(theta), dtype=float)  # a copy, added to in place
-                    else:
-                        acc[i] += f(theta)
+                _store(states, buf[:i], lo, stride)
+                raise ChainDivergedError(lo + i + 1, states[(lo + i) // stride].copy())
+            buf[i] = theta
+        done = buf[:len(block)]
+        _store(states, done, lo, stride)
+        if track_exit and exit_step is None:
+            exit_step = _first_exit(done, lo, region_center, region_radius)
+        if lo + len(done) > j_in:
+            window = done[max(j_in - lo, 0):]
+            for i, f in enumerate(fns):
+                acc[i] = _accumulate(acc[i], f(window), len(window))
     accumulators = {name: 0.0 if a is None else a for name, a in zip(functionals, acc)}
     return ChainTrace(states, stride, exit_step, accumulators,
                       config.j_in, config.j, config.seed, config.gamma,
                       guard_trigger_count=guard_count, final_state=theta)
+
+
+def _store(states, rows, lo, stride):
+    """Copy the rows of steps lo+1 .. lo+len(rows) whose step is a multiple of
+    stride into states, where step k goes to row k // stride."""
+    first = lo // stride + 1
+    kept = rows[first * stride - lo - 1::stride]
+    states[first:first + len(kept)] = kept
+
+
+def _first_exit(rows, lo, center, radius):
+    """The first of the steps lo+1 .. lo+len(rows) whose state (a row) has
+    math.sqrt(d.dot(d)) > radius for d = state - center, or None.
+
+    The squared distances are screened in one einsum, with a margin: OpenBLAS
+    ddot sums with FMA, so they may differ from d.dot(d) by a few ulps.  The
+    candidates are then tested exactly, in step order.  At a radius <= 1e-140
+    (whose square may be subnormal) every row is a candidate.
+    """
+    diff = rows - center
+    sq = np.einsum("ij,ij->i", diff, diff)
+    lim = -1.0 if radius <= 1e-140 else min(radius * radius, _FLOAT_MAX) * (1.0 - 1e-9)
+    for i in np.flatnonzero(sq >= lim):
+        d = rows[i] - center
+        if math.sqrt(d.dot(d)) > radius:
+            return lo + int(i) + 1
+    return None
+
+
+def _accumulate(acc, values, k):
+    """acc plus the k rows of a functional's values, added one row at a time
+    in step order: the same bits as acc += value at each step (np.add.reduce
+    sums pairwise and differs).  With acc None the sum starts at the first row."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[:1] != (k,):
+        raise ValueError(f"a functional must return one row per state: got shape "
+                         f"{values.shape} for {k} states")
+    if acc is not None:
+        values = np.concatenate((acc[None], values))
+    return np.add.accumulate(values, axis=0)[-1].copy()
 
 
 def _norm(v: np.ndarray, sq: float) -> float:

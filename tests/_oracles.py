@@ -240,7 +240,8 @@ def ula_step_composed(drift, state, gamma, noise):
 
 def run_chain_per_step(drift, theta_init, config, functionals, region_center,
                        region_radius, storage_budget):
-    """run_chain with one noise draw and one ula_step_composed per step.
+    """run_chain with one noise draw and one ula_step_composed per step; the
+    block functionals are applied to a block of one state at each step.
 
     Returns (states, stride, exit_step, accumulators, guard_triggers, final
     state), or ("diverged", step, last_state).
@@ -295,6 +296,48 @@ def run_chain_per_step(drift, theta_init, config, functionals, region_center,
             stored.append(theta.copy())
         if k > config.j_in:
             for name, f in functionals.items():
-                val = np.asarray(f(theta), dtype=float)
+                val = np.asarray(f(theta[None])[0], dtype=float)
                 acc[name] = val if acc[name] is None else acc[name] + val
     return np.asarray(stored), stride, exit_step, acc, guards, theta
+
+
+def pilot_ascent_per_iteration(model, prior, steps=500, rate=None, theta_star=None,
+                               eta=None):
+    """pilot_ascent_init as first composed, with the gradient computed at the
+    top of every iteration and once more for the report.
+
+    Returns (theta, info, accepted steps).
+    """
+    p = model.basis.p
+    theta = np.zeros(p)
+
+    def objective(t):
+        return model.log_lik(t) + prior.log_density(t)
+
+    def gradient(t):
+        return model.grad_log_lik(t) + prior.grad_log_density(t)
+
+    obj = objective(theta)
+    step = rate if rate is not None else 1.0 / max(model.dataset.n, 1)
+    failures = accepted = 0
+    for _ in range(steps):
+        g = gradient(theta)
+        if np.linalg.norm(g) < 1e-12:
+            break
+        candidate = theta + step * g
+        cobj = objective(candidate)
+        if np.isfinite(cobj) and cobj >= obj:
+            theta, obj = candidate, cobj
+            step *= 1.5
+            failures = 0
+            accepted += 1
+        else:
+            step *= 0.5
+            failures += 1
+            if failures >= 50:
+                raise RuntimeError("pilot ascent failed 50 consecutive backtracking steps")
+    info = {"objective": float(obj), "grad_norm": float(np.linalg.norm(gradient(theta)))}
+    if theta_star is not None and eta is not None:
+        info["distance_over_eta"] = float(
+            np.linalg.norm(theta - np.asarray(theta_star)) / eta)
+    return theta, info, accepted

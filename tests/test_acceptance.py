@@ -232,7 +232,7 @@ def _chain_vs_grid(family, seed):
     j = 200_000
     trace = run_chain(spec.posterior_grad, theta_star,
                       SamplerConfig(gamma=gamma, j_in=j_in, j=j, seed=seed),
-                      functionals={"id": lambda t: t[0]},
+                      functionals={"id": lambda S: S[:, 0]},
                       region_center=theta_star, region_radius=3 * spec.eta / 8)
     sigma = grid.marginal_std()[0]
     # MC standard error with the autocorrelation time of the contraction rate
@@ -288,7 +288,7 @@ def test_criterion_07_recovery_rate_scaling():
             trace = run_chain(spec.posterior_grad, theta_star,
                               SamplerConfig(gamma=gamma, j_in=2000, j=50_000,
                                             seed=seed),
-                              functionals={"id": lambda t: t})
+                              functionals={"id": lambda S: S})
             errs.append(np.linalg.norm(trace.ergodic_average("id") - theta_star))
         medians.append(float(np.median(errs)))
     slope = loglog_slope(n_grid, medians)

@@ -21,6 +21,7 @@ from surrogate_langevin.config import (ConfigValidationError, ExperimentConfig,
 from surrogate_langevin.experiment import build_model, resolve_cell, run_cell, run_experiment
 from surrogate_langevin.likelihood import CSV_BLOCK_ROWS
 from surrogate_langevin.sampler import ChainTrace, discretization_bias, precision_floor
+from surrogate_langevin.surrogate import ConfigurationError
 
 MINIMAL = """\
 [model]
@@ -277,6 +278,23 @@ def test_jobs_run_matches_one_process(tmp_path, command):
     assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
     for name in names:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["diagnose", "experiment"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, capsys, command, jobs):
+    path = write_cfg(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_rejects_jobs_below_one(tmp_path):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_experiment(ExperimentConfig(), out_dir=tmp_path / "out", jobs=0)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_generate(tmp_path):
@@ -536,6 +554,23 @@ def test_cube_link_cell_skips_probe_points_outside_the_link_range():
     assert resolved["probe_skipped"] == surrogate.probe.skipped > 0
     cell = run_cell(cfg, 300, 0)
     assert cell.status == "ok", cell.message
+
+
+@pytest.mark.parametrize("guard", ["none", "reflect"])
+def test_nonconcave_probe_named_by_a_fixed_gamma_cell(guard):
+    # around theta0 = [0.3, 0.2] the cube link's likelihood is not concave:
+    # a 50-point probe reads a minimum curvature of about -119
+    cfg = ExperimentConfig(model_preset="glm-gaussian-cube", theta0_mode="explicit",
+                           theta0_values=[0.3, 0.2], eta_rule="fixed", eta_value=0.5,
+                           gamma_rule="fixed", gamma_value=1e-3, k_override=30.0,
+                           n_probes=50, p_value=2, j_in_rule="fixed", j_in_value=0,
+                           j=100, guard=guard)
+    model, theta0 = build_model(cfg, 200, 2, 0)
+    with pytest.raises(ConfigurationError, match="negative minimum curvature -1"):
+        resolve_cell(cfg, model, theta0, 0)
+    cell = run_cell(cfg, 200, 0)
+    assert cell.status == "failed"
+    assert cell.message.startswith("ConfigurationError:") and "not concave" in cell.message
 
 
 def test_write_trace_bytes_match_csv_writer(tmp_path):

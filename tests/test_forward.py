@@ -7,6 +7,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from surrogate_langevin import forward
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.forward import Darcy1D, LinearPhi, darcy_solve
+from surrogate_langevin.likelihood import Dataset
 
 
 def _grid(M):
@@ -81,6 +82,27 @@ def test_linear_phi_design_memo_follows_x():
     x1, x2 = np.linspace(0, 1, 7), np.linspace(0.05, 0.95, 5)
     for x in (x1, x2, x1):
         np.testing.assert_array_equal(op.values(theta, x), basis.design_matrix(x) @ theta)
+
+
+def test_linear_phi_design_memo_matches_a_frozen_x_by_identity():
+    # Dataset.x is a read-only copy, matched by identity; the caller's array
+    # and a read-only view of a writeable array still go by their bytes
+    basis = BasisFamily("cosine-with-constant", 3)
+    op = LinearPhi(basis)
+    theta = np.array([0.5, -0.2, 0.1])
+    x = np.linspace(0, 1, 7)
+    ds = Dataset("regression", x, np.zeros(7), 7)
+    assert not ds.x.flags.writeable and ds.x is not x
+    w = np.linspace(0.05, 0.95, 7)
+    view = w.view()
+    view.flags.writeable = False
+    for xs in (ds.x, x, ds.x, view):
+        np.testing.assert_array_equal(op.values(theta, xs), basis.design_matrix(xs) @ theta)
+    x[0] = 0.5
+    w[1] = 0.9
+    for xs in (view, x, ds.x):
+        np.testing.assert_array_equal(op.values(theta, xs), basis.design_matrix(xs) @ theta)
+    np.testing.assert_array_equal(ds.x, np.linspace(0, 1, 7))
 
 
 def _darcy(p=4, M=256, **kw):

@@ -7,17 +7,19 @@ run_chain must give the same bits, and count the drift calls per region.
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (drift_region, grad_composed, posterior_grad_composed,
-                      run_chain_per_step)
+from _oracles import (drift_region, grad_composed, pilot_ascent_per_iteration,
+                      posterior_grad_composed, run_chain_per_step)
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
+from surrogate_langevin.initializers import pilot_ascent_init
 from surrogate_langevin.likelihood import CurvatureReport, ModelInstance, generate_data
 from surrogate_langevin.prior import SievePrior
 from surrogate_langevin.sampler import NOISE_BLOCK, ChainDivergedError, SamplerConfig, run_chain
@@ -141,7 +143,7 @@ def test_chain_on_the_surrogate_drift_matches_per_step_composition(total, name, 
     cfg = SamplerConfig(gamma=gamma, j_in=total // 3, j=total - total // 3, seed=seed,
                         guard=guard,
                         guard_radius=float(np.linalg.norm(spec.theta_init)) + 0.3 * ETA)
-    fns = {"id": lambda s: s}
+    fns = {"id": lambda S: S}
     center, radius = spec.theta_init, spec.coincidence_radius
     with np.errstate(over="ignore", invalid="ignore"):
         ref = run_chain_per_step(functools.partial(posterior_grad_composed, spec),
@@ -188,3 +190,25 @@ def test_drift_calls_sum_to_steps_plus_retries(every, seed):
     assert retries[0] > 0
     assert sum(spec.drift_calls.values()) == cfg.j + retries[0]
     assert trace.guard_trigger_count >= retries[0]
+
+
+@pytest.mark.parametrize("name", ["glm-gaussian", "glm-poisson", "density", "darcy"])
+@pytest.mark.parametrize("steps", [1, 40, 500])
+def test_pilot_ascent_matches_per_iteration_composition(name, steps):
+    # the gradient is computed once at the start and once per accepted step
+    model, theta_init = _model(name)
+    prior = SievePrior(1.0, model.n, 3)
+    theta_ref, info_ref, accepted = pilot_ascent_per_iteration(
+        model, prior, steps=steps, theta_star=theta_init, eta=ETA)
+    calls = [0]
+
+    def counted(theta, _grad=model.grad_log_lik):
+        calls[0] += 1
+        return _grad(theta)
+
+    with mock.patch.object(model, "grad_log_lik", counted):
+        theta, info = pilot_ascent_init(model, prior, steps=steps,
+                                        theta_star=theta_init, eta=ETA)
+    _same(theta, theta_ref)
+    assert info == info_ref
+    assert calls[0] == accepted + 1

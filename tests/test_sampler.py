@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surrogate_langevin.config import ConfigValidationError, ExperimentConfig
-from surrogate_langevin.sampler import (NOISE_BLOCK, ChainDivergedError,
+from surrogate_langevin.sampler import (NOISE_BLOCK, ChainDivergedError, ChainTrace,
                                         ConfigurationStepError, SamplerConfig,
                                         burn_in_steps, discretization_bias,
                                         precision_floor, run_chain,
@@ -93,7 +93,7 @@ def test_config_rejections():
 def test_constant_functional_average():
     cfg = SamplerConfig(gamma=0.01, j_in=5, j=40, seed=1)
     trace = run_chain(lambda s: -s, np.zeros(2), cfg,
-                      functionals={"three": lambda s: 3.0})
+                      functionals={"three": lambda S: np.full(len(S), 3.0)})
     assert trace.ergodic_average("three") == pytest.approx(3.0, rel=1e-14)
 
 
@@ -108,7 +108,7 @@ def test_ergodic_average_hand_trace():
     # j_in=1, j=2: the average is (state_2 + state_3) / 2, recomputed by hand
     cfg = SamplerConfig(gamma=0.04, j_in=1, j=2, seed=3)
     trace = run_chain(lambda s: -2.0 * s, np.array([1.0]), cfg,
-                      functionals={"id": lambda s: s[0]})
+                      functionals={"id": lambda S: S[:, 0]})
     rng = np.random.default_rng(3)
     s = np.array([1.0])
     states = []
@@ -122,7 +122,7 @@ def test_ergodic_average_hand_trace():
 
 def test_functional_linearity():
     cfg = SamplerConfig(gamma=0.01, j_in=10, j=100, seed=5)
-    fns = {"a": lambda s: s[0], "b": lambda s: 2.0 * s[0] + 1.0}
+    fns = {"a": lambda S: S[:, 0], "b": lambda S: 2.0 * S[:, 0] + 1.0}
     trace = run_chain(lambda s: -s, np.zeros(1), cfg, functionals=fns)
     assert trace.ergodic_average("b") == pytest.approx(
         2.0 * trace.ergodic_average("a") + 1.0, abs=1e-12)
@@ -152,7 +152,7 @@ def test_conjugate_gaussian_mean():
     gamma = 0.5 / m_total
     j = 200_000
     cfg = SamplerConfig(gamma=gamma, j_in=2000, j=j, seed=17)
-    trace = run_chain(drift, np.zeros(1), cfg, functionals={"id": lambda s: s[0]})
+    trace = run_chain(drift, np.zeros(1), cfg, functionals={"id": lambda S: S[:, 0]})
     mcse = math.sqrt(var_post * (2.0 / (m_total * gamma)) / j)
     assert abs(trace.ergodic_average("id") - m_star) <= 3.0 * mcse
 
@@ -281,6 +281,34 @@ def test_post_burn_in_states_window():
 B = NOISE_BLOCK
 
 
+def _assert_matches_per_step(drift, theta_init, cfg, fns, center, radius,
+                             budget=10_000_000):
+    """run_chain gives the bits of run_chain_per_step: the same states, final
+    state, exit step, guard count and accumulators, or the same divergence.
+    Returns the trace, or the ChainDivergedError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = run_chain_per_step(drift, theta_init, cfg, fns, center, radius, budget)
+        try:
+            trace = run_chain(drift, theta_init, cfg, functionals=fns,
+                              region_center=center, region_radius=radius,
+                              storage_budget=budget)
+        except ChainDivergedError as exc:
+            assert ref[0] == "diverged"
+            assert exc.step == ref[1]
+            assert exc.last_state.tobytes() == np.asarray(ref[2]).tobytes()
+            return exc
+    states, stride, exit_step, acc, guards, final = ref
+    assert trace.stride == stride
+    assert trace.states.shape == states.shape
+    assert trace.states.tobytes() == states.tobytes()
+    assert trace.final_state.tobytes() == final.tobytes()
+    assert trace.exit_step == exit_step
+    assert trace.guard_trigger_count == guards
+    for name in fns:
+        assert np.asarray(trace.accumulators[name]).tobytes() == np.asarray(acc[name]).tobytes()
+    return trace
+
+
 @pytest.mark.parametrize("total", [1, B - 1, B, B + 1, 2 * B + 1])
 @settings(max_examples=15)
 @given(burn_frac=st.floats(0.0, 1.0), p=st.integers(1, 3),
@@ -302,30 +330,84 @@ def test_block_noise_matches_per_step_draws(total, burn_frac, p, guard, budget,
     j_in = min(int(burn_frac * total), total - 1)
     cfg = SamplerConfig(gamma=0.05, j_in=j_in, j=total - j_in, seed=seed,
                         guard=guard, guard_radius=2.0)
-    fns = {"id": lambda s: s, "sq": lambda s: s @ s}
-    center, radius = np.full(p, 0.1), 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = run_chain_per_step(drift, np.zeros(p), cfg, fns, center, radius, budget)
-        try:
-            trace = run_chain(drift, np.zeros(p), cfg, functionals=fns,
-                              region_center=center, region_radius=radius,
-                              storage_budget=budget)
-        except ChainDivergedError as exc:
-            assert ref[0] == "diverged"
-            assert exc.step == ref[1]
-            assert exc.last_state.tobytes() == np.asarray(ref[2]).tobytes()
-            return
-    states, stride, exit_step, acc, guards, final = ref
-    assert trace.stride == stride
-    if budget < 10_000_000 and total > 1:
-        assert stride > 1
-    assert trace.states.shape == states.shape
-    assert trace.states.tobytes() == states.tobytes()
-    assert trace.final_state.tobytes() == final.tobytes()
-    assert trace.exit_step == exit_step
-    assert trace.guard_trigger_count == guards
-    for name in fns:
-        assert np.asarray(trace.accumulators[name]).tobytes() == np.asarray(acc[name]).tobytes()
+    fns = {"id": lambda S: S, "sq": lambda S: (S * S).sum(axis=1)}
+    trace = _assert_matches_per_step(drift, np.zeros(p), cfg, fns, np.full(p, 0.1), 0.5,
+                                     budget)
+    if isinstance(trace, ChainTrace) and budget < 10_000_000 and total > 1:
+        assert trace.stride > 1
+
+
+def _exact_distances(states, center):
+    """math.sqrt(d.dot(d)) for d = state - center, as run_chain tests the exit."""
+    return [math.sqrt((s - center).dot(s - center)) for s in states]
+
+
+@settings(max_examples=25)
+@given(p=st.integers(1, 40), ulps=st.integers(-4, 4), later=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_exit_within_ulps_of_the_radius(p, ulps, later, seed):
+    # The radius is a few ulps off the largest distance up to step k, where
+    # the block's einsum screen and the exact ddot test may round differently;
+    # a steady push makes the distance grow, so with later=True the exit falls
+    # in the second block.
+    cfg = SamplerConfig(gamma=0.05, j_in=B // 2 + 3, j=2 * B, seed=seed)
+    push = np.linspace(5.0, 25.0, p)
+    center = np.full(p, 0.05)
+    states = run_chain_per_step(lambda s: push, np.zeros(p), cfg, {}, None, None,
+                                10_000_000)[0]
+    k = B + 100 if later else 100
+    radius = max(_exact_distances(states[1:k + 1], center))
+    for _ in range(abs(ulps)):
+        radius = np.nextafter(radius, -np.inf if ulps < 0 else np.inf)
+    fns = {"id": lambda S: S}
+    trace = _assert_matches_per_step(lambda s: push, np.zeros(p), cfg, fns, center,
+                                     float(radius))
+    if ulps < 0:
+        assert trace.exit_step is not None and trace.exit_step <= k
+        assert (trace.exit_step > B) is later
+    else:
+        assert trace.exit_step is None or trace.exit_step > k
+
+
+@settings(max_examples=15)
+@given(p=st.integers(1, 4), cross=st.integers(B + 50, 2 * B - 50),
+       seed=st.integers(0, 2 ** 16))
+def test_divergence_mid_block_reports_the_last_stored_state(p, cross, seed):
+    # the drift turns huge once the state's sum passes about `cross` steps of
+    # its push (the noise moves that step by a few), which overflows the state
+    # a step later; states are thinned, so last_state is the last stored
+    # state, not the previous step's
+    def drift(s):
+        return np.full(p, 1e308) if s.sum() > 10.0 * p * cross else np.full(p, 10.0)
+
+    cfg = SamplerConfig(gamma=1.0, j_in=B + 7, j=2 * B, seed=seed)
+    fns = {"id": lambda S: S}
+    exc = _assert_matches_per_step(drift, np.zeros(p), cfg, fns, np.zeros(p), 1e9,
+                                   budget=50 * p)
+    assert isinstance(exc, ChainDivergedError)
+    assert B < exc.step < 2 * B
+
+
+@pytest.mark.parametrize("j_in", [0, 5, B - 1, B + 5, 2 * B + 17])
+def test_scalar_functionals_add_in_step_order_at_p1(j_in):
+    # at p = 1 a pairwise sum (np.add.reduce) of the window differs from the
+    # per-step sum; the accumulators must keep the per-step bits
+    cfg = SamplerConfig(gamma=0.05, j_in=j_in, j=3 * B + 11, seed=j_in)
+    fns = {"id": lambda S: S, "x": lambda S: S[:, 0], "tenth": lambda S: np.full(len(S), 0.1),
+           "sq": lambda S: S[:, 0] ** 2}
+    trace = _assert_matches_per_step(lambda s: -s, np.array([0.3]), cfg, fns,
+                                     np.zeros(1), 0.5)
+    window = trace.states[j_in + 1:, 0]
+    total = 0.0
+    for x in window:
+        total += x
+    assert trace.accumulators["x"] == total
+
+
+def test_functional_must_return_one_row_per_state():
+    cfg = SamplerConfig(gamma=0.05, j=10)
+    with pytest.raises(ValueError, match="one row per state"):
+        run_chain(lambda s: -s, np.zeros(2), cfg, functionals={"mean": lambda S: S.mean()})
 
 
 # -- step size / bias / burn-in ------------------------------------------------
