@@ -34,15 +34,7 @@ class BasisFamily:
         if not 1 <= k <= self.p:
             raise ValueError(f"basis index k={k} outside 1..{self.p}")
         x = np.asarray(x, dtype=float)
-        if np.any((x < 0.0) | (x > 1.0)):
-            raise ValueError("evaluation point outside [0, 1]")
-        if self.kind == "cosine-with-constant":
-            if k == 1:
-                return np.ones_like(x)[()]
-            return np.sqrt(2.0) * np.cos(np.pi * (k - 1) * x)
-        if self.kind == "cosine-centered":
-            return np.sqrt(2.0) * np.cos(np.pi * k * x)
-        return np.sqrt(2.0) * np.sin(np.pi * k * x)
+        return self.design_matrix(x.ravel())[:, k - 1].reshape(x.shape)[()]
 
     def design_matrix(self, x) -> np.ndarray:
         """Matrix E with E[i, k-1] = e_k(x_i), shape (len(x), p)."""

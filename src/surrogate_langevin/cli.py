@@ -7,11 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigValidationError, load_config
-from .experiment import (build_model, drift_call_counts, json_scalar, resolve_cell,
-                         run_experiment, sample_cell)
+from .experiment import build_model, json_scalar, run_cell, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,23 +68,18 @@ def cmd_generate(args, cfg) -> int:
 
 def cmd_sample(args, cfg) -> int:
     out = _out_dir(args, cfg)
+    cfg.diagnostics = []
     n = cfg.n_grid[0]
     seed = cfg.seeds[0] + args.seed_offset
-    p = cfg.p_for(n)
-    try:
-        model, theta0 = build_model(cfg, n, p, seed)
-        surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, seed)
-        trace = sample_cell(cfg, surrogate, resolved, theta_star, seed)
-    except Exception as exc:
-        print(f"sample failed for n={n} seed={seed}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+    cell = run_cell(cfg, n, seed)
+    if cell.status != "ok":
+        print(f"sample failed for n={n} seed={seed}: {cell.message}", file=sys.stderr)
         return 1
-    mean = trace.ergodic_average("identity")
-    summary = {"n": n, "p": p, "seed": seed,
-               "posterior_mean": [float(v) for v in np.atleast_1d(mean)],
-               "exit_step": trace.exit_step,
-               "resolved": {k: json_scalar(v) for k, v in resolved.items()},
-               **drift_call_counts(cfg, surrogate)}
+    summary = {"n": n, "p": cell.p, "seed": seed,
+               "posterior_mean": cell.trace.ergodic_average("identity").tolist(),
+               "exit_step": cell.trace.exit_step,
+               "resolved": {k: json_scalar(v) for k, v in cell.resolved.items()},
+               **{k: v for k, v in cell.metrics.items() if k.startswith("drift_calls_")}}
     (out / "sample_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

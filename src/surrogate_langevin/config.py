@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
+from .initializers import oracle_projection_init
 from .sampler import GUARDS
 
 
@@ -117,10 +118,7 @@ class ExperimentConfig:
     def theta0_for(self, p: int):
         import numpy as np
         if self.theta0_mode == "explicit":
-            out = np.zeros(p)
-            m = min(p, len(self.theta0_values))
-            out[:m] = self.theta0_values[:m]
-            return out
+            return oracle_projection_init(self.theta0_values, p)
         k = np.arange(1, p + 1, dtype=float)
         return self.theta0_scale * k ** -self.theta0_power
 

@@ -52,57 +52,40 @@ class GridPosterior:
         return samples[:, None]
 
 
-def grid_posterior(log_density, bounds, resolution, p=None) -> GridPosterior:
+def grid_posterior(log_density, bounds, resolution) -> GridPosterior:
     """Tensor-grid posterior oracle for one- and two-dimensional targets.
 
-    `log_density` maps a length-p vector to the unnormalized log posterior;
-    normalization is by log-sum-exp over the grid.  Raises BoundaryMassError
-    (with widened suggested bounds) when the outermost grid shell carries a
-    weight fraction above 1e-8.
+    `log_density` maps a length-p vector, p = len(bounds), to the
+    unnormalized log posterior; normalization is by log-sum-exp over the
+    grid.  Raises BoundaryMassError (with widened suggested bounds) when the
+    outermost grid shell carries a weight fraction above 1e-8.
     """
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if isinstance(resolution, int):
         resolution = (resolution,) * len(bounds)
-    p = len(bounds) if p is None else p
+    p = len(bounds)
     if p not in (1, 2):
         raise ValueError("grid posterior supports p in {1, 2} only")
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
-    if p == 1:
-        pts = axes[0][:, None]
-        logv = np.array([log_density(t) for t in pts])
-        shape = (resolution[0],)
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([g0.ravel(), g1.ravel()])
-        logv = np.array([log_density(t) for t in pts])
-        shape = (resolution[0], resolution[1])
-    logv = logv.reshape(shape)
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    logv = np.array([log_density(t) for t in pts]).reshape(grids[0].shape)
     logz = logsumexp(logv)
     w = np.exp(logv - logz)
     w /= w.sum()
 
     # boundary-mass check on the outermost shell of grid points
-    edge = np.zeros(shape, dtype=bool)
-    if p == 1:
-        edge[[0, -1]] = True
-    else:
-        edge[0, :] = edge[-1, :] = True
-        edge[:, 0] = edge[:, -1] = True
+    edge = np.ones(w.shape, dtype=bool)
+    edge[(slice(1, -1),) * p] = False
     ratio = float(w[edge].sum())
     if ratio > 1e-8:
         widened = tuple((lo - (hi - lo), hi + (hi - lo)) for lo, hi in bounds)
         raise BoundaryMassError(ratio, widened)
 
-    if p == 1:
-        x = axes[0]
-        mean = np.array([np.sum(w * x)])
-        var = np.sum(w * (x - mean[0]) ** 2)
-        cov = np.array([[var]])
-    else:
-        flat = w.ravel()
-        mean = flat @ pts
-        centered = pts - mean
-        cov = (centered * flat[:, None]).T @ centered
+    flat = w.ravel()
+    mean = flat @ pts
+    centered = pts - mean
+    cov = (centered * flat[:, None]).T @ centered
     return GridPosterior(p=p, bounds=bounds, resolution=tuple(resolution),
                          axes=axes, log_values=logv, weights=w,
                          mean=mean, cov=cov)

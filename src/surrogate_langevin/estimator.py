@@ -58,8 +58,8 @@ class LangevinGLMRegressor:
         y = np.asarray(y, dtype=float)
         n = x.size
         cfg = ExperimentConfig(
-            alpha=self.alpha, eta_rule="fixed",
-            eta_value=self.eta if self.eta is not None else self.p ** -0.5,
+            alpha=self.alpha, eta_rule="preset" if self.eta is None else "fixed",
+            eta_value=0.0 if self.eta is None else self.eta,
             k_override=self.kappa_const, init_mode="pilot-ascent",
             n_probes=self.n_probes, gamma_fraction=self.gamma_fraction,
             epsilon=self.epsilon, j=self.j, seeds=[self.seed], n_grid=[n],

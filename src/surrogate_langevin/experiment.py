@@ -161,15 +161,6 @@ def sample_cell(cfg: ExperimentConfig, surrogate, resolved, region_center, seed:
                      storage_budget=cfg.thinning_budget)
 
 
-def drift_call_counts(cfg: ExperimentConfig, surrogate) -> dict:
-    """The chain's drift calls per surrogate region (SurrogateSpec.drift_calls)
-    as drift_calls_inner, drift_calls_annulus and drift_calls_far; empty for
-    the vanilla drift, which does not go through the surrogate."""
-    if cfg.variant != "surrogate":
-        return {}
-    return {f"drift_calls_{region}": calls for region, calls in surrogate.drift_calls.items()}
-
-
 def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     p = cfg.p_for(n)
     result = CellResult(n=n, p=p, seed=seed)
@@ -182,7 +173,9 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
         mean = trace.ergodic_average("identity")
         result.metrics["exit_step"] = trace.exit_step
         result.metrics["guard_trigger_count"] = trace.guard_trigger_count
-        result.metrics.update(drift_call_counts(cfg, surrogate))
+        if cfg.variant == "surrogate":  # the vanilla drift bypasses SurrogateSpec.drift_calls
+            for region, calls in surrogate.drift_calls.items():
+                result.metrics[f"drift_calls_{region}"] = calls
         result.metrics["mean_error"] = float(np.linalg.norm(mean - theta_star))
         if "contraction" in cfg.diagnostics:
             beta = ((cfg.alpha + 1.0) / (cfg.alpha - 1.0)
@@ -202,11 +195,8 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
                 lambda t: model.log_lik(t) + surrogate.prior.log_density(t),
                 bounds, (1024,))
             result.metrics["grid_tv"] = grid_tv_distance(g_sur, g_true)
-    except ChainDivergedError as exc:
-        result.status = "diverged"
-        result.message = str(exc)
     except Exception as exc:  # cell failures must not abort the experiment
-        result.status = "failed"
+        result.status = "diverged" if isinstance(exc, ChainDivergedError) else "failed"
         result.message = f"{type(exc).__name__}: {exc}"
     return result
 

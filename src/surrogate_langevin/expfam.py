@@ -119,23 +119,29 @@ class LinkFunction:
         if self.kind not in LINK_KINDS:
             raise ValueError(f"unknown link {self.kind!r}; expected one of {LINK_KINDS}")
 
+    def _cube_only(self, name):
+        if self.kind != "cube":
+            raise ValueError(f"the canonical link's {name} is family-dependent; "
+                             "use natural_param")
+
     def g(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "cube":
-            return x ** 3
-        raise ValueError("the canonical link's g is family-dependent; use natural_param")
+        self._cube_only("g")
+        return np.asarray(x, dtype=float) ** 3
 
     def g_inv(self, u):
+        self._cube_only("g_inv")
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0):
             raise ValueError("cube link defined on the positive half-line")
         return np.cbrt(u)
 
     def g_inv_d1(self, u):
+        self._cube_only("g_inv_d1")
         u = np.asarray(u, dtype=float)
         return np.cbrt(u) / (3.0 * u)
 
     def g_inv_d2(self, u):
+        self._cube_only("g_inv_d2")
         u = np.asarray(u, dtype=float)
         return -2.0 * np.cbrt(u) / (9.0 * u * u)
 

@@ -111,11 +111,12 @@ class Dataset:
     def load(cls, path):
         path = Path(path)
         meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        columns = np.array(rows, dtype=float).reshape(-1, len(header)).T  # n = 0: no rows
         theta0 = None if meta["theta0"] is None else np.asarray(meta["theta0"])
-        if meta["kind"] == "regression":
-            return cls("regression", rows[:, 0], rows[:, 1], meta["n"], theta0, meta["seed"])
-        return cls("density", rows[:, 0], None, meta["n"], theta0, meta["seed"])
+        y = columns[1] if meta["kind"] == "regression" else None
+        return cls(meta["kind"], columns[0], y, meta["n"], theta0, meta["seed"])
 
 
 @dataclass

@@ -224,15 +224,13 @@ class SurrogateSpec:
         theta = np.asarray(theta, dtype=float)
         diff = theta - self.theta_init
         t = math.sqrt(diff.dot(diff))  # == float(np.linalg.norm(diff))
-        if t <= self._inner_edge:
+        region = self._region(t)
+        if region == "inner":
             # cutoff == 1 and penalty == 0 hold identically here; return the
             # base value directly so the region identity is exact in floats
             return self.model.log_lik(theta)
-        s = t / self.eta
-        if s >= 0.875:  # the cutoff is exactly 0 from 7/8 on
-            return self._ll_init - self.K * float(self.penalty.eval(t))
-        vt = float(cutoff(s))
         pen = float(self.penalty.eval(t))
+        vt = 0.0 if region == "far" else float(cutoff(t / self.eta))
         if vt == 0.0:
             return self._ll_init - self.K * pen
         ll = self.model.log_lik(theta)

@@ -5,7 +5,9 @@ import io
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
+from surrogate_langevin.diagnostics import BoundaryMassError
 from surrogate_langevin.expfam import natural_param, natural_param_d1
 from surrogate_langevin.likelihood import _density_quadrature
 from surrogate_langevin.surrogate import _MOLLIFIER_W, _MOLLIFIER_Z, cutoff, cutoff_deriv
@@ -341,3 +343,57 @@ def pilot_ascent_per_iteration(model, prior, steps=500, rate=None, theta_star=No
         info["distance_over_eta"] = float(
             np.linalg.norm(theta - np.asarray(theta_star)) / eta)
     return theta, info, accepted
+
+
+def grid_posterior_branchy(log_density, bounds, resolution):
+    """grid_posterior as first written, with separate p = 1 and p = 2 paths.
+
+    Returns (weights, mean, cov); raises BoundaryMassError as the package does.
+    """
+    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    if isinstance(resolution, int):
+        resolution = (resolution,) * len(bounds)
+    p = len(bounds)
+    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, resolution)]
+    if p == 1:
+        pts = axes[0][:, None]
+        shape = (resolution[0],)
+    else:
+        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
+        pts = np.column_stack([g0.ravel(), g1.ravel()])
+        shape = (resolution[0], resolution[1])
+    logv = np.array([log_density(t) for t in pts]).reshape(shape)
+    w = np.exp(logv - logsumexp(logv))
+    w /= w.sum()
+    edge = np.zeros(shape, dtype=bool)
+    if p == 1:
+        edge[[0, -1]] = True
+    else:
+        edge[0, :] = edge[-1, :] = True
+        edge[:, 0] = edge[:, -1] = True
+    ratio = float(w[edge].sum())
+    if ratio > 1e-8:
+        widened = tuple((lo - (hi - lo), hi + (hi - lo)) for lo, hi in bounds)
+        raise BoundaryMassError(ratio, widened)
+    if p == 1:
+        x = axes[0]
+        mean = np.array([np.sum(w * x)])
+        cov = np.array([[np.sum(w * (x - mean[0]) ** 2)]])
+    else:
+        flat = w.ravel()
+        mean = flat @ pts
+        centered = pts - mean
+        cov = (centered * flat[:, None]).T @ centered
+    return w, mean, cov
+
+
+def basis_eval_per_kind(basis, k, x):
+    """BasisFamily.eval as first written: e_k(x) by the formula of each kind."""
+    x = np.asarray(x, dtype=float)
+    if basis.kind == "cosine-with-constant":
+        if k == 1:
+            return np.ones_like(x)[()]
+        return np.sqrt(2.0) * np.cos(np.pi * (k - 1) * x)
+    if basis.kind == "cosine-centered":
+        return np.sqrt(2.0) * np.cos(np.pi * k * x)
+    return np.sqrt(2.0) * np.sin(np.pi * k * x)

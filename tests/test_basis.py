@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import basis_eval_per_kind
 from surrogate_langevin.basis import BASIS_KINDS, BasisFamily
 
 
@@ -84,3 +85,17 @@ def test_unknown_kind_and_bad_p():
         BasisFamily("fourier", 3)
     with pytest.raises(ValueError):
         BasisFamily("dirichlet-sine", 0)
+
+
+@pytest.mark.parametrize("kind", BASIS_KINDS)
+@pytest.mark.parametrize("p", [1, 2, 9])
+def test_eval_is_the_design_matrix_column(kind, p):
+    # eval reads column k of design_matrix; the per-kind formulas it replaced
+    # give the same values and types bit for bit, for scalars and any shape
+    basis = BasisFamily(kind, p)
+    rng = np.random.default_rng(p)
+    for x in (0.0, 0.37, 1.0, rng.uniform(size=17), rng.uniform(size=(3, 4)), np.empty(0)):
+        for k in range(1, p + 1):
+            got, ref = basis.eval(k, x), basis_eval_per_kind(basis, k, x)
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            assert np.array_equal(got, ref)

@@ -402,6 +402,42 @@ def test_sample_and_experiment_agree(tmp_path, variant):
         assert sum(calls.values()) == 550 and calls["drift_calls_far"] > 0
 
 
+def test_sample_is_the_first_experiment_cell_without_diagnostics(tmp_path):
+    text = MINIMAL.replace("seeds = 0", "seeds = 3 4").replace("n_grid = 200", "n_grid = 200 300")
+    path = write_cfg(tmp_path, text.replace(
+        "p_value = 1", "p_value = 1\ndiagnostics = grid-posterior contraction condition-numbers"))
+    diagnostics = ("grid_posterior", "contraction_metric", "condition_numbers")
+    with mock.patch.multiple(experiment, **{name: mock.DEFAULT for name in diagnostics}) as mocks:
+        assert main(["sample", "--config", str(path), "--out", str(tmp_path / "smp"),
+                     "--seed-offset", "2"]) == 0
+    assert not any(m.called for m in mocks.values())
+    summary = json.loads((tmp_path / "smp" / "sample_summary.json").read_text())
+    assert (summary["n"], summary["p"], summary["seed"]) == (200, 1, 5)
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp"),
+                 "--seed-offset", "2"]) == 0
+    cell = json.loads((tmp_path / "exp" / "manifest.json").read_text())["cells"][0]
+    assert (cell["n"], cell["seed"]) == (200, 5)
+    assert summary["resolved"] == cell["resolved"]
+    assert summary["exit_step"] == cell["metrics"]["exit_step"]
+    assert {k: v for k, v in summary.items() if k.startswith("drift_calls_")} == {
+        k: v for k, v in cell["metrics"].items() if k.startswith("drift_calls_")}
+    trace = run_cell(load_config(path), 200, 5).trace
+    np.testing.assert_array_equal(summary["posterior_mean"], trace.ergodic_average("identity"))
+    with open(tmp_path / "exp" / "trace_n200_p1_seed5.csv") as fh:
+        states = np.array([row[1:] for row in list(csv.reader(fh))[1:]], dtype=float)
+    np.testing.assert_array_equal(states, trace.states)
+
+
+def test_diverged_cell_message_names_the_exception(tmp_path):
+    text = MINIMAL.replace("seeds = 0\n", "seeds = 0\ngamma_rule = fixed\ngamma_value = 0.001\n")
+    path = write_cfg(tmp_path, text + "\n[surrogate]\neta_rule = fixed\neta_value = 0.05\n")
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")]) == 1
+    with open(tmp_path / "exp" / "report.csv") as fh:
+        row, = csv.DictReader(fh)
+    assert row["status"] == "diverged"
+    assert re.fullmatch(r"ChainDivergedError: chain diverged at step \d+", row["message"])
+
+
 def test_cli_seed_offset_changes_data(tmp_path):
     path = write_cfg(tmp_path, MINIMAL)
     outs = []

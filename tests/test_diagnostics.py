@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import grid_posterior_branchy
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.diagnostics import (BoundaryMassError, ExitTimeSummary,
                                             RecoveryReport, condition_numbers,
@@ -60,6 +61,44 @@ def test_grid_2d_mean_and_cov():
     grid = grid_posterior(logd, [(-2.0, 2.2), (-2.5, 2.1)], 401)
     np.testing.assert_allclose(grid.mean, mu, atol=1e-6)
     np.testing.assert_allclose(grid.cov, cov, atol=1e-5)
+
+
+GRID_CASES = [  # (log density, bounds, resolution); the last two fail the boundary check
+    (lambda t: -0.5 * ((t[0] - 0.3) / 0.2) ** 2 + 0.1 * np.sin(3 * t[0]), [(-1.2, 1.8)], 4001),
+    (lambda t: -2.0 * np.cosh(t[0] - 1.0), [(-12.0, 14.0)], 777),
+    (lambda t: -0.5 * (t[0] / 0.4) ** 2 - 0.3 * t[0] ** 4, [(-5.0, 5.0)], 1024),
+    (lambda t: -0.5 * (25 * t[0] ** 2 - 10 * t[0] * t[1] + 12 * t[1] ** 2) + np.sin(t[1]),
+     [(-2.0, 2.2), (-2.5, 2.1)], (101, 73)),
+    (lambda t: -8.0 * np.hypot(t[0] - 0.1, t[1] + 0.2), [(-6.0, 6.0), (-5.0, 7.0)], 64),
+    (lambda t: -0.5 * t[0] ** 2, [(-1.0, 1.0)], 101),
+    (lambda t: -0.5 * (t[0] ** 2 + t[1] ** 2), [(-1.5, 1.0), (-1.0, 1.0)], (33, 41)),
+]
+
+
+@pytest.mark.parametrize("logd, bounds, resolution", GRID_CASES)
+def test_grid_matches_per_dimension_reference(logd, bounds, resolution):
+    # one tensor-grid path for p in {1, 2} against the branchy first version:
+    # the same weights and boundary error bit for bit, and the same
+    # mean and cov at p = 2; at p = 1 mean and cov were sums over x and are
+    # now matrix products, which may move them by a few ulps
+    try:
+        w, mean, cov = grid_posterior_branchy(logd, bounds, resolution)
+    except BoundaryMassError as ref:
+        with pytest.raises(BoundaryMassError) as exc:
+            grid_posterior(logd, bounds, resolution)
+        assert exc.value.ratio == ref.ratio
+        assert exc.value.suggested_bounds == ref.suggested_bounds
+        assert str(exc.value) == str(ref)
+        return
+    grid = grid_posterior(logd, bounds, resolution)
+    assert np.array_equal(grid.weights, w)  # so the boundary ratio is the reference's too
+    if len(bounds) == 2:
+        assert np.array_equal(grid.mean, mean) and np.array_equal(grid.cov, cov)
+    else:
+        extent = max(abs(v) for v in bounds[0])
+        assert abs(grid.mean[0] - mean[0]) <= 4 * np.spacing(extent)
+        assert abs(grid.cov[0, 0] - cov[0, 0]) <= 8 * np.spacing(cov[0, 0])
+    assert grid.mean.shape == mean.shape and grid.cov.shape == cov.shape
 
 
 def test_grid_boundary_mass_error_suggests_wider_bounds():

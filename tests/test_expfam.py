@@ -39,6 +39,16 @@ def test_cube_link_domain_error():
         natural_param(ExpFamily("gaussian"), LinkFunction("cube"), -1.0)
 
 
+@pytest.mark.parametrize("method", ["g", "g_inv", "g_inv_d1", "g_inv_d2"])
+def test_canonical_link_maps_are_family_dependent(method):
+    # the canonical inverse link is (A')^{-1}'s inverse, which depends on the
+    # family: natural_param* handle it, the link alone must not answer
+    # (g_inv used to return the cube link's cbrt, so g_inv(8.0) was 2.0)
+    with pytest.raises(ValueError, match=f"canonical link's {method} is family-dependent"):
+        getattr(LinkFunction("canonical"), method)(8.0)
+    assert natural_param(ExpFamily("poisson"), LinkFunction("canonical"), 8.0) == 8.0
+
+
 def test_cube_link_roundtrip_and_derivatives():
     link = LinkFunction("cube")
     u = np.array([0.5, 1.0, 8.0, 27.0])

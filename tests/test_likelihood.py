@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +109,34 @@ def test_dataset_save_bytes_match_csv_writer(tmp_path):
         path = tmp_path / f"{ds.kind}.csv"
         ds.save(path)
         assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["regression", "density"]), data=st.data())
+def test_dataset_save_load_roundtrip_any_size(kind, data):
+    # n = 0 saves a header-only CSV, which must load back as empty data
+    n = data.draw(st.sampled_from([0, 1]) | st.integers(2, 12), label="n")
+    x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), label="x")
+    y = data.draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n), label="y")
+    theta0 = data.draw(st.none() | st.lists(st.floats(allow_nan=False), max_size=4))
+    ds = Dataset(kind, x, y if kind == "regression" else None, n,
+                 None if theta0 is None else np.array(theta0),
+                 data.draw(st.none() | st.integers(0, 2 ** 32)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        ds.save(path)
+        loaded = Dataset.load(path)
+    assert (loaded.kind, loaded.n, loaded.seed) == (kind, n, ds.seed)
+    assert loaded.x.shape == (n,) and np.array_equal(loaded.x, ds.x)
+    assert np.array_equal(np.signbit(loaded.x), np.signbit(ds.x))
+    if kind == "regression":
+        assert loaded.y.shape == (n,) and np.array_equal(loaded.y, ds.y)
+    else:
+        assert loaded.y is None
+    if theta0 is None:
+        assert loaded.truth_theta0 is None
+    else:
+        assert np.array_equal(loaded.truth_theta0, ds.truth_theta0)
 
 
 # -- log-likelihood values ----------------------------------------------------
