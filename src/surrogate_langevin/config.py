@@ -5,6 +5,7 @@ starts."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -125,14 +126,14 @@ class ExperimentConfig:
     def validate(self):
         problems = []
         for f in fields(self):
+            name = f"{f.metadata['section']}.{f.metadata['key'] or f.name}"
             choices = f.metadata["choices"]
-            if choices is None:
-                continue
             value = getattr(self, f.name)
-            for v in value if isinstance(value, list) else [value]:
-                if v not in choices:
-                    problems.append(f"{f.metadata['section']}.{f.metadata['key'] or f.name}: "
-                                    f"must be one of {', '.join(choices)}, got {v!r}")
+            for v in value if isinstance(value, (list, tuple)) else [value]:
+                if choices is not None and v not in choices:
+                    problems.append(f"{name}: must be one of {', '.join(choices)}, got {v!r}")
+                elif isinstance(v, float) and not math.isfinite(v):
+                    problems.append(f"{name}: must be finite, got {v}")
         if self.theta0_mode == "explicit" and not self.theta0_values:
             problems.append("model.theta0_values: required when theta0_mode = explicit")
         if self.darcy_mesh < 8:
@@ -159,6 +160,8 @@ class ExperimentConfig:
             problems.append("sampler.epsilon: must be positive")
         if self.j < 1:
             problems.append("sampler.j: must be >= 1")
+        if self.guard_radius <= 0:
+            problems.append("sampler.guard_radius: must be positive")
         if not self.seeds:
             problems.append("sampler.seeds: need at least one seed")
         if not self.n_grid or any(n < 1 for n in self.n_grid):

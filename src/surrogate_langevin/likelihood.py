@@ -78,6 +78,8 @@ class Dataset:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.kind not in ("regression", "density"):
+            raise ValueError(f"unknown data kind {self.kind!r}")
         # a read-only copy: the forward operators may memoize on it by identity
         self.x = np.array(self.x, dtype=float)
         self.x.flags.writeable = False

@@ -35,8 +35,10 @@ class SamplerConfig:
     guard_radius: float = 1e3
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:  # NaN too
+            raise ValueError("gamma must be positive and finite")
+        if not 0 < self.guard_radius < math.inf:
+            raise ValueError("guard_radius must be positive and finite")
         if self.j_in < 0 or self.j < 1:
             raise ValueError("need j_in >= 0 and j >= 1")
         if self.guard not in GUARDS:
@@ -121,46 +123,48 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     reflect = config.guard == "reflect"
     radius = config.guard_radius
     noise_scale = math.sqrt(2.0 * gamma)
-    for lo in range(0, total, NOISE_BLOCK):
-        block = rng.standard_normal((min(NOISE_BLOCK, total - lo), p))
-        block *= noise_scale  # the same bits as noise_scale * noise, step by step
-        for i, noise in enumerate(block):
-            try:
-                new = _step(drift, theta, gamma, noise)
-            except FloatingPointError:
-                if not reflect:
-                    raise ChainDivergedError(lo + i + 1, theta) from None
-                # pull the state back inside the guard radius and retry once
-                r = _norm(theta, theta.dot(theta))
-                if r > radius:
-                    theta = theta * (radius / r)
-                guard_count += 1
+    # a diverging chain's overflow is caught below: numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, total, NOISE_BLOCK):
+            block = rng.standard_normal((min(NOISE_BLOCK, total - lo), p))
+            block *= noise_scale  # the same bits as noise_scale * noise, step by step
+            for i, noise in enumerate(block):
                 try:
                     new = _step(drift, theta, gamma, noise)
                 except FloatingPointError:
-                    raise ChainDivergedError(lo + i + 1, theta) from None
-            theta = new
-            sq = theta.dot(theta)
-            if reflect:
-                r = _norm(theta, sq)
-                if r > radius:
-                    s = _fold_radius(2.0 * radius - r, radius)
-                    # theta / r first where theta * s could overflow
-                    theta = theta * s / r if math.isfinite(sq) else theta / r * s
+                    if not reflect:
+                        raise ChainDivergedError(lo + i + 1, theta) from None
+                    # pull the state back inside the guard radius and retry once
+                    r = _norm(theta, theta.dot(theta))
+                    if r > radius:
+                        theta = theta * (radius / r)
                     guard_count += 1
-                    sq = theta.dot(theta)
-            if not math.isfinite(sq) and not np.isfinite(theta).all():
-                _store(states, buf[:i], lo, stride)
-                raise ChainDivergedError(lo + i + 1, states[(lo + i) // stride].copy())
-            buf[i] = theta
-        done = buf[:len(block)]
-        _store(states, done, lo, stride)
-        if track_exit and exit_step is None:
-            exit_step = _first_exit(done, lo, region_center, region_radius)
-        if lo + len(done) > j_in:
-            window = done[max(j_in - lo, 0):]
-            for i, f in enumerate(fns):
-                acc[i] = _accumulate(acc[i], f(window), len(window))
+                    try:
+                        new = _step(drift, theta, gamma, noise)
+                    except FloatingPointError:
+                        raise ChainDivergedError(lo + i + 1, theta) from None
+                theta = new
+                sq = theta.dot(theta)
+                if reflect:
+                    r = _norm(theta, sq)
+                    if r > radius:
+                        s = _fold_radius(2.0 * radius - r, radius)
+                        # theta / r first where theta * s could overflow
+                        theta = theta * s / r if math.isfinite(sq) else theta / r * s
+                        guard_count += 1
+                        sq = theta.dot(theta)
+                if not math.isfinite(sq) and not np.isfinite(theta).all():
+                    _store(states, buf[:i], lo, stride)
+                    raise ChainDivergedError(lo + i + 1, states[(lo + i) // stride].copy())
+                buf[i] = theta
+            done = buf[:len(block)]
+            _store(states, done, lo, stride)
+            if track_exit and exit_step is None:
+                exit_step = _first_exit(done, lo, region_center, region_radius)
+            if lo + len(done) > j_in:
+                window = done[max(j_in - lo, 0):]
+                for i, f in enumerate(fns):
+                    acc[i] = _accumulate(acc[i], f(window), len(window))
     accumulators = {name: 0.0 if a is None else a for name, a in zip(functionals, acc)}
     return ChainTrace(states, stride, exit_step, accumulators,
                       config.j_in, config.j, config.seed, config.gamma,

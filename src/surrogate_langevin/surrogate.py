@@ -31,14 +31,6 @@ class ConfigurationError(ValueError):
     pass
 
 
-def _bump_unnormalized(x):
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) < 1.0
-    out = np.zeros_like(x)
-    out[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
-    return out
-
-
 def _smoothstep(s):
     """psi(s) = f(s)/(f(s)+f(1-s)) with f(x) = exp(-1/x) for x > 0."""
     s = np.asarray(s, dtype=float)
@@ -91,10 +83,11 @@ CUTOFF_C2_NORM = _cutoff_c2_norm()
 
 
 def _mollifier_quadrature():
-    """Gauss-Legendre nodes z on [-1, 1] and the weights of the unit-mass bump
-    at them; the mollifier of width s = eta/8 uses the nodes s * z."""
+    """Gauss-Legendre nodes z in (-1, 1) and the weights of the unit-mass bump
+    exp(-1/(1 - z^2)) at them; the mollifier of width s = eta/8 uses the
+    nodes s * z."""
     z, w = np.polynomial.legendre.leggauss(PENALTY_QUAD_NODES)
-    wphi = w * _bump_unnormalized(z)
+    wphi = w * np.exp(-1.0 / (1.0 - z ** 2))
     return z, wphi / np.sum(wphi)
 
 
@@ -102,45 +95,43 @@ _MOLLIFIER_Z, _MOLLIFIER_W = _mollifier_quadrature()
 
 
 class MollifiedPenalty:
-    """Convex penalty v_eta = phi_{eta/8} * gamma_eta by fixed quadrature."""
+    """Convex penalty v_eta = phi_s * gamma_eta, the hinge quadratic
+    gamma_eta(t) = (t - 5 eta/8)_+^2 mollified by a bump of width s = eta/8.
+
+    From t = 3 eta/4 on the mollifier's support lies past the hinge, so
+    v_eta(t) = (t - 5 eta/8)^2 + s^2 sigma2_phi and v_eta'(t) = 2 (t - 5 eta/8)
+    exactly (the bump is symmetric).  Below, a fixed quadrature of the
+    mollifier gives both; it is exactly 0 for t <= eta/2."""
 
     sigma2_phi = float(np.sum(_MOLLIFIER_W * _MOLLIFIER_Z ** 2))  # variance of the unit bump
 
     def __init__(self, eta: float):
-        if eta <= 0:
+        if not eta > 0:  # NaN too
             raise ValueError("eta must be positive")
         self.eta = float(eta)
         self.s = self.eta / 8.0
         self._nodes = self.s * _MOLLIFIER_Z  # the mollifier's nodes s z
         self._hinge_at = 5.0 * self.eta / 8.0
-
-    def _hinge(self, t):
-        d = t - self._hinge_at
-        return np.where(d > 0, d * d, 0.0)
-
-    def _hinge_deriv(self, t):
-        d = t - self._hinge_at
-        return np.where(d > 0, 2.0 * d, 0.0)
+        self._tail_from = 0.75 * self.eta
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        shifted = t[..., None] - self._nodes
-        return np.sum(_MOLLIFIER_W * self._hinge(shifted), axis=-1)[()]
+        d = t - self._hinge_at
+        out = np.array(d * d + self.s ** 2 * self.sigma2_phi)
+        shell = t < self._tail_from
+        if shell.any():
+            d = (t[shell][:, None] - self._nodes) - self._hinge_at
+            out[shell] = np.sum(_MOLLIFIER_W * np.where(d > 0, d * d, 0.0), axis=-1)
+        return out[()]
 
     def deriv(self, t):
         t = np.asarray(t, dtype=float)
-        shifted = t[..., None] - self._nodes
-        return np.sum(_MOLLIFIER_W * self._hinge_deriv(shifted), axis=-1)[()]
-
-    def far_deriv(self, t: float) -> float:
-        """deriv(t) for t >= 7 eta / 8, bit for bit: there every shifted node
-        t - s z lies past the hinge at 5 eta / 8, so no node needs the test."""
-        d = (t - self._nodes) - self._hinge_at
-        return float((_MOLLIFIER_W * (2.0 * d)).sum())
-
-    def tail_closed_form(self, t):
-        """Exact value for t >= 3 eta / 4 (the mollifier cross term cancels)."""
-        return (np.asarray(t, dtype=float) - self._hinge_at) ** 2 + self.s ** 2 * self.sigma2_phi
+        out = np.array(2.0 * (t - self._hinge_at))
+        shell = t < self._tail_from
+        if shell.any():
+            d = (t[shell][:, None] - self._nodes) - self._hinge_at
+            out[shell] = np.sum(_MOLLIFIER_W * np.where(d > 0, 2.0 * d, 0.0), axis=-1)
+        return out[()]
 
 
 def choose_K(probe: CurvatureReport, n: int, p: int, delta_n: float,
@@ -186,7 +177,7 @@ class SurrogateSpec:
         self.theta_init = np.asarray(self.theta_init, dtype=float)
         if self.theta_init.shape != (self.model.p,):
             raise ValueError("theta_init has wrong length")
-        if self.eta <= 0 or self.K <= 0:
+        if not (self.eta > 0 and self.K > 0):  # NaN too
             raise ValueError("eta and K must be positive")
         self.penalty = MollifiedPenalty(self.eta)
         self._inner_edge = 0.5 * self.eta
@@ -256,13 +247,12 @@ class SurrogateSpec:
         if region == "inner":
             return self.model.grad_log_lik(theta)
         radial = diff / t
+        out = -self.K * float(self.penalty.deriv(t)) * radial
         if region == "far":
-            return -self.K * self.penalty.far_deriv(t) * radial
+            return out
         s = t / self.eta
         vt = float(cutoff(s))
         dv = float(cutoff_deriv(s)) / self.eta
-        dpen = float(self.penalty.deriv(t))
-        out = -self.K * dpen * radial
         if vt != 0.0 or dv != 0.0:
             ll = self.model.log_lik(theta)
             if not np.isfinite(ll):

@@ -187,10 +187,25 @@ def grad_log_lik_composed(model, theta) -> np.ndarray:
     return model.forward.grad_rows(theta, ds.x).T @ resid
 
 
-def _penalty_deriv(eta, t):
+def penalty_quadrature(eta, t):
+    """The mollified hinge phi_{eta/8} * (t - 5 eta/8)_+^2 at t by the 64-node
+    quadrature, at every t (the reference for the penalty's exact tail)."""
+    d = (np.asarray(t, dtype=float)[..., None] - (eta / 8.0) * _MOLLIFIER_Z) - 5.0 * eta / 8.0
+    return np.sum(_MOLLIFIER_W * np.where(d > 0, d * d, 0.0), axis=-1)[()]
+
+
+def penalty_quadrature_deriv(eta, t):
     """The mollified hinge's derivative at t by the 64-node quadrature."""
     d = (np.asarray(t, dtype=float)[..., None] - (eta / 8.0) * _MOLLIFIER_Z) - 5.0 * eta / 8.0
     return np.sum(_MOLLIFIER_W * np.where(d > 0, 2.0 * d, 0.0), axis=-1)[()]
+
+
+def _penalty_deriv(eta, t):
+    """The penalty's derivative at a scalar t by the package's rule: the exact
+    2 (t - 5 eta/8) from 3 eta/4 on, the quadrature below."""
+    if t >= 0.75 * eta:
+        return 2.0 * (t - 5.0 * eta / 8.0)
+    return penalty_quadrature_deriv(eta, t)
 
 
 def drift_region(spec, theta) -> str:

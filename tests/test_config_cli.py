@@ -111,6 +111,52 @@ def test_gamma_fraction_bound_violation_named():
                for p in exc.value.problems)
 
 
+def _real_options():
+    """(section, key, raw value) of every option whose value holds reals, the
+    raw value ending in the one real that the tests replace."""
+    for f in fields(ExperimentConfig):
+        for raw in ("0.5", "0.5 0.5"):  # one real, or a pair
+            try:
+                value = f.metadata["parse"](raw)
+            except (ValueError, IndexError):
+                continue
+            if any(isinstance(v, float) for v in (
+                    value if isinstance(value, (list, tuple)) else [value])):
+                yield f.metadata["section"], f.metadata["key"] or f.name, raw
+            break
+
+
+REAL_OPTIONS = list(_real_options())
+
+
+@settings(max_examples=100)
+@given(option=st.sampled_from(REAL_OPTIONS), bad=st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_real_option_rejected(option, bad):
+    # NaN passed every `x <= 0` test: a NaN k_override was ignored, a NaN
+    # guard_radius never fired and a NaN epsilon failed the cell late
+    section, key, raw = option
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(Path(tmp), f"[{section}]\n{key} = {raw[:-3]}{bad}\n")
+        with pytest.raises(ConfigValidationError) as exc:
+            load_config(path)
+    assert f"{section}.{key}: must be finite, got {bad}" in exc.value.problems
+
+
+def test_real_options_are_every_float_field():
+    assert len(REAL_OPTIONS) == 15
+    assert {("surrogate", "k_override"), ("model", "theta0_values"),
+            ("model", "darcy_boundary"), ("sampler", "guard_radius")} <= {
+        (section, key) for section, key, _ in REAL_OPTIONS}
+
+
+@pytest.mark.parametrize("radius", [0.0, -5.0])
+def test_guard_radius_must_be_positive(radius):
+    # a negative radius fired the reflect guard on every step of an ok cell
+    with pytest.raises(ConfigValidationError) as exc:
+        ExperimentConfig(guard="reflect", guard_radius=radius).validate()
+    assert exc.value.problems == ["sampler.guard_radius: must be positive"]
+
+
 def test_unknown_diagnostic_rejected():
     # w2 and exit-times were once accepted without computing anything
     for name in ("telepathy", "w2", "exit-times"):
@@ -436,6 +482,22 @@ def test_diverged_cell_message_names_the_exception(tmp_path):
         row, = csv.DictReader(fh)
     assert row["status"] == "diverged"
     assert re.fullmatch(r"ChainDivergedError: chain diverged at step \d+", row["message"])
+
+
+@pytest.mark.parametrize("guard, status, message", [
+    ("none", "diverged", "ChainDivergedError: chain diverged at step 38"),
+    ("reflect", "ok", "")])
+def test_diverging_chain_warns_nothing(guard, status, message):
+    # the overflow in the finiteness tests and the far-field drift is caught
+    # and handled; numpy printed four RuntimeWarnings for it
+    cfg = ExperimentConfig(p_value=1, eta_rule="fixed", eta_value=0.05, gamma_rule="fixed",
+                           gamma_value=1e-3, j_in_rule="fixed", j_in_value=0, j=200,
+                           guard=guard).validate()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cell = run_cell(cfg, 200, 0)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert (cell.status, cell.message) == (status, message)
 
 
 def test_cli_seed_offset_changes_data(tmp_path):

@@ -96,6 +96,19 @@ def test_dataset_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.truth_theta0, theta0)
 
 
+def test_dataset_rejects_an_unknown_kind(tmp_path):
+    # a ModelInstance took any kind but "density" for regression, with y = None
+    with pytest.raises(ValueError, match="unknown data kind 'foo'"):
+        Dataset("foo", np.zeros(3), None, 3)
+    model, _ = glm_model(n=20)
+    path = tmp_path / "data.csv"
+    model.dataset.save(path)
+    meta = path.with_suffix(".csv.meta.json")
+    meta.write_text(meta.read_text().replace('"regression"', '"Regression"'))
+    with pytest.raises(ValueError, match="unknown data kind 'Regression'"):
+        Dataset.load(path)
+
+
 def test_dataset_save_bytes_match_csv_writer(tmp_path):
     from _oracles import awkward_floats, csv_writer_bytes
 

@@ -78,8 +78,12 @@ def test_ula_stationary_variance_ar1():
 def test_config_rejections():
     with pytest.raises(ConfigValidationError):
         ExperimentConfig(variant="hmc").validate()
-    with pytest.raises(ValueError):
-        SamplerConfig(gamma=0.0)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            SamplerConfig(gamma=gamma)
+    for radius in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="guard_radius"):
+            SamplerConfig(guard="reflect", guard_radius=radius)
     with pytest.raises(ValueError):
         SamplerConfig(j=0)
     with pytest.raises(ValueError):

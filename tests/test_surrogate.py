@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from _oracles import penalty_quadrature, penalty_quadrature_deriv
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.config import MODEL_PRESETS
 from surrogate_langevin.expfam import ExpFamily, LinkFunction
@@ -61,6 +64,15 @@ def test_cutoff_deriv_matches_fd():
 
 # -- mollified penalty ---------------------------------------------------------
 
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+def test_penalty_and_spec_reject_a_bad_eta(eta):
+    with pytest.raises(ValueError, match="eta must be positive"):
+        MollifiedPenalty(eta)
+    spec = build_spec(n=50)
+    with pytest.raises(ValueError, match="eta and K must be positive"):
+        SurrogateSpec(spec.model, spec.prior, spec.theta_init, eta, spec.K, spec.probe)
+
+
 def test_penalty_vanishes_inside():
     pen = MollifiedPenalty(0.8)
     assert pen.eval(0.3) == 0.0
@@ -70,10 +82,34 @@ def test_penalty_vanishes_inside():
 
 def test_penalty_tail_closed_form():
     pen = MollifiedPenalty(0.8)
-    val = pen.eval(2.0)
-    assert val == pytest.approx((2.0 - 0.5) ** 2 + 0.1 ** 2 * pen.sigma2_phi, abs=1e-10)
-    for t in (0.8, 1.6, 4.0):  # eta, 2 eta, 5 eta
-        assert pen.eval(t) == pytest.approx(pen.tail_closed_form(t), abs=1e-10)
+    for t in (0.6, 0.8, 1.6, 2.0, 4.0):  # 3 eta/4, eta, 2 eta, 5 eta/2, 5 eta
+        assert pen.eval(t) == pytest.approx((t - 0.5) ** 2 + 0.1 ** 2 * pen.sigma2_phi, abs=1e-10)
+        assert pen.eval(t) == pytest.approx(penalty_quadrature(0.8, t), abs=1e-10)
+        assert pen.deriv(t) == pytest.approx(2.0 * (t - 0.5), abs=1e-10)
+        assert pen.deriv(t) == pytest.approx(penalty_quadrature_deriv(0.8, t), abs=1e-10)
+
+
+def _ulps(a, b):
+    """The number of doubles from a to b, for a and b of one sign."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+@pytest.mark.parametrize("eta", [1e-9, 0.37, 0.5, 1.3, 1e3])
+def test_penalty_switch_to_the_tail_is_continuous(eta):
+    # at 3 eta/4 and one ulp either side, the value is within 4 ulps of both
+    # the quadrature and the closed form (measured over 2000 eta in
+    # [1e-9, 1e3]: at most 3); below the switch it keeps the quadrature's bits
+    pen = MollifiedPenalty(eta)
+    edge = 0.75 * eta
+    below = math.nextafter(edge, 0.0)
+    for t in (below, edge, math.nextafter(edge, math.inf)):
+        d = t - 5.0 * eta / 8.0
+        assert _ulps(pen.eval(t), penalty_quadrature(eta, t)) <= 4
+        assert _ulps(pen.eval(t), d * d + pen.s ** 2 * pen.sigma2_phi) <= 4
+        assert _ulps(pen.deriv(t), penalty_quadrature_deriv(eta, t)) <= 4
+        assert _ulps(pen.deriv(t), 2.0 * d) <= 4
+    assert pen.eval(below).tobytes() == penalty_quadrature(eta, below).tobytes()
+    assert pen.deriv(below).tobytes() == penalty_quadrature_deriv(eta, below).tobytes()
 
 
 def test_penalty_midrange_small_positive():
@@ -193,6 +229,21 @@ def test_far_field_value_and_grad():
     g = spec.grad(theta3)
     np.testing.assert_allclose(g, -spec.K * spec.penalty.deriv(3.0 * eta) * direction,
                                rtol=1e-12)
+
+
+def test_far_field_drift_is_the_exact_tail():
+    spec = build_spec()
+    rng = np.random.default_rng(47)
+    for ratio in (0.9, 1.0, 3.0, 1e3):
+        u = rng.standard_normal(3)
+        theta = spec.theta_init + (ratio * spec.eta / np.linalg.norm(u)) * u
+        diff = theta - spec.theta_init
+        t = math.sqrt(diff.dot(diff))
+        want = (-spec.K * (2.0 * (t - 5.0 * spec.eta / 8.0)) * (diff / t)
+                + spec.prior.grad_diag * theta)
+        far = spec.drift_calls["far"]
+        assert spec.posterior_grad(theta).tobytes() == want.tobytes()
+        assert spec.drift_calls["far"] == far + 1
 
 
 def _full_cutoff_formula(spec, theta):
@@ -375,8 +426,12 @@ def test_cutoff_range_and_monotonicity(t):
 
 
 @settings(max_examples=200, deadline=None)
-@given(eta=st.floats(1e-9, 1e3), ratio=st.floats(0.875, 1e6))
-def test_far_field_penalty_derivative_skips_the_hinge_test(eta, ratio):
+@given(eta=st.floats(1e-9, 1e3), ratio=st.floats(0.75, 1e6))
+def test_penalty_tail_agrees_with_the_quadrature(eta, ratio):
+    # from 3 eta/4 on the exact tail replaces the 64-node quadrature; over a
+    # 200 x 200 grid of these ranges they differ by at most 3 ulps (eval) and
+    # 2 ulps (deriv)
     penalty = MollifiedPenalty(eta)
-    t = max(ratio * eta, 0.875 * eta)
-    assert np.float64(penalty.far_deriv(t)).tobytes() == np.float64(penalty.deriv(t)).tobytes()
+    t = max(ratio * eta, 0.75 * eta)
+    assert _ulps(penalty.eval(t), penalty_quadrature(eta, t)) <= 4
+    assert _ulps(penalty.deriv(t), penalty_quadrature_deriv(eta, t)) <= 4
