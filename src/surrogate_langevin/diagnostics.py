@@ -1,13 +1,14 @@
 """Ground-truth machinery: grid posteriors, exact empirical W2, contraction
-and recovery metrics, condition numbers, exit-time summaries."""
+and recovery metrics, condition numbers, exit-time summaries.
+
+scipy is imported inside the two functions that call it, so importing the
+package does not load it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
 
 class BoundaryMassError(ValueError):
@@ -57,9 +58,13 @@ def grid_posterior(log_density, bounds, resolution) -> GridPosterior:
 
     `log_density` maps a length-p vector, p = len(bounds), to the
     unnormalized log posterior; normalization is by log-sum-exp over the
-    grid.  Raises BoundaryMassError (with widened suggested bounds) when the
-    outermost grid shell carries a weight fraction above 1e-8.
+    grid.  Raises ValueError when a grid value is NaN or +inf or none is
+    finite (-inf is zero density), and BoundaryMassError (with widened
+    suggested bounds) when the outermost grid shell carries a weight fraction
+    above 1e-8.
     """
+    from scipy.special import logsumexp
+
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if isinstance(resolution, int):
         resolution = (resolution,) * len(bounds)
@@ -70,6 +75,10 @@ def grid_posterior(log_density, bounds, resolution) -> GridPosterior:
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     logv = np.array([log_density(t) for t in pts]).reshape(grids[0].shape)
+    if np.isnan(logv).any() or np.isposinf(logv).any():
+        raise ValueError("log density is NaN or +inf on the grid")
+    if not np.isfinite(logv).any():
+        raise ValueError("log density is -inf on the whole grid")
     logz = logsumexp(logv)
     w = np.exp(logv - logz)
     w /= w.sum()
@@ -104,6 +113,8 @@ def empirical_w2(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
     W2^2 between two empirical measures with equal counts equals the minimum
     over matchings of the mean squared pair distance.
     """
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
     if a.ndim == 1:

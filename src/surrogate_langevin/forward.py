@@ -27,16 +27,22 @@ with f_v = exp(Phi(theta)) Phi(v) and f_v2 = exp(Phi(theta)) Phi(v)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .basis import BasisFamily
 
-# The LAPACK routines behind scipy.linalg.cholesky_banded and cho_solve_banded,
-# called directly; the finiteness and `info` checks those wrappers make are
-# made explicitly by _factorized_operator and _banded_solve.
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty((2, 1)),))
+
+@cache
+def _lapack():
+    """(pbtrf, pbtrs), the LAPACK routines behind scipy.linalg.cholesky_banded
+    and cho_solve_banded, called directly; the finiteness and `info` checks
+    those wrappers make are made explicitly by _factorized_operator and
+    _banded_solve.  Resolved on the first factorization, so only a run that
+    solves the PDE loads scipy."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty((2, 1)),))
 
 
 def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.ndarray:
@@ -66,7 +72,8 @@ def _factorized_operator(f: np.ndarray):
     ab[0, 1:] = -faces[1:-1] / h ** 2  # superdiagonal
     ab[1, :] = (faces[:-1] + faces[1:]) / h ** 2
     _require_finite(ab)
-    cb, info = _pbtrf(ab, lower=0)
+    pbtrf, _ = _lapack()
+    cb, info = pbtrf(ab, lower=0)
     if info > 0:
         raise ArithmeticError(f"tridiagonal factorization failed: {info}-th leading "
                               "minor not positive definite")
@@ -86,7 +93,8 @@ def _require_finite(a):
 def _banded_solve(cb, b):
     """(-L_f)^{-1} b from the factor cb, for b of shape (M,) or (M, k)."""
     _require_finite(b)
-    x, info = _pbtrs(cb, b, lower=0)
+    _, pbtrs = _lapack()
+    x, info = pbtrs(cb, b, lower=0)
     if info != 0:
         raise ValueError(f"pbtrs failed with info={info}")
     return x

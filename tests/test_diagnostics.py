@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,33 @@ def test_grid_boundary_mass_error_suggests_wider_bounds():
     assert exc.value.ratio > 1e-8
     # widened bounds succeed
     grid_posterior(logd, [(-8.0, 8.0)], 801)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grid_rejects_a_nan_or_plus_inf_value(bad):
+    def logd(t):
+        return bad if t[0] == 0.0 else -0.5 * t[0] ** 2
+
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        grid_posterior(logd, [(-8.0, 8.0)], 801)
+
+
+def test_grid_rejects_a_density_that_is_zero_everywhere():
+    with pytest.raises(ValueError, match="-inf on the whole grid"):
+        grid_posterior(lambda t: -math.inf, [(-8.0, 8.0)], 801)
+
+
+def test_grid_allows_minus_inf_as_zero_density():
+    # a half-Gaussian: zero density left of 0, with no warning and no NaN
+    def logd(t):
+        return -0.5 * t[0] ** 2 if t[0] >= 0.0 else -math.inf
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = grid_posterior(logd, [(-8.0, 8.0)], 1601)
+    assert np.all(grid.weights[grid.axes[0] < 0.0] == 0.0)
+    assert grid.mean[0] == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-2)
+    assert np.isfinite(grid.cov).all()
 
 
 def test_grid_tv_zero_and_symmetry():
