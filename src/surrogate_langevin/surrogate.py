@@ -113,29 +113,24 @@ class MollifiedPenalty:
         self._nodes = self.s * _MOLLIFIER_Z  # the mollifier's nodes s z
         self._hinge_at = 5.0 * self.eta / 8.0
         self._tail_from = 0.75 * self.eta
-        self._tail_offset = self.s ** 2 * self.sigma2_phi
 
     def eval(self, t):
-        return self._apply(t, lambda d: d * d + self._tail_offset, lambda d: d * d)
-
-    def deriv(self, t):
-        return self._apply(t, lambda d: 2.0 * d, lambda d: 2.0 * d)
-
-    def _apply(self, t, tail, hinge):
-        """tail(t - 5 eta/8) from 3 eta/4 on, below it the mollifier quadrature
-        of hinge(d) for d > 0.  A float t takes the same steps on scalars, with
-        the same bits, and skips the array round trip."""
-        if isinstance(t, float):
-            if t < self._tail_from:
-                d = (t - self._nodes) - self._hinge_at
-                return (_MOLLIFIER_W * np.where(d > 0, hinge(d), 0.0)).sum()
-            return np.float64(tail(t - self._hinge_at))
         t = np.asarray(t, dtype=float)
-        out = np.array(tail(t - self._hinge_at))
+        d = t - self._hinge_at
+        out = np.array(d * d + self.s ** 2 * self.sigma2_phi)
         shell = t < self._tail_from
         if shell.any():
             d = (t[shell][:, None] - self._nodes) - self._hinge_at
-            out[shell] = (_MOLLIFIER_W * np.where(d > 0, hinge(d), 0.0)).sum(axis=-1)
+            out[shell] = np.sum(_MOLLIFIER_W * np.where(d > 0, d * d, 0.0), axis=-1)
+        return out[()]
+
+    def deriv(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.array(2.0 * (t - self._hinge_at))
+        shell = t < self._tail_from
+        if shell.any():
+            d = (t[shell][:, None] - self._nodes) - self._hinge_at
+            out[shell] = np.sum(_MOLLIFIER_W * np.where(d > 0, 2.0 * d, 0.0), axis=-1)
         return out[()]
 
 

@@ -435,21 +435,3 @@ def test_penalty_tail_agrees_with_the_quadrature(eta, ratio):
     t = max(ratio * eta, 0.75 * eta)
     assert _ulps(penalty.eval(t), penalty_quadrature(eta, t)) <= 4
     assert _ulps(penalty.deriv(t), penalty_quadrature_deriv(eta, t)) <= 4
-
-
-@settings(max_examples=300, deadline=None)
-@given(eta=st.floats(1e-9, 1e3),
-       ratio=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e6)),
-       at_switch=st.sampled_from([None, -1, 0, 1]))
-def test_penalty_scalar_and_array_paths_agree_bitwise(eta, ratio, at_switch):
-    # a float t skips the array round trip; at_switch puts t at 3 eta/4 or
-    # one ulp below (-1) or above (+1) it
-    pen = MollifiedPenalty(eta)
-    t = ratio * eta
-    if at_switch is not None:
-        edge = 0.75 * eta
-        t = edge if at_switch == 0 else math.nextafter(edge, at_switch * math.inf)
-    for f in (pen.eval, pen.deriv):
-        got = f(t)
-        assert type(got) is np.float64
-        assert got.tobytes() == f(np.array([t]))[0].tobytes()
