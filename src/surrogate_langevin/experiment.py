@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +33,7 @@ REPORT_COLUMNS = [
     "n", "p", "seed", "status", "gamma", "j_in", "j", "kappa_const", "eta",
     "m", "lambda", "delta_n", "exit_step", "mean_error", "contraction_fraction",
     "cond_surrogate", "cond_prior", "grid_tv", "message",
+    "guard_trigger_count", "drift_calls_inner", "drift_calls_annulus", "drift_calls_far",
 ]
 
 
@@ -146,12 +146,14 @@ def sample_cell(cfg: ExperimentConfig, surrogate, resolved, region_center, seed:
     """Run the cell's ULA chain on the drift `cfg.variant` names.
 
     The identity functional gives the posterior mean; the exit step is taken
-    from the coincidence ball around `region_center`.
+    from the coincidence ball around `region_center`.  Both drifts call the
+    likelihood gradient's body under run_chain's floating-point error state.
     """
     if cfg.variant == "surrogate":
         drift = surrogate.posterior_grad
     else:
-        drift = lambda t: surrogate.model.grad_log_lik(t) + surrogate.prior.grad_log_density(t)
+        grad, prior = surrogate.model._grad, surrogate.prior
+        drift = lambda t: grad(t) + prior.grad_log_density(t)
     sconf = SamplerConfig(gamma=resolved["gamma"], j_in=resolved["j_in"], j=cfg.j,
                           seed=seed, guard=cfg.guard, guard_radius=cfg.guard_radius)
     return run_chain(drift, surrogate.theta_init, sconf,
@@ -220,6 +222,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
     out.mkdir(parents=True, exist_ok=True)
     cells = [(cfg, n, seed + seed_offset) for n in cfg.n_grid for seed in cfg.seeds]
     if jobs > 1:
+        # imported here, so that a one-process run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell_star, cells))
     else:

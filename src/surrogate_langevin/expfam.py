@@ -20,6 +20,18 @@ def _sigmoid(h):
     return out
 
 
+def _A1_gaussian(h):
+    return h + 0.0
+
+
+def _A1_bernoulli(h):
+    return _sigmoid(np.atleast_1d(h))[()] if h.ndim == 0 else _sigmoid(h)
+
+
+# A' of each family on a float array, under the caller's floating-point error state.
+_A1_OF = {"gaussian": _A1_gaussian, "poisson": np.exp, "bernoulli": _A1_bernoulli}
+
+
 @dataclass(frozen=True)
 class ExpFamily:
     """Exponential family with log-partition A and derivatives.
@@ -48,13 +60,12 @@ class ExpFamily:
         with np.errstate(over="ignore"):
             return self._A1(np.asarray(h, dtype=float))
 
-    def _A1(self, h):
-        """A' of the float array h, under the caller's floating-point error state."""
-        if self.kind == "gaussian":
-            return h + 0.0
-        if self.kind == "poisson":
-            return np.exp(h)
-        return _sigmoid(np.atleast_1d(h))[()] if h.ndim == 0 else _sigmoid(h)
+    @property
+    def _A1(self):
+        """The family's A' of a float array, under the caller's floating-point
+        error state: one function per kind, so a caller that looks it up once
+        pays no branch on the kind per call."""
+        return _A1_OF[self.kind]
 
     def A2(self, h):
         h = np.asarray(h, dtype=float)

@@ -165,7 +165,7 @@ class ModelInstance:
                 raise ValueError("the forward operator must use the model's basis")
             self._x, self._y = self.dataset.x, self.dataset.y
             self._canonical = self.link.kind == "canonical"
-            self._A1 = self.family._A1
+            self._A1 = self.family._A1  # the family's A', looked up once
 
     @property
     def p(self) -> int:
@@ -208,7 +208,23 @@ class ModelInstance:
         return float(total) if np.isfinite(total) else -np.inf
 
     def grad_log_lik(self, theta) -> np.ndarray:
+        """grad l_n(theta); FloatingPointError where the natural parameter
+        overflows, without a numpy warning."""
         theta = self._check(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._grad(theta)
+
+    def _grad(self, theta) -> np.ndarray:
+        """The body of grad_log_lik at a float array theta of shape (p,),
+        unchecked.
+
+        It runs under the caller's floating-point error state: grad_log_lik
+        enters np.errstate(over="ignore", invalid="ignore") for one call, and
+        sampler.run_chain for a whole chain, whose drift (the inner region of
+        SurrogateSpec.posterior_grad, or the vanilla drift) calls this
+        directly.  Any other direct caller supplies its own.  An overflow
+        leaves a non-finite residual, which raises FloatingPointError.
+        """
         if self._n == 0:
             return np.zeros(self.p)
         if self._density:
@@ -221,12 +237,10 @@ class ModelInstance:
             # the natural parameter is u + 0.0, which differs from u only at
             # -0.0, where every A' gives the bits it gives at 0.0; the
             # canonical factor natural_param_d1 is exactly 1.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                resid = self._y - self._A1(u)
+            resid = self._y - self._A1(u)
         else:
             b = self._natural_param(u)
-            with np.errstate(over="ignore", invalid="ignore"):
-                resid = (self._y - self._A1(b)) * natural_param_d1(self.family, self.link, u)
+            resid = (self._y - self._A1(b)) * natural_param_d1(self.family, self.link, u)
         # a NaN or inf entry makes resid.resid NaN or inf (see sampler._step)
         if not math.isfinite(resid.dot(resid)) and not np.isfinite(resid).all():
             raise FloatingPointError("non-finite likelihood gradient (overflowed natural parameter)")

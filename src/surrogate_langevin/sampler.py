@@ -102,6 +102,10 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
     noise is drawn NOISE_BLOCK steps at a time from default_rng(seed), which
     gives the same draws as one per step; the states of a block are stored,
     searched for the exit and passed to the functionals once the block is done.
+
+    The whole chain runs under np.errstate(over="ignore", invalid="ignore"):
+    the drift is called under it and need not set its own, and an overflow is
+    caught as a non-finite drift or state, not warned of.
     """
     functionals = functionals or {}
     fns = list(functionals.values())

@@ -268,7 +268,14 @@ class SurrogateSpec:
 
     def posterior_grad(self, theta) -> np.ndarray:
         """The Langevin drift: grad lt + grad log prior, counted in
-        `drift_calls` by its region."""
+        `drift_calls` by its region.
+
+        The inner region calls the likelihood gradient's body
+        ModelInstance._grad, which runs under the caller's floating-point
+        error state: run_chain holds np.errstate(over="ignore",
+        invalid="ignore") for the whole chain, and a direct caller supplies
+        its own, or numpy warns of an overflow before FloatingPointError.
+        """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self.theta_init.shape:
             raise ValueError(f"theta must have length p={self.model.p}, got shape {theta.shape}")
@@ -276,4 +283,8 @@ class SurrogateSpec:
         t = math.sqrt(diff.dot(diff))
         region = self._region(t)
         self.drift_calls[region] += 1
-        return self._region_grad(region, theta, diff, t) + self.prior.grad_diag * theta
+        if region == "inner":
+            g = self.model._grad(theta)
+        else:
+            g = self._region_grad(region, theta, diff, t)
+        return g + self.prior.grad_diag * theta

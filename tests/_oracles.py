@@ -78,7 +78,8 @@ def recovery_csv_bytes(results, alpha):
 
 def report_row_hand_written(result):
     """A report.csv row as the harness first wrote it, one expression per
-    column: the reference for CellResult.row."""
+    column, with the four chain counts later appended after `message`: the
+    reference for CellResult.row."""
     r, m = result.resolved, result.metrics
 
     def fmt(v):
@@ -97,6 +98,9 @@ def report_row_hand_written(result):
         fmt(m.get("mean_error")), fmt(m.get("contraction_fraction")),
         fmt(m.get("cond_surrogate")), fmt(m.get("cond_prior")),
         fmt(m.get("grid_tv")), result.message,
+        *("" if m.get(k) is None else m.get(k)
+          for k in ("guard_trigger_count", "drift_calls_inner", "drift_calls_annulus",
+                    "drift_calls_far")),
     ]
 
 

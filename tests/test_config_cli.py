@@ -500,6 +500,33 @@ def test_diverging_chain_warns_nothing(guard, status, message):
     assert (cell.status, cell.message) == (status, message)
 
 
+# report.csv's columns before the chain counts were appended after `message`
+FIRST_REPORT_COLUMNS = [
+    "n", "p", "seed", "status", "gamma", "j_in", "j", "kappa_const", "eta",
+    "m", "lambda", "delta_n", "exit_step", "mean_error", "contraction_fraction",
+    "cond_surrogate", "cond_prior", "grid_tv", "message",
+]
+
+
+@pytest.mark.parametrize("variant, counts", [("surrogate", ["197", "2", "1", "197"]),
+                                             ("vanilla", ["0", "", "", ""])])
+def test_report_shows_how_often_the_reflect_guard_acted(tmp_path, variant, counts):
+    # gamma K is about 1.5e4, so every far-field step of the surrogate chain
+    # overshoots and the guard folds it back: the cell is still `ok`, and its
+    # row says so in the appended columns; the vanilla drift has no regions
+    cfg = ExperimentConfig(p_value=1, eta_rule="fixed", eta_value=0.05, gamma_rule="fixed",
+                           gamma_value=1e-3, j_in_rule="fixed", j_in_value=0, j=200,
+                           guard="reflect", variant=variant, n_grid=[200]).validate()
+    results, report = run_experiment(cfg, tmp_path)
+    with open(report, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == FIRST_REPORT_COLUMNS + ["guard_trigger_count", "drift_calls_inner",
+                                             "drift_calls_annulus", "drift_calls_far"]
+    assert row[3] == "ok"
+    assert _csv_line(row[:19]) == _csv_line(report_row_hand_written(results[0])[:19])
+    assert row[19:] == counts
+
+
 def test_cli_seed_offset_changes_data(tmp_path):
     path = write_cfg(tmp_path, MINIMAL)
     outs = []
@@ -568,10 +595,12 @@ def test_recovery_csv_matches_the_first_computation(cells, alpha):
     assert written == recovery_csv_bytes(results, alpha)
 
 
-METRIC_COLUMNS = ("exit_step", "mean_error", "contraction_fraction", "cond_surrogate",
-                  "cond_prior", "grid_tv")
-REAL_COLUMNS = ("gamma", "kappa_const", "eta", "m", "lambda", "delta_n") + METRIC_COLUMNS[1:]
-COUNT_COLUMNS = ("j_in", "j", "exit_step")
+REAL_METRICS = ("mean_error", "contraction_fraction", "cond_surrogate", "cond_prior", "grid_tv")
+COUNT_METRICS = ("exit_step", "guard_trigger_count", "drift_calls_inner",
+                 "drift_calls_annulus", "drift_calls_far")
+METRIC_COLUMNS = REAL_METRICS + COUNT_METRICS
+REAL_COLUMNS = ("gamma", "kappa_const", "eta", "m", "lambda", "delta_n") + REAL_METRICS
+COUNT_COLUMNS = ("j_in", "j") + COUNT_METRICS
 ABSENT = object()
 _real = st.floats() | st.sampled_from(AWKWARD_FLOATS)
 _count = st.integers(0, 10 ** 9)
@@ -589,8 +618,8 @@ def _csv_line(row):
                | st.floats(width=32).map(np.float32) for k in REAL_COLUMNS},
             **{k: st.none() | st.just(ABSENT) | _count | _count.map(np.int64)
                for k in COUNT_COLUMNS}}),
-       extra=st.dictionaries(st.sampled_from(["precision_floor", "guard_trigger_count",
-                                              "drift_calls_far", "epsilon_below_floor"]),
+       extra=st.dictionaries(st.sampled_from(["precision_floor", "probe_skipped",
+                                              "m_pi", "epsilon_below_floor"]),
                              st.integers(0, 9) | st.floats() | st.booleans()),
        status=st.sampled_from(["ok", "failed", "diverged"]),
        message=st.text(max_size=20))

@@ -32,6 +32,7 @@ def test_readme_imports_are_exported():
 # The scipy modules a run loads, in a fresh interpreter (this one has them all).
 # GLM and density cells load none; a Darcy cell loads scipy.linalg for its
 # banded solves; empirical_w2 and grid_posterior import theirs on first call.
+# No cell loads multiprocessing, which only a --jobs pool needs.
 IMPORT_SET_SCRIPT = """
 import json, sys
 import numpy as np
@@ -52,6 +53,7 @@ out["glm_density"] = loaded()
 cells.append(run_cell(ExperimentConfig(model_preset="darcy-1d", init_mode="pilot-ascent",
                                        darcy_mesh=16, **tiny).validate(), 100, 0))
 out["darcy"] = loaded()
+out["multiprocessing"] = "multiprocessing" in sys.modules
 out["status"] = [c.status + " " + c.message for c in cells]
 a, b = np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 3.0, 7) ** 2
 out["w2"] = surrogate_langevin.empirical_w2(a, b[::-1]).hex()
@@ -73,6 +75,8 @@ def test_a_run_imports_scipy_only_where_it_calls_it():
     assert not [m for m in out["darcy"]
                 if m.startswith(("scipy.optimize", "scipy.special"))]
     assert out["status"] == ["ok "] * 3
+    # jobs = 1 cells start no process pool, so they import none of its modules
+    assert out["multiprocessing"] is False
     # the first-use imports give what in-process calls give
     a, b = np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 3.0, 7) ** 2
     assert out["w2"] == empirical_w2(a, b[::-1]).hex()

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,21 @@ def test_cube_link_outside_its_range_raises_floating_point_error():
         cube.hess_dir_many(theta, np.eye(3))
     with pytest.raises(FloatingPointError, match="cube"):
         cube.hess_dir(theta, np.ones(3))
+
+
+def test_grad_log_lik_sets_its_own_error_state():
+    # exp(900) overflows: a direct call raises without a numpy warning, as the
+    # body does under run_chain's error state
+    model, _ = glm_model(family="poisson", n=50)
+    theta = np.array([900.0, 0.0, 0.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError, match="non-finite likelihood gradient"):
+            model.grad_log_lik(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite likelihood gradient"):
+                model._grad(theta)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("guard", ["none", "reflect"])

@@ -7,6 +7,7 @@ run_chain must give the same bits, and count the drift calls per region.
 
 import functools
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (drift_region, grad_composed, pilot_ascent_per_iteration,
-                      posterior_grad_composed, run_chain_per_step)
+from _oracles import (drift_region, grad_composed, grad_log_lik_composed,
+                      pilot_ascent_per_iteration, posterior_grad_composed, run_chain_per_step)
+from surrogate_langevin import experiment
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
@@ -117,6 +119,53 @@ def test_drift_parity_in_every_region(name, ratio, direction):
     if norm == 0.0:
         u, norm = np.array([0.0, 0.0, 1.0]), 1.0
     _check_drift_parity(spec, spec.theta_init + (ratio * ETA / norm) * u)
+
+
+def _vanilla_drift(spec):
+    """The drift experiment.sample_cell hands run_chain for variant = vanilla."""
+    drifts = []
+    cfg = SimpleNamespace(variant="vanilla", j=1, guard="none", guard_radius=1.0,
+                          thinning_budget=10)
+    with mock.patch.object(experiment, "run_chain", lambda drift, *a, **kw: drifts.append(drift)):
+        experiment.sample_cell(cfg, spec, {"gamma": 1e-3, "j_in": 0}, spec.theta_init, 0)
+    return drifts[0]
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(MODELS)), ratio=st.floats(0.0, 0.5),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_inner_drifts_call_the_gradient_body_under_the_chain_error_state(name, ratio,
+                                                                         direction):
+    # inside the exact-likelihood ball posterior_grad and the vanilla drift
+    # call ModelInstance._grad once each, not grad_log_lik, under the error
+    # state run_chain holds, with the bits of the composed oracles
+    spec = _spec(name)
+    model, prior = spec.model, spec.prior
+    u = np.array(direction)
+    norm = np.linalg.norm(u)
+    if norm == 0.0:
+        u, norm = np.array([0.0, 0.0, 1.0]), 1.0
+    theta = spec.theta_init + (ratio * ETA / norm) * u
+    assert drift_region(spec, theta) == "inner"
+    want_vanilla = (grad_log_lik_composed(model, theta)
+                    + (-prior.scale * prior.sigma_alpha_diag) * theta)
+    want = posterior_grad_composed(spec, theta)
+    calls = []
+
+    def body(t, _grad=model._grad):
+        calls.append(t)
+        return _grad(t)
+
+    before = dict(spec.drift_calls)
+    with mock.patch.object(model, "_grad", body), \
+            mock.patch.object(model, "grad_log_lik", side_effect=AssertionError("public call")):
+        vanilla = _vanilla_drift(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _same(spec.posterior_grad(theta), want)
+            assert len(calls) == 1
+            _same(vanilla(theta), want_vanilla)
+            assert len(calls) == 2
+    assert spec.drift_calls == {**before, "inner": before["inner"] + 1}
 
 
 @pytest.mark.parametrize("family", FAMILY_KINDS)
