@@ -146,8 +146,9 @@ def sample_cell(cfg: ExperimentConfig, surrogate, resolved, region_center, seed:
     """Run the cell's ULA chain on the drift `cfg.variant` names.
 
     The identity functional gives the posterior mean; the exit step is taken
-    from the coincidence ball around `region_center`.  Both drifts call the
-    likelihood gradient's body under run_chain's floating-point error state.
+    from the coincidence ball around `region_center`.  The vanilla drift, like
+    posterior_grad in its inner region, calls ModelInstance._grad directly,
+    under run_chain's floating-point error state.
     """
     if cfg.variant == "surrogate":
         drift = surrogate.posterior_grad

@@ -28,7 +28,7 @@ def _A1_bernoulli(h):
     return _sigmoid(np.atleast_1d(h))[()] if h.ndim == 0 else _sigmoid(h)
 
 
-# A' of each family on a float array, under the caller's floating-point error state.
+# A' of each family kind (ExpFamily._A1).
 _A1_OF = {"gaussian": _A1_gaussian, "poisson": np.exp, "bernoulli": _A1_bernoulli}
 
 
