@@ -34,6 +34,7 @@ REPORT_COLUMNS = [
     "m", "lambda", "delta_n", "exit_step", "mean_error", "contraction_fraction",
     "cond_surrogate", "cond_prior", "grid_tv", "message",
     "guard_trigger_count", "drift_calls_inner", "drift_calls_annulus", "drift_calls_far",
+    "precision_floor", "epsilon_below_floor", "probe_skipped",
 ]
 
 

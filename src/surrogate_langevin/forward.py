@@ -26,6 +26,7 @@ with f_v = exp(Phi(theta)) Phi(v) and f_v2 = exp(Phi(theta)) Phi(v)^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -59,35 +60,54 @@ def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.nd
     M = g1.size
     if f.size != M + 2:
         raise ValueError(f"f must have {M + 2} node values, got {f.size}")
-    cb, h = _factorized_operator(f)
-    return _solve_with_boundary(cb, f, h, -g1, g2)
+    return _solve_dirichlet(f, g1, g2)[0]
 
 
-def _factorized_operator(f: np.ndarray):
-    """Banded Cholesky factor of -L_f restricted to interior nodes."""
+def _solve_dirichlet(f, g1, g2):
+    """(u, cb): the solution of (f u')' = g1 with u = g2 at the ends on all
+    M+2 nodes, and the banded Cholesky factor cb of -L_f."""
+    cb, faces, h2 = _factorized_operator(f)
+    b = -g1
+    b[0] += faces[0] * g2[0] / h2
+    b[-1] += faces[-1] * g2[1] / h2
+    u = np.empty(f.size)
+    u[0], u[-1] = g2
+    u[1:-1] = _banded_solve(cb, b)
+    return u, cb
+
+
+def _factorized_operator(f):
+    """(cb, faces, h2): the banded Cholesky factor of -L_f restricted to
+    interior nodes, and the face values of f and squared mesh width it was
+    assembled from, which the Dirichlet fold reuses."""
     M = f.size - 2
-    h = 1.0 / (M + 1)
+    h2 = (1.0 / (M + 1)) ** 2
     faces = 0.5 * (f[:-1] + f[1:])  # length M+1, face j+1/2 between nodes j, j+1
-    ab = np.zeros((2, M))
-    ab[0, 1:] = -faces[1:-1] / h ** 2  # superdiagonal
-    ab[1, :] = (faces[:-1] + faces[1:]) / h ** 2
+    ab = np.zeros((2, M), order="F")  # pbtrf factors it in place
+    ab[0, 1:] = -faces[1:-1] / h2  # superdiagonal
+    ab[1, :] = (faces[:-1] + faces[1:]) / h2
     _require_finite(ab)
     pbtrf, _ = _lapack()
-    cb, info = pbtrf(ab, lower=0)
+    cb, info = pbtrf(ab, lower=0, overwrite_ab=1)
     if info > 0:
         raise ArithmeticError(f"tridiagonal factorization failed: {info}-th leading "
                               "minor not positive definite")
     if info < 0:
         raise ValueError(f"pbtrf failed with info={info}")
-    if np.min(np.abs(cb[1, :])) <= 1e-14:
+    if cb[1].min() <= 1e-14:  # pbtrf's pivots are square roots, so positive
         raise ArithmeticError("tridiagonal factorization has near-zero pivots")
     _require_finite(cb)  # once here, not on every solve with this factor
-    return cb, h
+    return cb, faces, h2
 
 
-def _require_finite(a):
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
+def _require_finite(a, message="array must not contain infs or NaNs"):
+    """ValueError(message) unless every entry of a is finite.  a.a is one
+    BLAS reduction; it is finite exactly when every entry is, unless the
+    squares overflow (an entry above about 1e154), and then the entrywise
+    test decides.  np.vdot, unlike ndarray.dot, warns of no overflow."""
+    v = a.ravel("K")
+    if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
+        raise ValueError(message)
 
 
 def _banded_solve(cb, b):
@@ -100,25 +120,16 @@ def _banded_solve(cb, b):
     return x
 
 
-def _solve_with_boundary(cb, f, h, rhs_neg, g2):
-    """Solve (-L_f) u = rhs_neg with Dirichlet data folded into the right side;
-    returns u on all nodes."""
-    faces = 0.5 * (f[:-1] + f[1:])
-    b = rhs_neg.copy()
-    b[0] += faces[0] * g2[0] / h ** 2
-    b[-1] += faces[-1] * g2[1] / h ** 2
-    return np.concatenate(([g2[0]], _banded_solve(cb, b), [g2[1]]))
-
-
 def _apply_operator(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply the discrete divergence-form operator L_c to w at interior nodes.
 
-    c and w hold node values along axis 0; further axes broadcast.
+    c and w hold node values along axis 0; further axes broadcast.  The flux
+    through each face is formed once and differenced.
     """
     M = w.shape[0] - 2
     h = 1.0 / (M + 1)
-    faces = 0.5 * (c[:-1] + c[1:])
-    return (faces[1:] * (w[2:] - w[1:-1]) - faces[:-1] * (w[1:-1] - w[:-2])) / h ** 2
+    flux = 0.5 * (c[:-1] + c[1:]) * (w[1:] - w[:-1])
+    return (flux[1:] - flux[:-1]) / h ** 2
 
 
 @dataclass
@@ -199,10 +210,8 @@ class Darcy1D:
         phi = self._E_grid @ theta
         exp_phi = np.exp(phi)
         f = self.f_min + exp_phi
-        if np.any(~np.isfinite(f)):
-            raise ValueError("conductivity overflow; theta too large")
-        cb, h = _factorized_operator(f)
-        u = _solve_with_boundary(cb, f, h, -self._g1_int, self.g2)
+        _require_finite(f, "conductivity overflow; theta too large")
+        u, cb = _solve_dirichlet(f, self._g1_int, self.g2)
         self._memo_key, self._memo = key, (u, exp_phi, cb)
         return self._memo
 

@@ -7,6 +7,8 @@ unnormalized log posterior.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -49,31 +51,31 @@ def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None,
         return model.grad_log_lik(t) + prior.grad_log_density(t)
 
     obj = objective(theta)
-    if not np.isfinite(obj):
+    if not math.isfinite(obj):
         raise ValueError("log posterior is non-finite at the zero start")
     step = rate if rate is not None else 1.0 / max(model.dataset.n, 1)
     consecutive_failures = 0
     g = gradient(theta)  # computed again only where theta moves
-    gnorm = np.linalg.norm(g)
+    gnorm = math.sqrt(g.dot(g))  # == np.linalg.norm(g)
     for _ in range(steps):
         if gnorm < 1e-12:
             break
         candidate = theta + step * g
         cobj = objective(candidate)
-        if np.isfinite(cobj) and cobj >= obj:
+        if math.isfinite(cobj) and cobj >= obj:
             theta, obj = candidate, cobj
             step *= 1.5
             consecutive_failures = 0
             g = gradient(theta)
-            gnorm = np.linalg.norm(g)
+            gnorm = math.sqrt(g.dot(g))
         else:
             step *= 0.5
             consecutive_failures += 1
             if consecutive_failures >= 50:
                 raise RuntimeError(
                     "pilot ascent failed 50 consecutive backtracking steps")
-    info = {"objective": float(obj), "grad_norm": float(gnorm)}
+    info = {"objective": float(obj), "grad_norm": gnorm}
     if theta_star is not None and eta is not None:
-        info["distance_over_eta"] = float(
-            np.linalg.norm(theta - np.asarray(theta_star)) / eta)
+        d = theta - np.asarray(theta_star)
+        info["distance_over_eta"] = math.sqrt(d.dot(d)) / eta
     return theta, info

@@ -309,10 +309,10 @@ class ModelInstance:
         skipped = 0
         for _ in range(n_probes):
             direction = rng.standard_normal(p)
-            direction /= np.linalg.norm(direction)
+            direction /= math.sqrt(direction.dot(direction))  # == np.linalg.norm
             radius = eta * rng.random() ** (1.0 / p)
             theta = center + radius * direction
-            if not np.isfinite(self.log_lik(theta)):
+            if not math.isfinite(self.log_lik(theta)):
                 skipped += 1
                 continue
             V = rng.standard_normal((p, 2 * p))
@@ -321,9 +321,10 @@ class ModelInstance:
             vals = -self.hess_dir_many(theta, V)
             lam_min = min(lam_min, float(np.min(vals)))
             lam_max = max(lam_max, float(np.max(vals)))
-        if not np.isfinite(lam_min):
+        if not math.isfinite(lam_min):
             lam_min = lam_max = 0.0
-        grad_norm = float(np.linalg.norm(self.grad_log_lik(center)))
+        g = self.grad_log_lik(center)
+        grad_norm = math.sqrt(g.dot(g))
         return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta, skipped)
 
     def _natural_param(self, u):

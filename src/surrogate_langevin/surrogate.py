@@ -101,7 +101,9 @@ class MollifiedPenalty:
     From t = 3 eta/4 on the mollifier's support lies past the hinge, so
     v_eta(t) = (t - 5 eta/8)^2 + s^2 sigma2_phi and v_eta'(t) = 2 (t - 5 eta/8)
     exactly (the bump is symmetric).  Below, a fixed quadrature of the
-    mollifier gives both; it is exactly 0 for t <= eta/2."""
+    mollifier gives both; it is exactly 0 for t <= eta/2.  `eval` and `deriv`
+    take one float t and return a float; a NaN t gives NaN and t = +inf
+    gives +inf."""
 
     sigma2_phi = float(np.sum(_MOLLIFIER_W * _MOLLIFIER_Z ** 2))  # variance of the unit bump
 
@@ -113,25 +115,20 @@ class MollifiedPenalty:
         self._nodes = self.s * _MOLLIFIER_Z  # the mollifier's nodes s z
         self._hinge_at = 5.0 * self.eta / 8.0
         self._tail_from = 0.75 * self.eta
+        self._tail_offset = self.s ** 2 * self.sigma2_phi
 
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
+    def eval(self, t: float) -> float:
+        if t < self._tail_from:
+            d = (t - self._nodes) - self._hinge_at
+            return float(np.sum(_MOLLIFIER_W * np.where(d > 0, d * d, 0.0)))
         d = t - self._hinge_at
-        out = np.array(d * d + self.s ** 2 * self.sigma2_phi)
-        shell = t < self._tail_from
-        if shell.any():
-            d = (t[shell][:, None] - self._nodes) - self._hinge_at
-            out[shell] = np.sum(_MOLLIFIER_W * np.where(d > 0, d * d, 0.0), axis=-1)
-        return out[()]
+        return d * d + self._tail_offset
 
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.array(2.0 * (t - self._hinge_at))
-        shell = t < self._tail_from
-        if shell.any():
-            d = (t[shell][:, None] - self._nodes) - self._hinge_at
-            out[shell] = np.sum(_MOLLIFIER_W * np.where(d > 0, 2.0 * d, 0.0), axis=-1)
-        return out[()]
+    def deriv(self, t: float) -> float:
+        if t < self._tail_from:
+            d = (t - self._nodes) - self._hinge_at
+            return float(np.sum(_MOLLIFIER_W * np.where(d > 0, 2.0 * d, 0.0)))
+        return 2.0 * (t - self._hinge_at)
 
 
 def choose_K(probe: CurvatureReport, n: int, p: int, delta_n: float,
@@ -220,7 +217,7 @@ class SurrogateSpec:
             # cutoff == 1 and penalty == 0 hold identically here; return the
             # base value directly so the region identity is exact in floats
             return self.model.log_lik(theta)
-        pen = float(self.penalty.eval(t))
+        pen = self.penalty.eval(t)
         vt = 0.0 if region == "far" else float(cutoff(t / self.eta))
         if vt == 0.0:
             return self._ll_init - self.K * pen
@@ -247,7 +244,7 @@ class SurrogateSpec:
         if region == "inner":
             return self.model.grad_log_lik(theta)
         radial = diff / t
-        out = -self.K * float(self.penalty.deriv(t)) * radial
+        out = -self.K * self.penalty.deriv(t) * radial
         if region == "far":
             return out
         s = t / self.eta

@@ -5,6 +5,7 @@ import io
 import math
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.special import logsumexp
 
 from surrogate_langevin.diagnostics import BoundaryMassError
@@ -53,6 +54,61 @@ def darcy_values_longdouble(op, theta):
     return darcy_solve_longdouble(f, g1, op.g2)
 
 
+def apply_operator_per_node(c, w):
+    """L_c w at the interior nodes as first written: the flux through each
+    interior face formed twice, once for either node it bounds (the
+    reference for forward._apply_operator)."""
+    M = w.shape[0] - 2
+    h = 1.0 / (M + 1)
+    faces = 0.5 * (c[:-1] + c[1:])
+    return (faces[1:] * (w[2:] - w[1:-1]) - faces[:-1] * (w[1:-1] - w[:-2])) / h ** 2
+
+
+def darcy_solve_assembled(f, g1, g2):
+    """(u, cb): the Dirichlet solve as first assembled, through scipy's banded
+    Cholesky wrappers: the faces formed for the factor and again for the
+    boundary fold, and u concatenated from the boundary values and the
+    interior solution (the reference for darcy_solve and Darcy1D)."""
+    M = f.size - 2
+    h = 1.0 / (M + 1)
+    faces = 0.5 * (f[:-1] + f[1:])
+    ab = np.zeros((2, M))
+    ab[0, 1:] = -faces[1:-1] / h ** 2
+    ab[1, :] = (faces[:-1] + faces[1:]) / h ** 2
+    cb = cholesky_banded(ab, lower=False)
+    faces = 0.5 * (f[:-1] + f[1:])
+    b = (-g1).copy()
+    b[0] += faces[0] * g2[0] / h ** 2
+    b[-1] += faces[-1] * g2[1] / h ** 2
+    return np.concatenate(([g2[0]], cho_solve_banded((cb, False), b), [g2[1]])), cb
+
+
+def darcy_reference(op, theta, V, x):
+    """(u, V' grad G at x, V' hess G V at x) for a Darcy1D op, computed afresh
+    from the first assembly: each solve made anew with darcy_solve_assembled's
+    factor and apply_operator_per_node, and each column interpolated with
+    np.interp."""
+    exp_phi = np.exp(op._E_grid @ np.asarray(theta, dtype=float))
+    u, cb = darcy_solve_assembled(op.f_min + exp_phi, np.full(op.M, float(op.g1)), op.g2)
+    phiv = op._E_grid @ V
+    fv, fv2 = exp_phi[:, None] * phiv, exp_phi[:, None] * phiv ** 2
+
+    def solve(rhs):
+        w = np.zeros((rhs.shape[0] + 2, rhs.shape[1]))
+        w[1:-1] = cho_solve_banded((cb, False), rhs)
+        return w
+
+    w = solve(apply_operator_per_node(fv, u[:, None]))
+    w1 = -solve(apply_operator_per_node(fv, u[:, None]))
+    w2 = -solve(apply_operator_per_node(fv, w1))
+    w3 = -solve(apply_operator_per_node(fv2, u[:, None]))
+
+    def interp(nodes):
+        return np.stack([np.interp(x, op.grid, c) for c in nodes.T], axis=1)
+
+    return u, interp(w), interp(2.0 * w2 - w3)
+
+
 def recovery_csv_bytes(results, alpha):
     """recovery.csv as the experiment harness first wrote it, from its own
     median, log-log slope and target rate: the reference for the harness's
@@ -78,7 +134,8 @@ def recovery_csv_bytes(results, alpha):
 
 def report_row_hand_written(result):
     """A report.csv row as the harness first wrote it, one expression per
-    column, with the four chain counts later appended after `message`: the
+    column, with the four chain counts, then the precision floor, its flag
+    and the skipped probe points later appended after `message`: the
     reference for CellResult.row."""
     r, m = result.resolved, result.metrics
 
@@ -101,6 +158,8 @@ def report_row_hand_written(result):
         *("" if m.get(k) is None else m.get(k)
           for k in ("guard_trigger_count", "drift_calls_inner", "drift_calls_annulus",
                     "drift_calls_far")),
+        fmt(r.get("precision_floor")),
+        *("" if r.get(k) is None else r.get(k) for k in ("epsilon_below_floor", "probe_skipped")),
     ]
 
 

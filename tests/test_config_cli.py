@@ -520,11 +520,13 @@ def test_report_shows_how_often_the_reflect_guard_acted(tmp_path, variant, count
     results, report = run_experiment(cfg, tmp_path)
     with open(report, newline="") as fh:
         header, row = csv.reader(fh)
-    assert header == FIRST_REPORT_COLUMNS + ["guard_trigger_count", "drift_calls_inner",
-                                             "drift_calls_annulus", "drift_calls_far"]
+    assert header == FIRST_REPORT_COLUMNS + [
+        "guard_trigger_count", "drift_calls_inner", "drift_calls_annulus", "drift_calls_far",
+        "precision_floor", "epsilon_below_floor", "probe_skipped"]
     assert row[3] == "ok"
     assert _csv_line(row[:19]) == _csv_line(report_row_hand_written(results[0])[:19])
-    assert row[19:] == counts
+    assert row[19:23] == counts
+    assert _csv_line(row[23:]) == _csv_line(report_row_hand_written(results[0])[23:])
 
 
 def test_cli_seed_offset_changes_data(tmp_path):
@@ -599,8 +601,9 @@ REAL_METRICS = ("mean_error", "contraction_fraction", "cond_surrogate", "cond_pr
 COUNT_METRICS = ("exit_step", "guard_trigger_count", "drift_calls_inner",
                  "drift_calls_annulus", "drift_calls_far")
 METRIC_COLUMNS = REAL_METRICS + COUNT_METRICS
-REAL_COLUMNS = ("gamma", "kappa_const", "eta", "m", "lambda", "delta_n") + REAL_METRICS
-COUNT_COLUMNS = ("j_in", "j") + COUNT_METRICS
+REAL_COLUMNS = ("gamma", "kappa_const", "eta", "m", "lambda", "delta_n",
+                "precision_floor") + REAL_METRICS
+COUNT_COLUMNS = ("j_in", "j", "probe_skipped") + COUNT_METRICS
 ABSENT = object()
 _real = st.floats() | st.sampled_from(AWKWARD_FLOATS)
 _count = st.integers(0, 10 ** 9)
@@ -617,9 +620,10 @@ def _csv_line(row):
            {**{k: st.none() | st.just(ABSENT) | _real | _real.map(np.float64)
                | st.floats(width=32).map(np.float32) for k in REAL_COLUMNS},
             **{k: st.none() | st.just(ABSENT) | _count | _count.map(np.int64)
-               for k in COUNT_COLUMNS}}),
-       extra=st.dictionaries(st.sampled_from(["precision_floor", "probe_skipped",
-                                              "m_pi", "epsilon_below_floor"]),
+               for k in COUNT_COLUMNS},
+            "epsilon_below_floor": st.none() | st.just(ABSENT) | st.booleans()
+            | st.booleans().map(np.bool_)}),
+       extra=st.dictionaries(st.sampled_from(["m_pi", "lambda_pi", "epsilon", "c_w"]),
                              st.integers(0, 9) | st.floats() | st.booleans()),
        status=st.sampled_from(["ok", "failed", "diverged"]),
        message=st.text(max_size=20))

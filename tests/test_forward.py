@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from _oracles import apply_operator_per_node, darcy_reference, darcy_solve_assembled
 from surrogate_langevin import forward
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.forward import Darcy1D, LinearPhi, darcy_solve
@@ -226,7 +229,7 @@ def _banded(f):
 def test_direct_lapack_matches_scipy_wrappers(M, k, log_scale, seed):
     rng = np.random.default_rng(seed)
     f = 10.0 ** log_scale * (0.1 + rng.random(M + 2))
-    cb, _ = forward._factorized_operator(f)
+    cb = forward._factorized_operator(f)[0]
     assert cb.tobytes() == cholesky_banded(_banded(f), lower=False).tobytes()
     for b in (rng.standard_normal(M), rng.standard_normal((M, k))):
         x = forward._banded_solve(cb, b)
@@ -238,7 +241,7 @@ def test_direct_lapack_matches_scipy_wrappers(M, k, log_scale, seed):
 def test_nonfinite_solver_inputs_raise_value_error(bad):
     M = 16
     f, g1 = np.ones(M + 2), np.ones(M)
-    cb, _ = forward._factorized_operator(f)
+    cb = forward._factorized_operator(f)[0]
     for arr, at in ((f, 3), (g1, 5)):
         poisoned = arr.copy()
         poisoned[at] = bad
@@ -291,30 +294,6 @@ def test_darcy_interpolation_is_np_interp(M, k, seed):
     assert op.values(np.zeros(4), 0.5).shape == (1,)
 
 
-def _tangent_reference(op, theta, V, x):
-    """(V' grad G, V' hess G V) at x, computed afresh: each tangent solve made
-    anew and interpolated column by column with np.interp."""
-    u, exp_phi, cb = op._state(theta)
-    u, exp_phi = u[:, None], exp_phi[:, None]
-    phiv = op._E_grid @ V
-    fv, fv2 = exp_phi * phiv, exp_phi * phiv ** 2
-
-    def solve(rhs):
-        w = np.zeros((rhs.shape[0] + 2, rhs.shape[1]))
-        w[1:-1] = cho_solve_banded((cb, False), rhs)
-        return w
-
-    w = solve(forward._apply_operator(fv, u))
-    w1 = -solve(forward._apply_operator(fv, u))
-    w2 = -solve(forward._apply_operator(fv, w1))
-    w3 = -solve(forward._apply_operator(fv2, u))
-
-    def interp(nodes):
-        return np.stack([np.interp(x, op.grid, c) for c in nodes.T], axis=1)
-
-    return interp(w), interp(2.0 * w2 - w3)
-
-
 @settings(max_examples=30, deadline=None)
 @given(calls=st.lists(st.tuples(st.sampled_from(["grad", "hess"]), st.integers(0, 2),
                                 st.integers(0, 2)), min_size=1, max_size=8),
@@ -328,8 +307,54 @@ def test_darcy_tangent_memo_keeps_the_bits(calls, seed):
     thetas = 0.3 * rng.standard_normal((3, 4))
     blocks = [rng.standard_normal((4, 3)), rng.standard_normal((4, 1)), np.eye(4)]
     for kind, i, j in calls:
-        G, H = _tangent_reference(op, thetas[i], blocks[j], x)
+        _, G, H = darcy_reference(op, thetas[i], blocks[j], x)
         if kind == "grad":
             assert op.dir_grad(thetas[i], blocks[j], x).tobytes() == G.tobytes()
         else:
             assert op.dir_hess(thetas[i], blocks[j], x).tobytes() == H.tobytes()
+
+
+# -- one face array per solve and one flux per face -------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 80), k=st.sampled_from([1, 12]), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 16))
+def test_darcy_kernels_keep_the_first_assembly_bits(M, k, log_scale, seed):
+    # the solve forms the faces once for the factor and the boundary fold
+    # and solves into u in place; L_c differences one flux per face: the
+    # same products as the first assembly, so the same bits
+    rng = np.random.default_rng(seed)
+    c = 10.0 ** log_scale * (0.1 + rng.random(M + 2))
+    w1, wk = rng.standard_normal(M + 2), rng.standard_normal((M + 2, k))
+    ck = 0.5 + rng.random((M + 2, k))
+    for cc, w in ((c, w1), (c[:, None], wk), (ck, wk), (ck, w1[:, None])):
+        assert forward._apply_operator(cc, w).tobytes() == apply_operator_per_node(cc, w).tobytes()
+    g1, g2 = rng.standard_normal(M), tuple(rng.standard_normal(2))
+    assert darcy_solve(c, g1, g2).tobytes() == darcy_solve_assembled(c, g1, g2)[0].tobytes()
+    op = _darcy(M=M, f_min=0.5 + rng.random(), g1=float(rng.standard_normal()),
+                g2=tuple(rng.standard_normal(2)))
+    theta, V, x = rng.standard_normal(4), rng.standard_normal((4, k)), rng.random(9)
+    u, G, H = darcy_reference(op, theta, V, x)
+    assert op.solution(theta).tobytes() == u.tobytes()
+    assert op.dir_grad(theta, V, x).tobytes() == G.tobytes()
+    assert op.dir_hess(theta, V, x).tobytes() == H.tobytes()
+    if k == 1:
+        assert op.dir_grad(theta, V[:, 0], x).tobytes() == G[:, 0].tobytes()
+        assert op.dir_hess(theta, V[:, 0], x).tobytes() == H[:, 0].tobytes()
+
+
+def test_huge_finite_conductivity_passes_the_finiteness_tests_silently():
+    # entries above about 1e154 overflow the squares the one-reduction test
+    # sums; the entrywise test then passes them, with no warning, and the
+    # messages of the failing tests stay as they were
+    f, g1 = np.full(18, 1e200), np.ones(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = darcy_solve(f, g1, (0.0, 0.0))
+    assert u.tobytes() == darcy_solve_assembled(f, g1, (0.0, 0.0))[0].tobytes()
+    f[3] = np.inf
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        darcy_solve(f, g1, (0.0, 0.0))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="conductivity overflow; theta too large"):
+        _darcy(M=16).solution(np.full(4, 1e3))

@@ -89,6 +89,11 @@ def test_penalty_tail_closed_form():
         assert pen.deriv(t) == pytest.approx(penalty_quadrature_deriv(0.8, t), abs=1e-10)
 
 
+def _per_element(method, t):
+    """method called on each float of the array t, as an array."""
+    return np.array([method(x) for x in t.tolist()])
+
+
 def _ulps(a, b):
     """The number of doubles from a to b, for a and b of one sign."""
     return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
@@ -108,8 +113,10 @@ def test_penalty_switch_to_the_tail_is_continuous(eta):
         assert _ulps(pen.eval(t), d * d + pen.s ** 2 * pen.sigma2_phi) <= 4
         assert _ulps(pen.deriv(t), penalty_quadrature_deriv(eta, t)) <= 4
         assert _ulps(pen.deriv(t), 2.0 * d) <= 4
-    assert pen.eval(below).tobytes() == penalty_quadrature(eta, below).tobytes()
-    assert pen.deriv(below).tobytes() == penalty_quadrature_deriv(eta, below).tobytes()
+    assert np.float64(pen.eval(below)).tobytes() == np.float64(
+        penalty_quadrature(eta, below)).tobytes()
+    assert np.float64(pen.deriv(below)).tobytes() == np.float64(
+        penalty_quadrature_deriv(eta, below)).tobytes()
 
 
 def test_penalty_midrange_small_positive():
@@ -121,10 +128,10 @@ def test_penalty_midrange_small_positive():
 def test_penalty_convex_and_deriv_monotone():
     pen = MollifiedPenalty(0.37)
     t = np.linspace(0.0, 2.0, 801)
-    vals = pen.eval(t)
+    vals = _per_element(pen.eval, t)
     second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     assert np.min(second) >= -1e-10
-    derivs = pen.deriv(t)
+    derivs = _per_element(pen.deriv, t)
     assert np.all(np.diff(derivs) >= -1e-12)
     assert np.all(derivs >= 0.0)
 
@@ -132,7 +139,7 @@ def test_penalty_convex_and_deriv_monotone():
 def test_penalty_scalar_second_derivative_bounds():
     pen = MollifiedPenalty(1.3)
     t = np.linspace(0.0, 3.0, 1201)
-    d = pen.deriv(t)
+    d = _per_element(pen.deriv, t)
     h = t[1] - t[0]
     d2 = np.diff(d) / h
     assert np.min(d2) >= -1e-8
@@ -143,8 +150,23 @@ def test_penalty_deriv_matches_fd():
     pen = MollifiedPenalty(0.6)
     t = np.linspace(0.2, 1.5, 27)
     eps = 1e-7
-    fd = (pen.eval(t + eps) - pen.eval(t - eps)) / (2 * eps)
-    np.testing.assert_allclose(pen.deriv(t), fd, atol=1e-6)
+    fd = (_per_element(pen.eval, t + eps) - _per_element(pen.eval, t - eps)) / (2 * eps)
+    np.testing.assert_allclose(_per_element(pen.deriv, t), fd, atol=1e-6)
+
+
+def test_penalty_passes_nan_and_plus_inf_through():
+    pen = MollifiedPenalty(0.8)
+    for method in (pen.eval, pen.deriv):
+        assert math.isnan(method(math.nan))
+        assert method(math.inf) == math.inf
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 0.6, 0.8, 4.0, math.inf])
+def test_penalty_returns_a_python_float(t):
+    # inside, on the quadrature shell and on the exact tail
+    pen = MollifiedPenalty(0.8)
+    assert type(pen.eval(t)) is float
+    assert type(pen.deriv(t)) is float
 
 
 # -- choose_K ------------------------------------------------------------------
@@ -435,3 +457,17 @@ def test_penalty_tail_agrees_with_the_quadrature(eta, ratio):
     t = max(ratio * eta, 0.75 * eta)
     assert _ulps(penalty.eval(t), penalty_quadrature(eta, t)) <= 4
     assert _ulps(penalty.deriv(t), penalty_quadrature_deriv(eta, t)) <= 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=st.floats(1e-9, 1e3),
+       ratio=st.floats(0.5, 0.75, exclude_min=True, exclude_max=True))
+def test_penalty_shell_keeps_the_quadrature_bits(eta, ratio):
+    # below 3 eta/4 the float path runs the 64-node quadrature of the
+    # reference, node for node
+    penalty = MollifiedPenalty(eta)
+    t = min(ratio * eta, math.nextafter(0.75 * eta, 0.0))
+    assert np.float64(penalty.eval(t)).tobytes() == np.float64(
+        penalty_quadrature(eta, t)).tobytes()
+    assert np.float64(penalty.deriv(t)).tobytes() == np.float64(
+        penalty_quadrature_deriv(eta, t)).tobytes()
