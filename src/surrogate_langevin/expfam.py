@@ -17,19 +17,15 @@ def _sigmoid(h):
     out[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
     eh = np.exp(h[~pos])
     out[~pos] = eh / (1.0 + eh)
-    return out
+    return out[()]
 
 
 def _A1_gaussian(h):
     return h + 0.0
 
 
-def _A1_bernoulli(h):
-    return _sigmoid(np.atleast_1d(h))[()] if h.ndim == 0 else _sigmoid(h)
-
-
 # A' of each family kind (ExpFamily._A1).
-_A1_OF = {"gaussian": _A1_gaussian, "poisson": np.exp, "bernoulli": _A1_bernoulli}
+_A1_OF = {"gaussian": _A1_gaussian, "poisson": np.exp, "bernoulli": _sigmoid}
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ class ExpFamily:
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Invertible link g and the derivatives of g^{-1} needed downstream.
+    """Invertible link g and its inverse (natural_param_derivs differentiates it).
 
     'canonical' is g = A', so the natural-parameter map b is the identity
     on the forward-operator output.  'cube' is g(x) = x^3 on the positive
@@ -146,47 +142,30 @@ class LinkFunction:
             raise ValueError("cube link defined on the positive half-line")
         return np.cbrt(u)
 
-    def g_inv_d1(self, u):
-        self._cube_only("g_inv_d1")
-        u = np.asarray(u, dtype=float)
-        return np.cbrt(u) / (3.0 * u)
-
-    def g_inv_d2(self, u):
-        self._cube_only("g_inv_d2")
-        u = np.asarray(u, dtype=float)
-        return -2.0 * np.cbrt(u) / (9.0 * u * u)
-
 
 def natural_param(fam: ExpFamily, link: LinkFunction, u):
     """b = (A')^{-1} o g^{-1} evaluated at the forward-map output u."""
+    return natural_param_derivs(fam, link, u)[0]
+
+
+def natural_param_derivs(fam: ExpFamily, link: LinkFunction, u):
+    """(b, b', b'') at the forward-map output u, b = (A')^{-1} o g^{-1}, from
+    one g^{-1} and one (A')^{-1}; the canonical link gives (u + 0.0, 1.0, 0.0).
+
+    The derivatives' overflow or division by a vanishing A'' gives inf or NaN
+    without a numpy warning, which leaves b's callers as quiet as b alone.
+    """
+    u = np.asarray(u, dtype=float)
     if link.kind == "canonical":
-        return np.asarray(u, dtype=float) + 0.0
+        return u + 0.0, 1.0, 0.0
     try:
         mean = link.g_inv(u)
     except ValueError as exc:
         raise ValueError(f"value outside the range of link {link.kind!r}: {exc}") from exc
-    return fam.A1_inv(mean)
-
-
-def natural_param_d1(fam: ExpFamily, link: LinkFunction, u):
-    """First derivative of u -> (A')^{-1}(g^{-1}(u))."""
-    u = np.asarray(u, dtype=float)
-    if link.kind == "canonical":
-        return np.ones_like(u)[()]
-    mean = link.g_inv(u)
     h = fam.A1_inv(mean)
-    return link.g_inv_d1(u) / fam.A2(h)
-
-
-def natural_param_d2(fam: ExpFamily, link: LinkFunction, u):
-    """Second derivative of u -> (A')^{-1}(g^{-1}(u))."""
-    u = np.asarray(u, dtype=float)
-    if link.kind == "canonical":
-        return np.zeros_like(u)[()]
-    mean = link.g_inv(u)
-    h = fam.A1_inv(mean)
-    a2 = fam.A2(h)
-    d1 = link.g_inv_d1(u)
-    d2 = link.g_inv_d2(u)
-    # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
-    return d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a2 = fam.A2(h)
+        d1 = mean / (3.0 * u)  # (g^{-1})' = cbrt(u) / (3u)
+        d2 = -2.0 * mean / (9.0 * u * u)  # (g^{-1})'' = -2 cbrt(u) / (9u^2)
+        # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
+        return h, d1 / a2, d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3

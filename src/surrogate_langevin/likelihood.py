@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisFamily
-from .expfam import ExpFamily, LinkFunction, natural_param, natural_param_d1, natural_param_d2
+from .expfam import ExpFamily, LinkFunction, natural_param, natural_param_derivs
 from .forward import LinearPhi
 
 
@@ -195,13 +195,10 @@ class ModelInstance:
             phi_quad = self._E_quad.dot(theta)  # ndarray.dot: the gemv of @, less dispatch
             return float(self._E_data.dot(theta).sum() - self._n * self._log_partition(phi_quad))
         u = self.forward.values(theta, self._x)
-        if self._canonical:
-            b = u + 0.0
-        else:
-            try:
-                b = natural_param(self.family, self.link, u)
-            except ValueError:  # u outside the link's range: zero likelihood
-                return -np.inf
+        try:
+            b = natural_param(self.family, self.link, u)
+        except ValueError:  # u outside the link's range: zero likelihood
+            return -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self._y * b - self.family.A(b)
         total = terms.sum()
@@ -236,11 +233,11 @@ class ModelInstance:
         if self._canonical:
             # the natural parameter is u + 0.0, which differs from u only at
             # -0.0, where every A' gives the bits it gives at 0.0; the
-            # canonical factor natural_param_d1 is exactly 1.0
+            # canonical factor b' is exactly 1.0
             resid = self._y - self._A1(u)
         else:
-            b = self._natural_param(u)
-            resid = (self._y - self._A1(b)) * natural_param_d1(self.family, self.link, u)
+            b, q1, _ = self._natural_param(u)
+            resid = (self._y - self._A1(b)) * q1
         # a NaN or inf entry makes resid.resid NaN or inf (see sampler._step)
         if not math.isfinite(resid.dot(resid)) and not np.isfinite(resid).all():
             raise FloatingPointError("non-finite likelihood gradient (overflowed natural parameter)")
@@ -266,9 +263,7 @@ class ModelInstance:
         else:
             x = self._x
             u = self.forward.values(theta, x)
-            b = self._natural_param(u)
-            q1 = natural_param_d1(self.family, self.link, u)
-            q2 = natural_param_d2(self.family, self.link, u)
+            b, q1, q2 = self._natural_param(u)
             GU = self.forward.dir_grad(theta, V, x)  # (n, k)
             HU = self.forward.dir_hess(theta, V, x)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -328,10 +323,11 @@ class ModelInstance:
         return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta, skipped)
 
     def _natural_param(self, u):
-        """natural_param at u; outside the link's range (u <= 0 for the cube
-        link) FloatingPointError, so a chain's guard retries or it diverges."""
+        """natural_param_derivs at u, (b, b', b''); outside the link's range
+        (u <= 0 for the cube link) FloatingPointError, so a chain's guard
+        retries or it diverges."""
         try:
-            return natural_param(self.family, self.link, u)
+            return natural_param_derivs(self.family, self.link, u)
         except ValueError as exc:
             raise FloatingPointError(str(exc)) from None
 

@@ -31,42 +31,32 @@ class ConfigurationError(ValueError):
     pass
 
 
-def _smoothstep(s):
-    """psi(s) = f(s)/(f(s)+f(1-s)) with f(x) = exp(-1/x) for x > 0."""
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        fs = np.where(s > 0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
-        f1 = np.where(1 - s > 0, np.exp(-1.0 / np.maximum(1 - s, 1e-300)), 0.0)
-    return fs / (fs + f1)
-
-
-def _smoothstep_deriv(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = (s > 0) & (s < 1)
-    si = s[inside]
-    fs = np.exp(-1.0 / si)
-    f1 = np.exp(-1.0 / (1 - si))
-    d_fs = fs / si ** 2
-    d_f1 = f1 / (1 - si) ** 2
-    out[inside] = (d_fs * f1 + fs * d_f1) / (fs + f1) ** 2
-    return out
+def _transition(t):
+    """t as a float array, the mask of its transition entries 3/4 < t < 7/8,
+    and there s = 8 (7/8 - t), which lies in (0, 1), and the two bumps f(s)
+    and f(1 - s), f(x) = exp(-1/x)."""
+    t = np.asarray(t, dtype=float)
+    inner = (t > 0.75) & (t < 0.875)
+    s = (7.0 / 8.0 - t[inner]) * 8.0
+    return t, inner, s, np.exp(-1.0 / s), np.exp(-1.0 / (1 - s))
 
 
 def cutoff(t):
-    """Smooth radial cutoff v: 1 for t <= 3/4, 0 for t >= 7/8."""
-    t = np.asarray(t, dtype=float)
-    s = (7.0 / 8.0 - t) * 8.0
-    return np.where(t <= 0.75, 1.0, np.where(t >= 0.875, 0.0, _smoothstep(np.clip(s, 0.0, 1.0))))[()]
+    """Smooth radial cutoff v: 1 for t <= 3/4, 0 for t >= 7/8, and between
+    them psi(s) = f(s)/(f(s) + f(1-s)); NaN stays NaN."""
+    t, inner, _, fs, f1 = _transition(t)
+    out = np.where(t <= 0.75, 1.0, np.where(t >= 0.875, 0.0, t))
+    out[inner] = fs / (fs + f1)
+    return out[()]
 
 
 def cutoff_deriv(t):
     """The cutoff's derivative v'."""
-    t = np.asarray(t, dtype=float)
-    s = (7.0 / 8.0 - t) * 8.0
-    inner = (t > 0.75) & (t < 0.875)
+    t, inner, s, fs, f1 = _transition(t)
     out = np.zeros_like(t)
-    out[inner] = -8.0 * _smoothstep_deriv(s[inner])
+    d_fs = fs / s ** 2
+    d_f1 = f1 / (1 - s) ** 2
+    out[inner] = -8.0 * ((d_fs * f1 + fs * d_f1) / (fs + f1) ** 2)
     return out[()]
 
 

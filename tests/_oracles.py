@@ -9,9 +9,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.special import logsumexp
 
 from surrogate_langevin.diagnostics import BoundaryMassError
-from surrogate_langevin.expfam import natural_param, natural_param_d1
 from surrogate_langevin.likelihood import _density_quadrature
-from surrogate_langevin.surrogate import _MOLLIFIER_W, _MOLLIFIER_Z, cutoff, cutoff_deriv
+from surrogate_langevin.surrogate import _MOLLIFIER_W, _MOLLIFIER_Z
 
 
 def darcy_solve_longdouble(f, g1, g2):
@@ -197,6 +196,96 @@ def w2_sorted_1d(samples_a, samples_b) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
+# -- the natural-parameter map and the cutoff as first written ------------------
+#
+# One function per derivative, each redoing g^{-1} and (A')^{-1}, with the cube
+# link's derivatives written out, and the cutoff's smoothstep evaluated at
+# every t before the plateaus are masked in.  The package must give the same
+# bits.
+
+def natural_param(fam, link, u):
+    """b = (A')^{-1} o g^{-1} at u."""
+    if link.kind == "canonical":
+        return np.asarray(u, dtype=float) + 0.0
+    try:
+        mean = link.g_inv(u)
+    except ValueError as exc:
+        raise ValueError(f"value outside the range of link {link.kind!r}: {exc}") from exc
+    return fam.A1_inv(mean)
+
+
+def _g_inv_d1(u):
+    """(u^{1/3})' of the cube link."""
+    return np.cbrt(u) / (3.0 * u)
+
+
+def _g_inv_d2(u):
+    """(u^{1/3})'' of the cube link."""
+    return -2.0 * np.cbrt(u) / (9.0 * u * u)
+
+
+def natural_param_d1(fam, link, u):
+    """First derivative of u -> (A')^{-1}(g^{-1}(u))."""
+    u = np.asarray(u, dtype=float)
+    if link.kind == "canonical":
+        return np.ones_like(u)[()]
+    h = fam.A1_inv(link.g_inv(u))
+    return _g_inv_d1(u) / fam.A2(h)
+
+
+def natural_param_d2(fam, link, u):
+    """Second derivative of u -> (A')^{-1}(g^{-1}(u))."""
+    u = np.asarray(u, dtype=float)
+    if link.kind == "canonical":
+        return np.zeros_like(u)[()]
+    h = fam.A1_inv(link.g_inv(u))
+    a2 = fam.A2(h)
+    d1 = _g_inv_d1(u)
+    d2 = _g_inv_d2(u)
+    # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
+    return d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3
+
+
+def _smoothstep(s):
+    """psi(s) = f(s)/(f(s)+f(1-s)) with f(x) = exp(-1/x) for x > 0."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        fs = np.where(s > 0, np.exp(-1.0 / np.maximum(s, 1e-300)), 0.0)
+        f1 = np.where(1 - s > 0, np.exp(-1.0 / np.maximum(1 - s, 1e-300)), 0.0)
+    return fs / (fs + f1)
+
+
+def _smoothstep_deriv(s):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = (s > 0) & (s < 1)
+    si = s[inside]
+    fs = np.exp(-1.0 / si)
+    f1 = np.exp(-1.0 / (1 - si))
+    d_fs = fs / si ** 2
+    d_f1 = f1 / (1 - si) ** 2
+    out[inside] = (d_fs * f1 + fs * d_f1) / (fs + f1) ** 2
+    return out
+
+
+def cutoff_masked(t):
+    """The cutoff v: the smoothstep at every t, masked to 1 below 3/4 and to 0
+    from 7/8 on (t = NaN warns and gives NaN)."""
+    t = np.asarray(t, dtype=float)
+    s = (7.0 / 8.0 - t) * 8.0
+    return np.where(t <= 0.75, 1.0, np.where(t >= 0.875, 0.0, _smoothstep(np.clip(s, 0.0, 1.0))))[()]
+
+
+def cutoff_deriv_masked(t):
+    """The cutoff's derivative v', zero outside 3/4 < t < 7/8."""
+    t = np.asarray(t, dtype=float)
+    s = (7.0 / 8.0 - t) * 8.0
+    inner = (t > 0.75) & (t < 0.875)
+    out = np.zeros_like(t)
+    out[inner] = -8.0 * _smoothstep_deriv(s[inner])
+    return out[()]
+
+
 # -- the drift and the chain as first composed ----------------------------------
 #
 # These compose the Langevin drift and the ULA chain from the public pieces,
@@ -292,8 +381,8 @@ def grad_composed(spec, theta) -> np.ndarray:
     s = t / eta
     if region == "far":
         return -K * float(_penalty_deriv(eta, t)) * radial
-    vt = float(cutoff(s))
-    dv = float(cutoff_deriv(s)) / eta
+    vt = float(cutoff_masked(s))
+    dv = float(cutoff_deriv_masked(s)) / eta
     out = -K * float(_penalty_deriv(eta, t)) * radial
     if vt != 0.0 or dv != 0.0:
         ll = log_lik_composed(model, theta)

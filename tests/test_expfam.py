@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surrogate_langevin.expfam import (ExpFamily, LinkFunction, natural_param,
-                                       natural_param_d1, natural_param_d2)
+import _oracles
+from surrogate_langevin.expfam import (FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction,
+                                       natural_param, natural_param_derivs)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "poisson", "bernoulli"])
@@ -39,10 +44,10 @@ def test_cube_link_domain_error():
         natural_param(ExpFamily("gaussian"), LinkFunction("cube"), -1.0)
 
 
-@pytest.mark.parametrize("method", ["g", "g_inv", "g_inv_d1", "g_inv_d2"])
+@pytest.mark.parametrize("method", ["g", "g_inv"])
 def test_canonical_link_maps_are_family_dependent(method):
     # the canonical inverse link is (A')^{-1}'s inverse, which depends on the
-    # family: natural_param* handle it, the link alone must not answer
+    # family: natural_param_derivs handles it, the link alone must not answer
     # (g_inv used to return the cube link's cbrt, so g_inv(8.0) was 2.0)
     with pytest.raises(ValueError, match=f"canonical link's {method} is family-dependent"):
         getattr(LinkFunction("canonical"), method)(8.0)
@@ -53,25 +58,81 @@ def test_cube_link_roundtrip_and_derivatives():
     link = LinkFunction("cube")
     u = np.array([0.5, 1.0, 8.0, 27.0])
     np.testing.assert_allclose(link.g(link.g_inv(u)), u, rtol=1e-10)
+    # for the gaussian family b is g^{-1} itself, so (b', b'') = (g^{-1}', g^{-1}'')
+    _, d1, d2 = natural_param_derivs(ExpFamily("gaussian"), link, u)
     eps = 1e-6
     fd1 = (link.g_inv(u + eps) - link.g_inv(u - eps)) / (2 * eps)
-    np.testing.assert_allclose(link.g_inv_d1(u), fd1, rtol=1e-6)
+    np.testing.assert_allclose(d1, fd1, rtol=1e-6)
     eps = 1e-4
     fd2 = (link.g_inv(u + eps) - 2 * link.g_inv(u) + link.g_inv(u - eps)) / eps ** 2
-    np.testing.assert_allclose(link.g_inv_d2(u), fd2, rtol=1e-3)
+    np.testing.assert_allclose(d2, fd2, rtol=1e-3)
     # closed-form cross-check: (u^{1/3})'' = -(2/9) u^{-5/3}
-    np.testing.assert_allclose(link.g_inv_d2(u), -2.0 / 9.0 * u ** (-5.0 / 3.0), rtol=1e-12)
+    np.testing.assert_allclose(d2, -2.0 / 9.0 * u ** (-5.0 / 3.0), rtol=1e-12)
 
 
 def test_natural_param_chain_derivatives():
     fam, link = ExpFamily("poisson"), LinkFunction("cube")
     u = np.array([0.5, 1.5, 4.0])
+    _, d1, d2 = natural_param_derivs(fam, link, u)
     eps = 1e-5
     fd1 = (natural_param(fam, link, u + eps) - natural_param(fam, link, u - eps)) / (2 * eps)
-    np.testing.assert_allclose(natural_param_d1(fam, link, u), fd1, rtol=1e-6)
+    np.testing.assert_allclose(d1, fd1, rtol=1e-6)
     fd2 = (natural_param(fam, link, u + eps) - 2 * natural_param(fam, link, u)
            + natural_param(fam, link, u - eps)) / eps ** 2
-    np.testing.assert_allclose(natural_param_d2(fam, link, u), fd2, rtol=1e-4)
+    np.testing.assert_allclose(d2, fd2, rtol=1e-4)
+
+
+def test_natural_param_warns_nothing_where_its_derivatives_do_not_fit():
+    # b shares its pass with b' and b'', whose 9 u^2 underflows to 0 at
+    # u = 1e-170 and overflows at u = 1e160; b is finite there and comes
+    # without a warning
+    u = np.array([1e-170, 1e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = natural_param(ExpFamily("gaussian"), LinkFunction("cube"), u)
+    assert b.tobytes() == np.cbrt(u).tobytes()
+
+
+def _bits(value, shape):
+    return np.broadcast_to(np.asarray(value, dtype=float), shape).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(FAMILY_KINDS), link=st.sampled_from(LINK_KINDS), data=st.data())
+def test_natural_param_derivs_keeps_the_first_bits(family, link, data):
+    # (b, b', b'') from one g^{-1} and one (A')^{-1} against the three maps as
+    # first written, each redoing both, for every family and link
+    fam, lk = ExpFamily(family), LinkFunction(link)
+    if link == "canonical":
+        floats = st.floats(-700.0, 700.0)
+    elif family == "bernoulli":  # the cube root must be a mean in (0, 1)
+        floats = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    else:
+        floats = st.floats(0.0, 1e300, exclude_min=True)
+    u = np.array(data.draw(st.lists(floats, min_size=1, max_size=6)))
+    with np.errstate(all="ignore"):
+        try:
+            want = tuple(f(fam, lk, u) for f in (_oracles.natural_param, _oracles.natural_param_d1,
+                                                 _oracles.natural_param_d2))
+        except ValueError:  # cbrt(u) rounds to 1.0: no bernoulli mean
+            with pytest.raises(ValueError):
+                natural_param_derivs(fam, lk, u)
+            return
+        got = natural_param_derivs(fam, lk, u)
+        b = natural_param(fam, lk, u)
+    assert [_bits(x, u.shape) for x in got] == [_bits(x, u.shape) for x in want]
+    assert _bits(b, u.shape) == _bits(want[0], u.shape)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize("method", ["A", "A1", "A2", "A3", "A1_inv"])
+def test_family_maps_of_a_float_are_0d(kind, method):
+    # a float gives a 0-d result with the bits of the 1-element array result
+    f = getattr(ExpFamily(kind), method)
+    for x in ((0.3,) if method == "A1_inv" else (0.3, -1.7, 0.0)):
+        got = f(x)
+        assert np.ndim(got) == 0
+        assert np.float64(got).tobytes() == f(np.array([x])).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "poisson", "bernoulli"])

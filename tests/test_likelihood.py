@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import natural_param, natural_param_d1, natural_param_d2
 from surrogate_langevin.basis import BasisFamily
-from surrogate_langevin.expfam import (FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction,
-                                       natural_param, natural_param_d1, natural_param_d2)
+from surrogate_langevin.expfam import FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
 from surrogate_langevin.likelihood import (CSV_BLOCK_ROWS, CurvatureReport, Dataset,
                                            ModelInstance, generate_data)

@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import penalty_quadrature, penalty_quadrature_deriv
+from _oracles import (cutoff_deriv_masked, cutoff_masked, penalty_quadrature,
+                      penalty_quadrature_deriv)
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.config import MODEL_PRESETS
 from surrogate_langevin.expfam import ExpFamily, LinkFunction
@@ -60,6 +64,45 @@ def test_cutoff_deriv_matches_fd():
     eps = 1e-7
     fd = (cutoff(t + eps) - cutoff(t - eps)) / (2 * eps)
     np.testing.assert_allclose(cutoff_deriv(t), fd, rtol=1e-5, atol=1e-8)
+
+
+def test_cutoff_c2_norm_keeps_its_bits():
+    # the sup of |v''| by differences on the CUTOFF_GRID_SIZE grid
+    assert np.float64(CUTOFF_C2_NORM).tobytes() == np.float64(629.8264651428666).tobytes()
+
+
+def test_cutoff_passes_nan_and_the_infinities_through():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning at NaN
+        assert math.isnan(cutoff(math.nan))
+        assert cutoff_deriv(math.nan) == 0.0
+    assert (cutoff(-math.inf), cutoff(math.inf)) == (1.0, 0.0)
+    assert (cutoff_deriv(-math.inf), cutoff_deriv(math.inf)) == (0.0, 0.0)
+
+
+_CUTOFF_EDGES = [f(e) for e in (0.75, 0.875)
+                 for f in (lambda e: e, lambda e: math.nextafter(e, 0.0),
+                           lambda e: math.nextafter(e, 1.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.lists(st.sampled_from(_CUTOFF_EDGES) | st.floats(0.7, 0.9) | st.floats(),
+                  min_size=1, max_size=8))
+def test_cutoff_keeps_the_masked_bits(t):
+    # the bumps only on 3/4 < t < 7/8 give the bits of the smoothstep taken at
+    # every t and masked, as arrays and one float at a time
+    t = np.array(t)
+    # the masked form divides 0/0 at NaN and overflows 8 (7/8 - t) at |t| > 2e307
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = cutoff_masked(t), cutoff_deriv_masked(t)
+    number = ~np.isnan(t)
+    got = cutoff(t)
+    assert np.array_equal(np.isnan(got), ~number)
+    assert got[number].tobytes() == want[0][number].tobytes()
+    assert cutoff_deriv(t).tobytes() == want[1].tobytes()
+    for k in np.flatnonzero(number):
+        assert np.float64(cutoff(t[k])).tobytes() == want[0][k].tobytes()
+        assert np.float64(cutoff_deriv(float(t[k]))).tobytes() == want[1][k].tobytes()
 
 
 # -- mollified penalty ---------------------------------------------------------
@@ -423,9 +466,6 @@ def test_gradient_lipschitz_envelope():
 
 
 # -- property-based checks -----------------------------------------------------
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 
 @settings(max_examples=50, deadline=None)
