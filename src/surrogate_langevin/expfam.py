@@ -143,29 +143,35 @@ class LinkFunction:
         return np.cbrt(u)
 
 
-def natural_param(fam: ExpFamily, link: LinkFunction, u):
-    """b = (A')^{-1} o g^{-1} evaluated at the forward-map output u."""
-    return natural_param_derivs(fam, link, u)[0]
-
-
-def natural_param_derivs(fam: ExpFamily, link: LinkFunction, u):
-    """(b, b', b'') at the forward-map output u, b = (A')^{-1} o g^{-1}, from
-    one g^{-1} and one (A')^{-1}; the canonical link gives (u + 0.0, 1.0, 0.0).
-
-    The derivatives' overflow or division by a vanishing A'' gives inf or NaN
-    without a numpy warning, which leaves b's callers as quiet as b alone.
-    """
-    u = np.asarray(u, dtype=float)
-    if link.kind == "canonical":
-        return u + 0.0, 1.0, 0.0
+def _link_mean(link: LinkFunction, u):
+    """g^{-1}(u) of a non-canonical link, naming the link when u is outside
+    its range."""
     try:
-        mean = link.g_inv(u)
+        return link.g_inv(u)
     except ValueError as exc:
         raise ValueError(f"value outside the range of link {link.kind!r}: {exc}") from exc
+
+
+def natural_param(fam: ExpFamily, link: LinkFunction, u):
+    """b = (A')^{-1} o g^{-1} evaluated at the forward-map output u."""
+    if link.kind == "canonical":
+        return np.asarray(u, dtype=float) + 0.0
+    return fam.A1_inv(_link_mean(link, u))
+
+
+def natural_param_derivs(fam: ExpFamily, link: LinkFunction, u, order=2):
+    """(b, b', b'') at the forward-map output u, b = (A')^{-1} o g^{-1}, from
+    one g^{-1} and one (A')^{-1}; order=1 gives (b, b') and skips b''.  The
+    canonical link gives (u + 0.0, 1.0, 0.0)."""
+    u = np.asarray(u, dtype=float)
+    if link.kind == "canonical":
+        return (u + 0.0, 1.0, 0.0)[:order + 1]
+    mean = _link_mean(link, u)
     h = fam.A1_inv(mean)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a2 = fam.A2(h)
-        d1 = mean / (3.0 * u)  # (g^{-1})' = cbrt(u) / (3u)
-        d2 = -2.0 * mean / (9.0 * u * u)  # (g^{-1})'' = -2 cbrt(u) / (9u^2)
-        # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
-        return h, d1 / a2, d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3
+    a2 = fam.A2(h)
+    d1 = mean / (3.0 * u)  # (g^{-1})' = cbrt(u) / (3u)
+    if order == 1:
+        return h, d1 / a2
+    d2 = -2.0 * mean / (9.0 * u * u)  # (g^{-1})'' = -2 cbrt(u) / (9u^2)
+    # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
+    return h, d1 / a2, d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3

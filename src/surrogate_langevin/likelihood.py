@@ -236,7 +236,7 @@ class ModelInstance:
             # canonical factor b' is exactly 1.0
             resid = self._y - self._A1(u)
         else:
-            b, q1, _ = self._natural_param(u)
+            b, q1 = self._natural_param(u, order=1)
             resid = (self._y - self._A1(b)) * q1
         # a NaN or inf entry makes resid.resid NaN or inf (see sampler._step)
         if not math.isfinite(resid.dot(resid)) and not np.isfinite(resid).all():
@@ -322,12 +322,12 @@ class ModelInstance:
         grad_norm = math.sqrt(g.dot(g))
         return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta, skipped)
 
-    def _natural_param(self, u):
-        """natural_param_derivs at u, (b, b', b''); outside the link's range
-        (u <= 0 for the cube link) FloatingPointError, so a chain's guard
-        retries or it diverges."""
+    def _natural_param(self, u, order=2):
+        """natural_param_derivs at u, (b, b', b'') or for order=1 (b, b');
+        outside the link's range (u <= 0 for the cube link)
+        FloatingPointError, so a chain's guard retries or it diverges."""
         try:
-            return natural_param_derivs(self.family, self.link, u)
+            return natural_param_derivs(self.family, self.link, u, order)
         except ValueError as exc:
             raise FloatingPointError(str(exc)) from None
 

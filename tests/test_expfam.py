@@ -83,9 +83,9 @@ def test_natural_param_chain_derivatives():
 
 
 def test_natural_param_warns_nothing_where_its_derivatives_do_not_fit():
-    # b shares its pass with b' and b'', whose 9 u^2 underflows to 0 at
-    # u = 1e-170 and overflows at u = 1e160; b is finite there and comes
-    # without a warning
+    # b' and b'' divide by 9 u^2, which underflows to 0 at u = 1e-170 and
+    # overflows at u = 1e160; b alone is finite there and comes without a
+    # warning
     u = np.array([1e-170, 1e160])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -100,8 +100,9 @@ def _bits(value, shape):
 @settings(max_examples=300, deadline=None)
 @given(family=st.sampled_from(FAMILY_KINDS), link=st.sampled_from(LINK_KINDS), data=st.data())
 def test_natural_param_derivs_keeps_the_first_bits(family, link, data):
-    # (b, b', b'') from one g^{-1} and one (A')^{-1} against the three maps as
-    # first written, each redoing both, for every family and link
+    # (b, b', b''), and (b, b') for order=1, from one g^{-1} and one
+    # (A')^{-1} against the three maps as first written, each redoing both,
+    # for every family and link
     fam, lk = ExpFamily(family), LinkFunction(link)
     if link == "canonical":
         floats = st.floats(-700.0, 700.0)
@@ -119,8 +120,10 @@ def test_natural_param_derivs_keeps_the_first_bits(family, link, data):
                 natural_param_derivs(fam, lk, u)
             return
         got = natural_param_derivs(fam, lk, u)
+        got1 = natural_param_derivs(fam, lk, u, order=1)
         b = natural_param(fam, lk, u)
     assert [_bits(x, u.shape) for x in got] == [_bits(x, u.shape) for x in want]
+    assert [_bits(x, u.shape) for x in got1] == [_bits(x, u.shape) for x in want[:2]]
     assert _bits(b, u.shape) == _bits(want[0], u.shape)
 
 
