@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +27,8 @@ from .sampler import (ChainDivergedError, SamplerConfig, burn_in_steps,
                       discretization_bias, precision_floor, run_chain,
                       step_size_bound)
 from .surrogate import ConfigurationError, SurrogateSpec, choose_K
+
+logger = logging.getLogger(__name__)
 
 # Per-cell trace CSVs are written only for runs of at most this many cells.
 TRACE_CELL_LIMIT = 64
@@ -94,7 +98,10 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
 
     Returns (surrogate, theta_star, resolved, init_info).  With theta0=None
     (real data, no truth) theta_star is None and only pilot-ascent applies;
-    init_info is the pilot ascent's report, empty for the oracle inits.
+    init_info is the pilot ascent's report, empty for the oracle inits, plus
+    "distance_over_eta" = ||theta_init - theta_star|| / eta where the truth is
+    known.  The automatic burn-in rule logs a warning when the requested
+    epsilon is below the certified precision floor.
     """
     n, p = model.n, model.p
     prior = SievePrior(cfg.alpha, n, p)
@@ -107,8 +114,10 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
     elif cfg.init_mode == "oracle-perturbed":
         theta_init = oracle_perturbed_init(theta0, p, cfg.init_rho, eta, seed)
     else:
-        theta_init, init_info = pilot_ascent_init(model, prior, theta_star=theta_star,
-                                                  eta=eta)
+        theta_init, init_info = pilot_ascent_init(model, prior)
+    if theta_star is not None:
+        d = theta_init - theta_star
+        init_info["distance_over_eta"] = math.sqrt(d.dot(d)) / eta
     probe = model.curvature_probe(theta_init, eta, cfg.n_probes, seed)
     kappa = choose_K(probe, n, p, delta_n, MODEL_PRESETS[cfg.model_preset].exponents,
                      override=cfg.k_override)
@@ -130,7 +139,11 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
         j_in = cfg.j_in_value
     else:
         j_in = burn_in_steps(cfg.epsilon, surrogate.m, gamma, eta,
-                             prior.lambda_pi, p, c_w=cfg.c_w, floor=floor)
+                             prior.lambda_pi, p, c_w=cfg.c_w)
+        if cfg.epsilon < floor:
+            logger.warning("requested precision %g is below the certified floor %g; "
+                           "the burn-in bound is not guaranteed to reach it",
+                           cfg.epsilon, floor)
     resolved = {
         "gamma": gamma, "j_in": j_in, "j": cfg.j, "kappa_const": kappa,
         "eta": eta, "m": surrogate.m, "lambda": surrogate.lam,
@@ -170,8 +183,10 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     result = CellResult(n=n, p=p, seed=seed)
     try:
         model, theta0 = build_model(cfg, n, p, seed)
-        surrogate, theta_star, resolved, _ = resolve_cell(cfg, model, theta0, seed)
+        surrogate, theta_star, resolved, init_info = resolve_cell(cfg, model, theta0, seed)
         result.resolved = resolved
+        if "distance_over_eta" in init_info:
+            result.metrics["init_distance_over_eta"] = init_info["distance_over_eta"]
         trace = sample_cell(cfg, surrogate, resolved, theta_star, seed)
         result.trace = trace
         mean = trace.ergodic_average("identity")

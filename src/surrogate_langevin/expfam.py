@@ -70,8 +70,8 @@ class ExpFamily:
                 return np.ones_like(h)[()]
             if self.kind == "poisson":
                 return np.exp(h)
-            s = self.A1(h)
-            return s * (1.0 - s)
+            e = np.exp(-np.abs(h))  # in symmetric form: no 1 - s cancels to 0
+            return e / (1.0 + e) ** 2
 
     def A3(self, h):
         """Third derivative of A (used in the natural-parameter chain rule)."""
@@ -81,8 +81,8 @@ class ExpFamily:
                 return np.zeros_like(h)[()]
             if self.kind == "poisson":
                 return np.exp(h)
-            s = self.A1(h)
-            return s * (1.0 - s) * (1.0 - 2.0 * s)
+            e = np.exp(-np.abs(h))
+            return -np.sign(h) * (e * (1.0 - e) / (1.0 + e) ** 3)
 
     def A1_inv(self, m):
         """Inverse of A' on the family's mean range."""

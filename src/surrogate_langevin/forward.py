@@ -2,16 +2,19 @@
 
 Both operators serve one protocol, and it is all `ModelInstance` uses:
 
-    values(theta, x)       G(theta) at the points x,             shape (len(x),)
-    grad_rows(theta, x)    rows d G(theta)(x_i) / d theta,       shape (len(x), p)
-    dir_grad(theta, v, x)  v' grad G(theta) at x
-    dir_hess(theta, v, x)  v' hess G(theta) v at x
+    values(theta, x)              G(theta) at the points x,        shape (len(x),)
+    grad_rows(theta, x)           rows d G(theta)(x_i) / d theta,  shape (len(x), p)
+    dir_grad(theta, v, x)         v' grad G(theta) at x
+    dir_hess(theta, v, x)         v' hess G(theta) v at x
+    dir_hess_dot(theta, v, x, s)  s' (v' hess G(theta) v)(x), the contraction
+                                  of dir_hess with the weights s of shape (len(x),)
 
 A direction v is either one vector of shape (p,), giving results of shape
-(len(x),), or a block of k directions as the columns of a (p, k) array,
-giving results of shape (len(x), k).  Each operator memoizes the work it can
-reuse across calls: `LinearPhi` its design matrix at x, `Darcy1D` its
-solution and factorization at theta and its interpolation weights at x.
+(len(x),) (a scalar for dir_hess_dot), or a block of k directions as the
+columns of a (p, k) array, giving results of shape (len(x), k) (shape (k,) for
+dir_hess_dot).  Each operator memoizes the work it can reuse across calls:
+`LinearPhi` its design matrix at x, `Darcy1D` its solution and factorization
+at theta and its interpolation weights at x.
 
 The Darcy operator maps coefficients theta to the solution u of the
 conservative boundary value problem  (f u')' = g1 on (0,1), u = g2 on {0,1},
@@ -19,9 +22,14 @@ with conductivity f = f_min + exp(Phi(theta)).  First and second directional
 derivatives are computed from the resolvent identities
 
     v' grad G(theta)      = -L_f^{-1} L_{f_v} u,
-    v' hess G(theta) v    = 2 L_f^{-1} L_{f_v} L_f^{-1} L_{f_v} u - L_f^{-1} L_{f_v2} u,
+    v' hess G(theta) v    = 2 L_f^{-1} L_{f_v} L_f^{-1} L_{f_v} u - L_f^{-1} L_{f_v2} u
+                          = (-L_f)^{-1} z_v,   z_v = 2 L_{f_v} w_v + L_{f_v2} u,
 
-with f_v = exp(Phi(theta)) Phi(v) and f_v2 = exp(Phi(theta)) Phi(v)^2.
+with f_v = exp(Phi(theta)) Phi(v), f_v2 = exp(Phi(theta)) Phi(v)^2 and the
+tangent w_v = (-L_f)^{-1} L_{f_v} u.  With P the interpolation to x, and
+-L_f symmetric, the contraction takes one adjoint solve for all directions:
+
+    s' P (-L_f)^{-1} z_v = mu' z_v,   mu = (-L_f)^{-1} P' s.
 """
 
 from __future__ import annotations
@@ -166,6 +174,9 @@ class LinearPhi:
     def dir_hess(self, theta, v, x):
         return np.zeros(np.atleast_1d(x).shape[:1] + np.shape(v)[1:])
 
+    def dir_hess_dot(self, theta, v, x, s):
+        return np.zeros(np.shape(v)[1:])
+
 
 @dataclass
 class Darcy1D:
@@ -251,7 +262,8 @@ class Darcy1D:
 
     def _interp_weights(self, x):
         """Interval index j, offset x - grid[j] and end-point fix-ups of the
-        points x (memoized on the bytes of x)."""
+        points x, then the node rows and weights of the interpolation's
+        transpose, the end points weighted 0 (memoized on the bytes of x)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         key = x.tobytes()
         if self._x_key != key:
@@ -261,20 +273,33 @@ class Darcy1D:
             ends = np.flatnonzero((x < g[0]) | (x >= g[-1]))
             end_rows = np.where(x[ends] < g[0], 0, -1)
             j[ends] = 0
+            dx = x - g[j]
+            t = dx / self._dgrid[j, 0]
+            weights = np.concatenate([1.0 - t, t])
+            weights[np.concatenate([ends, ends + x.size])] = 0.0
             self._x_key = key
-            self._x_memo = j, (x - g[j])[:, None], ends, end_rows
+            self._x_memo = j, dx[:, None], ends, end_rows, np.concatenate([j, j + 1]), weights
         return self._x_memo
 
     def _at(self, x, nodes):
         """np.interp(x, grid, c) for each column c of the (M+2, k) array nodes,
         bit for bit."""
-        j, dx, ends, end_rows = self._interp_weights(x)
+        j, dx, ends, end_rows = self._interp_weights(x)[:4]
         out = ((nodes[1:] - nodes[:-1]) / self._dgrid).take(j, axis=0)
         out *= dx
         out += nodes.take(j, axis=0)
         if ends.size:
             out[ends] = nodes[end_rows]
         return out
+
+    def _at_adjoint(self, x, s):
+        """P' s at the interior nodes, P the interpolation _at makes from node
+        values to the points x.  Points at or beyond the ends read a boundary
+        node, where the solved fields are zero, so they add nothing."""
+        rows, weights = self._interp_weights(x)[4:]
+        s = np.asarray(s, dtype=float)
+        return np.bincount(rows, weights * np.concatenate([s, s]),
+                           minlength=self.M + 2)[1:-1]
 
     def dir_grad(self, theta, v, x):
         w = self._tangent(theta, v)[-1]
@@ -292,3 +317,12 @@ class Darcy1D:
         w3 = -self._solve(cb, _apply_operator(fv2, u))
         out = self._at(x, 2.0 * w2 - w3)
         return out[:, 0] if np.ndim(v) == 1 else out
+
+    def dir_hess_dot(self, theta, v, x, s):
+        """s' dir_hess(theta, v, x) as mu' z_v with one adjoint solve
+        mu = (-L_f)^{-1} P' s for all directions (see the module docstring)."""
+        u, exp_phi, cb, phiv, fv, w = self._tangent(theta, v)
+        mu = _banded_solve(cb, self._at_adjoint(x, s))
+        z = 2.0 * _apply_operator(fv, w) + _apply_operator(exp_phi * phiv ** 2, u)
+        out = mu @ z
+        return out[0] if np.ndim(v) == 1 else out

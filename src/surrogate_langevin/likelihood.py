@@ -265,11 +265,15 @@ class ModelInstance:
             u = self.forward.values(theta, x)
             b, q1, q2 = self._natural_param(u)
             GU = self.forward.dir_grad(theta, V, x)  # (n, k)
-            HU = self.forward.dir_hess(theta, V, x)
             with np.errstate(over="ignore", invalid="ignore"):
                 r = self._y - self.family.A1(b)
                 w_hess = r * q2 - self.family.A2(b) * q1 ** 2
-                vals = w_hess @ GU ** 2 + (r * q1) @ HU
+                s = r * q1
+                # a non-finite weight s makes the Hessian non-finite; the
+                # Darcy contraction solves with s and must not see one
+                if not np.isfinite(s).all():
+                    raise FloatingPointError("non-finite directional Hessian")
+                vals = w_hess @ GU ** 2 + self.forward.dir_hess_dot(theta, V, x, s)
         if not np.isfinite(vals).all():
             raise FloatingPointError("non-finite directional Hessian")
         return vals

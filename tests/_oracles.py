@@ -9,6 +9,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.special import logsumexp
 
 from surrogate_langevin.diagnostics import BoundaryMassError
+from surrogate_langevin.expfam import natural_param_derivs
 from surrogate_langevin.likelihood import _density_quadrature
 from surrogate_langevin.surrogate import _MOLLIFIER_W, _MOLLIFIER_Z
 
@@ -106,6 +107,37 @@ def darcy_reference(op, theta, V, x):
         return np.stack([np.interp(x, op.grid, c) for c in nodes.T], axis=1)
 
     return u, interp(w), interp(2.0 * w2 - w3)
+
+
+def hess_dir_many_composed(model, theta, V):
+    """ModelInstance.hess_dir_many as first composed: the second-order term
+    is the weights r b' against the forward operator's dir_hess, one
+    interpolated second-derivative field per direction, in place of the
+    operator's contraction dir_hess_dot."""
+    theta, V = np.asarray(theta, dtype=float), np.asarray(V, dtype=float)
+    if model.n == 0:
+        return np.zeros(V.shape[1])
+    if model.kind == "density":
+        phi_quad = model._E_quad @ theta
+        wp = model._qw * np.exp(phi_quad - model._log_partition(phi_quad))
+        PV = model._E_quad @ V
+        vals = -model.n * (wp @ (PV - wp @ PV) ** 2)
+    else:
+        fam, x, y = model.family, model.dataset.x, model.dataset.y
+        u = model.forward.values(theta, x)
+        try:
+            b, q1, q2 = natural_param_derivs(fam, model.link, u)
+        except ValueError as exc:  # outside the link's range
+            raise FloatingPointError(str(exc)) from None
+        GU = model.forward.dir_grad(theta, V, x)
+        HU = model.forward.dir_hess(theta, V, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = y - fam.A1(b)
+            w_hess = r * q2 - fam.A2(b) * q1 ** 2
+            vals = w_hess @ GU ** 2 + (r * q1) @ HU
+    if not np.isfinite(vals).all():
+        raise FloatingPointError("non-finite directional Hessian")
+    return vals
 
 
 def recovery_csv_bytes(results, alpha):

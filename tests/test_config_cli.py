@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import re
 import tempfile
 import warnings
@@ -19,7 +20,9 @@ from surrogate_langevin.cli import main
 from surrogate_langevin.config import (ConfigValidationError, ExperimentConfig,
                                        load_config)
 from surrogate_langevin.experiment import build_model, resolve_cell, run_cell, run_experiment
+from surrogate_langevin.initializers import pilot_ascent_init
 from surrogate_langevin.likelihood import CSV_BLOCK_ROWS
+from surrogate_langevin.prior import SievePrior
 from surrogate_langevin.sampler import ChainTrace, discretization_bias, precision_floor
 from surrogate_langevin.surrogate import ConfigurationError
 
@@ -739,19 +742,57 @@ def test_jobs_run_records_floor_and_guard_triggers(tmp_path):
         assert count == result.trace.guard_trigger_count > 0
 
 
-def test_precision_floor_recorded_under_both_burn_in_rules():
+def test_precision_floor_recorded_under_both_burn_in_rules(caplog):
+    # the notice is one log record from the experiment module, not a warning
     for rule in ("fixed", "auto"):
         cfg = ExperimentConfig(n_grid=[50], seeds=[0], p_value=1, n_probes=5,
                                j_in_rule=rule, j=10)
         model, theta0 = build_model(cfg, 50, 1, 0)
-        with warnings.catch_warnings(record=True) as caught:
+        caplog.clear()
+        with warnings.catch_warnings(record=True) as caught, \
+                caplog.at_level(logging.WARNING, logger=experiment.__name__):
             warnings.simplefilter("always")
             surrogate, _, resolved, _ = resolve_cell(cfg, model, theta0, 0)
         bias = discretization_bias(resolved["gamma"], 1, surrogate.m, surrogate.lam)
         assert resolved["precision_floor"] == precision_floor(50, resolved["delta_n"], bias)
         assert resolved["epsilon_below_floor"] is (cfg.epsilon < resolved["precision_floor"])
-        floor_warned = any("certified floor" in str(w.message) for w in caught)
-        assert floor_warned is (rule == "auto" and resolved["epsilon_below_floor"])
+        floor_logged = [r for r in caplog.records if "certified floor" in r.getMessage()]
+        assert len(floor_logged) == (rule == "auto" and resolved["epsilon_below_floor"])
+        assert all(r.name == experiment.__name__ and r.levelno == logging.WARNING
+                   for r in floor_logged)
+        assert not any("certified floor" in str(w.message) for w in caught)
+
+
+def test_init_distance_over_eta_in_the_manifest_only(tmp_path):
+    # ||theta_init - theta*|| / eta for each init mode; the report keeps its
+    # columns and bytes
+    assert "init_distance_over_eta" not in experiment.REPORT_COLUMNS
+    base = dict(n_grid=[50], seeds=[0], p_value=2, n_probes=5, j_in_rule="fixed", j=10)
+    for mode in ("oracle-projection", "oracle-perturbed", "pilot-ascent"):
+        cfg = ExperimentConfig(init_mode=mode, init_rho=0.1, eta_rule="fixed",
+                               eta_value=1.0, **base)
+        model, theta0 = build_model(cfg, 50, 2, 0)
+        surrogate, theta_star, _, info = resolve_cell(cfg, model, theta0, 0)
+        distance = np.linalg.norm(surrogate.theta_init - theta_star) / surrogate.eta
+        assert info["distance_over_eta"] == pytest.approx(distance, rel=1e-15)
+        if mode == "oracle-projection":
+            assert info["distance_over_eta"] == 0.0
+        elif mode == "oracle-perturbed":
+            assert 0.0 < info["distance_over_eta"] <= 0.1
+        else:  # the value pilot ascent reports for its 1/8 contract
+            _, pilot = pilot_ascent_init(model, SievePrior(cfg.alpha, 50, 2),
+                                         theta_star=theta_star, eta=surrogate.eta)
+            assert info["distance_over_eta"] == pilot["distance_over_eta"]
+        _, report = run_experiment(cfg, out_dir=tmp_path / mode)
+        manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
+        metrics = manifest["cells"][0]["metrics"]
+        assert metrics["init_distance_over_eta"] == info["distance_over_eta"]
+        header = next(csv.reader(io.StringIO(report.read_text())))
+        assert header == experiment.REPORT_COLUMNS
+    # no truth: no distance
+    cfg = ExperimentConfig(init_mode="pilot-ascent", **base)
+    model, _ = build_model(cfg, 50, 2, 0)
+    assert "distance_over_eta" not in resolve_cell(cfg, model, None, 0)[3]
 
 
 FAILING_CELLS_GRID = [(n, seed) for n in (20, 30) for seed in (0, 1, 2)]

@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -29,6 +31,10 @@ def test_closed_forms():
     b = ExpFamily("bernoulli")
     assert b.A(0.0) == pytest.approx(np.log(2))
     assert b.A2(0.0) == pytest.approx(0.25)
+    # e^-40 on both tails, also where 1 - sigmoid(h) rounds to 0
+    a2, a3 = b.A2(np.array([-40.0, 40.0])), b.A3(np.array([-40.0, 40.0]))
+    assert a2[0] == a2[1] == pytest.approx(math.exp(-40.0), rel=1e-15)
+    assert a3[0] == -a3[1] == pytest.approx(math.exp(-40.0), rel=1e-15)
 
 
 def test_natural_param_examples():
@@ -136,6 +142,30 @@ def test_family_maps_of_a_float_are_0d(kind, method):
         got = f(x)
         assert np.ndim(got) == 0
         assert np.float64(got).tobytes() == f(np.array([x])).tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=FINITE)
+def test_bernoulli_curvature_is_symmetric_and_positive(h):
+    # A2 = e/(1+e)^2 and A3 = -sign(h) e(1-e)/(1+e)^3 with e = exp(-|h|):
+    # even and odd to the bit, and A2 > 0 as long as e is a normal float
+    fam = ExpFamily("bernoulli")
+    assert fam.A2(h) == fam.A2(-h)
+    assert fam.A3(h) == -fam.A3(-h)
+    if math.exp(-abs(h)) >= sys.float_info.min:
+        assert fam.A2(h) > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(FAMILY_KINDS), h=FINITE)
+def test_family_maps_overflow_to_inf_never_nan(kind, h):
+    # exp(h) and h^2/2 overflow to inf for large finite h; no map gives NaN
+    fam = ExpFamily(kind)
+    for method in (fam.A, fam.A1, fam.A2, fam.A3):
+        assert not np.isnan(method(h))
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "poisson", "bernoulli"])

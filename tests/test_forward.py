@@ -76,6 +76,11 @@ def test_linear_phi_trivialities():
         np.testing.assert_allclose(op.dir_grad(np.zeros(3), v, x),
                                    basis.eval(k + 1, x), atol=1e-14)
     assert np.all(op.dir_hess(np.ones(3), np.ones(3), x) == 0.0)
+    s = np.linspace(-3.0, 3.0, 7)
+    block = op.dir_hess_dot(np.ones(3), np.ones((3, 4)), x, s)
+    assert block.shape == (4,) and block.tobytes() == np.zeros(4).tobytes()
+    one = op.dir_hess_dot(np.ones(3), np.ones(3), x, s)
+    assert np.shape(one) == () and np.float64(one).tobytes() == np.float64(0.0).tobytes()
 
 
 def test_linear_phi_design_memo_follows_x():
@@ -312,6 +317,31 @@ def test_darcy_tangent_memo_keeps_the_bits(calls, seed):
             assert op.dir_grad(thetas[i], blocks[j], x).tobytes() == G.tobytes()
         else:
             assert op.dir_hess(thetas[i], blocks[j], x).tobytes() == H.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 80), k=st.integers(1, 6), log_scale=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2 ** 16))
+def test_darcy_dir_hess_dot_is_s_dot_dir_hess(M, k, log_scale, seed):
+    # one adjoint solve contracts the weights s with every direction's
+    # second-derivative field: s @ dir_hess within rtol 1e-12 of the size of
+    # the terms the dot product sums, for blocks (one column zero), single
+    # directions and the zero direction, at the ends, on grid nodes and
+    # beyond [0, 1]
+    rng = np.random.default_rng(seed)
+    op = _darcy(M=M, f_min=0.5 + rng.random(), g1=float(rng.standard_normal()),
+                g2=tuple(rng.standard_normal(2)))
+    theta = 0.5 * rng.standard_normal(4)
+    x = np.concatenate((_points(M, rng.random(6)), [-0.5, 1.5]))
+    s = 10.0 ** log_scale * rng.standard_normal(x.size)
+    V = rng.standard_normal((4, k))
+    V[:, rng.integers(k)] = 0.0
+    for v in (V, V[:, 0], rng.standard_normal(4), np.zeros(4)):
+        got = op.dir_hess_dot(theta, v, x, s)
+        H = op.dir_hess(theta, v, x)
+        assert np.shape(got) == np.shape(v)[1:]
+        assert np.all(np.abs(got - s @ H) <= 1e-12 * (np.abs(s) @ np.abs(H)))
+    assert op.dir_hess_dot(theta, np.zeros(4), x, s) == 0.0
 
 
 # -- one face array per solve and one flux per face -------------------------------

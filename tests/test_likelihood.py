@@ -1,13 +1,17 @@
+import functools
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import natural_param, natural_param_d1, natural_param_d2
+from surrogate_langevin import forward
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
@@ -307,6 +311,57 @@ def test_hess_dir_many_matches_loop():
             expected = _hess_dir_reference(model, theta0, V[:, j])
             assert vals[j] == pytest.approx(expected, rel=1e-10)
             assert model.hess_dir(theta0, V[:, j]) == pytest.approx(expected, rel=1e-10)
+
+
+HESS_MODELS = {
+    "glm-gaussian": lambda: glm_model(),
+    "glm-poisson": lambda: glm_model(family="poisson"),
+    "glm-bernoulli": lambda: glm_model(family="bernoulli"),
+    "glm-cube": lambda: glm_model(family="gaussian", link="cube",
+                                  theta0=np.array([2.0, 0.3, 0.1])),
+    "density": density_model,
+    "darcy": lambda: darcy_model(p=4),
+}
+
+
+@functools.cache
+def _hess_model(name):
+    return HESS_MODELS[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(HESS_MODELS)), k=st.integers(1, 12),
+       scale=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_hess_dir_many_matches_the_composition_with_dir_hess(name, k, scale, seed):
+    # the second-order term through the operator's contraction dir_hess_dot:
+    # the bits of (r b') @ dir_hess for LinearPhi and the density model, and
+    # for Darcy, whose contraction is one adjoint solve, within rtol 1e-12
+    model, theta0 = _hess_model(name)
+    rng = np.random.default_rng(seed)
+    theta = theta0 + scale * rng.standard_normal(theta0.size)
+    V = rng.standard_normal((theta0.size, k))
+    try:
+        want = _oracles.hess_dir_many_composed(model, theta, V)
+    except FloatingPointError:  # the cube link's range left
+        with pytest.raises(FloatingPointError):
+            model.hess_dir_many(theta, V)
+        return
+    got = model.hess_dir_many(theta, V)
+    if name == "darcy":
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_darcy_hess_dir_many_solves_one_tangent_and_one_adjoint():
+    # at an already-solved theta: the 3p tangent columns in one banded solve
+    # and the adjoint column in another
+    model, theta0 = darcy_model(p=4)
+    V = np.random.default_rng(43).standard_normal((4, 12))
+    model.log_lik(theta0)
+    with mock.patch.object(forward, "_banded_solve", wraps=forward._banded_solve) as solve:
+        model.hess_dir_many(theta0, V)
+    assert [c.args[1].shape for c in solve.call_args_list] == [(64, 12), (64,)]
 
 
 def test_hess_matrix_size_guard():
