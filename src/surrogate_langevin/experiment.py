@@ -101,7 +101,9 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
     init_info is the pilot ascent's report, empty for the oracle inits, plus
     "distance_over_eta" = ||theta_init - theta_star|| / eta where the truth is
     known.  The automatic burn-in rule logs a warning when the requested
-    epsilon is below the certified precision floor.
+    epsilon is below the certified precision floor.  resolved also records
+    the chain's relaxation time relaxation_steps = 2/(m gamma) and its
+    length in those, relaxations = (j_in + j) / relaxation_steps.
     """
     n, p = model.n, model.p
     prior = SievePrior(cfg.alpha, n, p)
@@ -153,6 +155,8 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
         "precision_floor": floor, "epsilon_below_floor": cfg.epsilon < floor,
         "probe_skipped": probe.skipped,
     }
+    resolved["relaxation_steps"] = 2.0 / (surrogate.m * gamma)
+    resolved["relaxations"] = (j_in + cfg.j) / resolved["relaxation_steps"]
     return surrogate, theta_star, resolved, init_info
 
 

@@ -169,9 +169,12 @@ def natural_param_derivs(fam: ExpFamily, link: LinkFunction, u, order=2):
     mean = _link_mean(link, u)
     h = fam.A1_inv(mean)
     a2 = fam.A2(h)
-    d1 = mean / (3.0 * u)  # (g^{-1})' = cbrt(u) / (3u)
-    if order == 1:
-        return h, d1 / a2
-    d2 = -2.0 * mean / (9.0 * u * u)  # (g^{-1})'' = -2 cbrt(u) / (9u^2)
-    # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
-    return h, d1 / a2, d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3
+    # near u = 0 the derivatives outgrow the floats: they overflow to +-inf,
+    # and u^2 and A2^3 may round to 0, silently
+    with np.errstate(over="ignore", divide="ignore"):
+        d1 = mean / (3.0 * u)  # (g^{-1})' = cbrt(u) / (3u)
+        if order == 1:
+            return h, d1 / a2
+        d2 = -2.0 * mean / (9.0 * u * u)  # (g^{-1})'' = -2 cbrt(u) / (9u^2)
+        # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
+        return h, d1 / a2, d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3

@@ -2,19 +2,22 @@
 
 Both operators serve one protocol, and it is all `ModelInstance` uses:
 
-    values(theta, x)              G(theta) at the points x,        shape (len(x),)
-    grad_rows(theta, x)           rows d G(theta)(x_i) / d theta,  shape (len(x), p)
-    dir_grad(theta, v, x)         v' grad G(theta) at x
-    dir_hess(theta, v, x)         v' hess G(theta) v at x
-    dir_hess_dot(theta, v, x, s)  s' (v' hess G(theta) v)(x), the contraction
-                                  of dir_hess with the weights s of shape (len(x),)
+    values(theta, x)         G(theta) at the points x,        shape (len(x),)
+    grad_rows(theta, x)      rows d G(theta)(x_i) / d theta,  shape (len(x), p)
+    dir_grad(theta, v, x)    v' grad G(theta) at x
+    dir_hess(theta, v, x)    v' hess G(theta) v at x
+    hess_terms(thetas, x)    at each row theta_b of a (B, p) block: the values
+                             (B, len(x)), the grad rows (B, len(x), p) and a
+                             function contract(s) = sum_i s_bi hess G(theta_b)(x_i)
+                             of weights s (B, len(x)), shape (B, p, p)
 
 A direction v is either one vector of shape (p,), giving results of shape
-(len(x),) (a scalar for dir_hess_dot), or a block of k directions as the
-columns of a (p, k) array, giving results of shape (len(x), k) (shape (k,) for
-dir_hess_dot).  Each operator memoizes the work it can reuse across calls:
-`LinearPhi` its design matrix at x, `Darcy1D` its solution and factorization
-at theta and its interpolation weights at x.
+(len(x),), or a block of k directions as the columns of a (p, k) array,
+giving results of shape (len(x), k).  Each operator memoizes the work it can
+reuse across calls: `LinearPhi` its design matrix at x, `Darcy1D` its
+solution and factorization at theta and its interpolation weights at x.
+`LinearPhi.hess_terms` gives the design matrix as the grad rows of every
+point and a zero contraction.
 
 The Darcy operator maps coefficients theta to the solution u of the
 conservative boundary value problem  (f u')' = g1 on (0,1), u = g2 on {0,1},
@@ -27,9 +30,15 @@ derivatives are computed from the resolvent identities
 
 with f_v = exp(Phi(theta)) Phi(v), f_v2 = exp(Phi(theta)) Phi(v)^2 and the
 tangent w_v = (-L_f)^{-1} L_{f_v} u.  With P the interpolation to x, and
--L_f symmetric, the contraction takes one adjoint solve for all directions:
+-L_f symmetric, the contraction takes one adjoint solve (Plessix 2006,
+Geophys. J. Int. 167):
 
-    s' P (-L_f)^{-1} z_v = mu' z_v,   mu = (-L_f)^{-1} P' s.
+    s' P (-L_f)^{-1} z_v = mu' z_v,   mu = (-L_f)^{-1} P' s,
+
+and its p x p matrix needs only the p coordinate tangents w_k.  hess_terms
+solves a block of B points on one banded factor of their block-diagonal
+operator: one factorization and three solves (the states, p tangent columns,
+one adjoint column), each block with the bits of its own.
 """
 
 from __future__ import annotations
@@ -73,27 +82,40 @@ def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.nd
 
 def _solve_dirichlet(f, g1, g2):
     """(u, cb): the solution of (f u')' = g1 with u = g2 at the ends on all
-    M+2 nodes, and the banded Cholesky factor cb of -L_f."""
+    M+2 nodes, and the banded Cholesky factor cb of -L_f.  f holds node
+    values, (M+2,) or one conductivity per column (M+2, B); u has the shape
+    of f, and for B columns cb is the block factor of _factorized_operator,
+    so all B states come from one solve."""
     cb, faces, h2 = _factorized_operator(f)
-    b = -g1
-    b[0] += faces[0] * g2[0] / h2
-    b[-1] += faces[-1] * g2[1] / h2
-    u = np.empty(f.size)
-    u[0], u[-1] = g2
-    u[1:-1] = _banded_solve(cb, b)
-    return u, cb
+    b = np.negative(g1, out=np.empty(faces.shape[:-1] + g1.shape))  # (M,) or (B, M)
+    b[..., 0] += faces[..., 0] * g2[0] / h2
+    b[..., -1] += faces[..., -1] * g2[1] / h2
+    u = np.empty(faces.shape[:-1] + f.shape[:1])
+    u[..., 0], u[..., -1] = g2
+    u[..., 1:-1] = _banded_solve(cb, b.reshape(-1)).reshape(b.shape)
+    return u.T, cb
 
 
 def _factorized_operator(f):
     """(cb, faces, h2): the banded Cholesky factor of -L_f restricted to
     interior nodes, and the face values of f and squared mesh width it was
-    assembled from, which the Dirichlet fold reuses."""
-    M = f.size - 2
+    assembled from, which the Dirichlet fold reuses.
+
+    f of shape (M+2, B) gives the factor of the block-diagonal operator of
+    the B columns: one (2, B*M) band, block b in band columns b*M to
+    (b+1)*M - 1, with zero coupling entries between blocks.  A zero
+    superdiagonal entry leaves the next pivot and every solve's next entry
+    as they are, so each block's factor and solves have the bits of its own.
+    faces is (M+1,), or (B, M+1) per column.
+    """
+    M = f.shape[0] - 2
     h2 = (1.0 / (M + 1)) ** 2
-    faces = 0.5 * (f[:-1] + f[1:])  # length M+1, face j+1/2 between nodes j, j+1
-    ab = np.zeros((2, M), order="F")  # pbtrf factors it in place
-    ab[0, 1:] = -faces[1:-1] / h2  # superdiagonal
-    ab[1, :] = (faces[:-1] + faces[1:]) / h2
+    f = f.T  # a 1-D f stays as it is
+    faces = 0.5 * (f[..., :-1] + f[..., 1:])  # face j+1/2 between nodes j, j+1
+    ab = np.zeros(faces.shape[:-1] + (M, 2))  # the band, transposed
+    ab[..., 1:, 0] = -faces[..., 1:-1] / h2  # superdiagonal
+    ab[..., 1] = (faces[..., :-1] + faces[..., 1:]) / h2
+    ab = ab.reshape(-1, 2).T  # (2, B*M) in Fortran order: pbtrf factors it in place
     _require_finite(ab)
     pbtrf, _ = _lapack()
     cb, info = pbtrf(ab, lower=0, overwrite_ab=1)
@@ -174,8 +196,11 @@ class LinearPhi:
     def dir_hess(self, theta, v, x):
         return np.zeros(np.atleast_1d(x).shape[:1] + np.shape(v)[1:])
 
-    def dir_hess_dot(self, theta, v, x, s):
-        return np.zeros(np.shape(v)[1:])
+    def hess_terms(self, thetas, x):
+        E = self._design(x)
+        thetas = np.asarray(thetas, dtype=float)
+        zeros = np.zeros((len(thetas), E.shape[1], E.shape[1]))
+        return thetas @ E.T, E, lambda s: zeros
 
 
 @dataclass
@@ -216,15 +241,22 @@ class Darcy1D:
         """Solution, exp(Phi) and operator factorization at theta (memoized)."""
         theta = np.asarray(theta, dtype=float)
         key = theta.tobytes()
-        if self._memo_key == key:
-            return self._memo
-        phi = self._E_grid @ theta
+        if self._memo_key != key:
+            self._memo_key, self._memo = key, self._solve_at(theta)
+        return self._memo
+
+    def _solve_at(self, theta):
+        """(u, exp(Phi), cb) at theta of shape (p,), or at each row of a
+        (B, p) block as (M+2, B) node columns and their block factor.  A
+        block's Phi is formed column by column with the product one point
+        uses, so each column has the bits of its point alone."""
+        E = self._E_grid
+        phi = E @ theta if theta.ndim == 1 else np.stack([E @ t for t in theta], axis=1)
         exp_phi = np.exp(phi)
         f = self.f_min + exp_phi
         _require_finite(f, "conductivity overflow; theta too large")
         u, cb = _solve_dirichlet(f, self._g1_int, self.g2)
-        self._memo_key, self._memo = key, (u, exp_phi, cb)
-        return self._memo
+        return u, exp_phi, cb
 
     def solution(self, theta) -> np.ndarray:
         return self._state(theta)[0]
@@ -255,9 +287,13 @@ class Darcy1D:
 
     @staticmethod
     def _solve(cb, rhs):
-        """(-L_f)^{-1} rhs for every column of rhs, with zero boundary rows."""
-        w = np.zeros((rhs.shape[0] + 2, rhs.shape[1]))
-        w[1:-1] = _banded_solve(cb, rhs)
+        """(-L_f)^{-1} rhs for every column of rhs, with zero boundary rows:
+        rhs of shape (M, k), or (M, B, k) on a block factor of B points,
+        whose block b solves the columns rhs[:, b]."""
+        M, k = rhs.shape[0], rhs.shape[-1]
+        cols = rhs.reshape(M, -1, k).transpose(1, 0, 2).reshape(-1, k)  # (B*M, k)
+        w = np.zeros((M + 2,) + rhs.shape[1:])
+        w[1:-1] = _banded_solve(cb, cols).reshape(-1, M, k).transpose(1, 0, 2).reshape(rhs.shape)
         return w
 
     def _interp_weights(self, x):
@@ -293,13 +329,16 @@ class Darcy1D:
         return out
 
     def _at_adjoint(self, x, s):
-        """P' s at the interior nodes, P the interpolation _at makes from node
+        """P' s_b at the interior nodes for each row s_b of the (B, len(x))
+        array s, shape (B, M); P is the interpolation _at makes from node
         values to the points x.  Points at or beyond the ends read a boundary
         node, where the solved fields are zero, so they add nothing."""
         rows, weights = self._interp_weights(x)[4:]
-        s = np.asarray(s, dtype=float)
-        return np.bincount(rows, weights * np.concatenate([s, s]),
-                           minlength=self.M + 2)[1:-1]
+        B, nodes = len(s), self.M + 2
+        rows = rows + nodes * np.arange(B)[:, None]  # row b's nodes in block b
+        ws = weights * np.concatenate([s, s], axis=1)
+        return np.bincount(rows.ravel(), ws.ravel(),
+                           minlength=B * nodes).reshape(B, nodes)[:, 1:-1]
 
     def dir_grad(self, theta, v, x):
         w = self._tangent(theta, v)[-1]
@@ -318,11 +357,37 @@ class Darcy1D:
         out = self._at(x, 2.0 * w2 - w3)
         return out[:, 0] if np.ndim(v) == 1 else out
 
-    def dir_hess_dot(self, theta, v, x, s):
-        """s' dir_hess(theta, v, x) as mu' z_v with one adjoint solve
-        mu = (-L_f)^{-1} P' s for all directions (see the module docstring)."""
-        u, exp_phi, cb, phiv, fv, w = self._tangent(theta, v)
-        mu = _banded_solve(cb, self._at_adjoint(x, s))
-        z = 2.0 * _apply_operator(fv, w) + _apply_operator(exp_phi * phiv ** 2, u)
-        out = mu @ z
-        return out[0] if np.ndim(v) == 1 else out
+    def hess_terms(self, thetas, x):
+        """The protocol's hess_terms (module docstring).  The B states, the
+        p tangents w_k of each point and the adjoint columns mu_b =
+        (-L_f)^{-1} P' s_b are three solves on one block factor (one point
+        reuses its memoized state).  contract is mu' z_kl with
+        z_kl = L_{f_k} w_l + L_{f_l} w_k + L_{f_kl} u, each term summed by
+        parts: mu is zero at both ends, so mu' L_c w = -h^{-2} sum over faces
+        of c Dw Dmu (D the difference across a face, c the face average).
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        B, p = thetas.shape
+        M, E = self.M, self._E_grid
+        u, exp_phi, cb = self._state(thetas[0]) if B == 1 else self._solve_at(thetas)
+        u, exp_phi = u.reshape(M + 2, B), exp_phi.reshape(M + 2, B)
+        fk = exp_phi[:, :, None] * E[:, None, :]  # f_k of each point, (M+2, B, p)
+        w = self._solve(cb, _apply_operator(fk, u[:, :, None]))  # tangents w_k
+        grad = self._at(x, w.reshape(M + 2, B * p)).reshape(-1, B, p).transpose(1, 0, 2)
+
+        def contract(s):
+            mu = np.zeros((M + 2, B))
+            mu[1:-1] = _banded_solve(cb, self._at_adjoint(x, s).ravel()).reshape(B, M).T
+            dmu = np.diff(mu, axis=0)
+            # T_kl = sum f_k Dmu Dw_l, and S_kl = sum f_kl Du Dmu with each
+            # face's Du Dmu spread half to either node of f_kl = exp(Phi) E_k E_l
+            T = ((0.5 * (fk[:-1] + fk[1:])) * dmu[:, :, None]).transpose(1, 2, 0) \
+                @ np.diff(w, axis=0).transpose(1, 0, 2)
+            q = np.diff(u, axis=0) * dmu
+            node_q = np.zeros((M + 2, B))
+            node_q[:-1] += q
+            node_q[1:] += q
+            S = (E.T * (0.5 * exp_phi * node_q).T[:, None, :]) @ E
+            return -(M + 1) ** 2 * (T + T.transpose(0, 2, 1) + S)
+
+        return self._at(x, u).T, grad, contract

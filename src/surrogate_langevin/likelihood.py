@@ -35,6 +35,10 @@ QUADRATURE_NODES = 256
 # Rows formatted and written at a time by write_float_csv.
 CSV_BLOCK_ROWS = 1024
 
+# Probe points whose Hessians curvature_probe forms in one call of
+# ModelInstance.hessians: it bounds the (block, n, p) arrays held at once.
+PROBE_BLOCK = 16
+
 
 @functools.cache
 def _density_quadrature():
@@ -250,52 +254,64 @@ class ModelInstance:
 
     def hess_dir_many(self, theta, V) -> np.ndarray:
         """v' hess l_n(theta) v for every column v of the (p, k) array V."""
-        theta = self._check(theta)
         V = np.asarray(V, dtype=float)
-        if self._n == 0:
-            return np.zeros(V.shape[1])
-        if self._density:
-            # -n times the variance of Phi(v) under p_theta, by quadrature
-            phi_quad = self._E_quad @ theta
-            wp = self._qw * np.exp(phi_quad - self._log_partition(phi_quad))
-            PV = self._E_quad @ V
-            vals = -self._n * (wp @ (PV - wp @ PV) ** 2)
-        else:
-            x = self._x
-            u = self.forward.values(theta, x)
-            b, q1, q2 = self._natural_param(u)
-            GU = self.forward.dir_grad(theta, V, x)  # (n, k)
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = self._y - self.family.A1(b)
-                w_hess = r * q2 - self.family.A2(b) * q1 ** 2
-                s = r * q1
-                # a non-finite weight s makes the Hessian non-finite; the
-                # Darcy contraction solves with s and must not see one
-                if not np.isfinite(s).all():
-                    raise FloatingPointError("non-finite directional Hessian")
-                vals = w_hess @ GU ** 2 + self.forward.dir_hess_dot(theta, V, x, s)
+        vals = ((self.hess_matrix(theta) @ V) * V).sum(axis=0)
         if not np.isfinite(vals).all():
             raise FloatingPointError("non-finite directional Hessian")
         return vals
 
     def hess_matrix(self, theta) -> np.ndarray:
-        """Full Hessian by polarization of directional forms (small p only)."""
-        if self.p > 16:
-            raise ValueError("full Hessian assembly is restricted to p <= 16")
-        p = self.p
-        eye = np.eye(p)
-        i, j = np.triu_indices(p, 1)
-        d = self.hess_dir_many(theta, np.concatenate([eye, eye[:, i] + eye[:, j]], axis=1))
-        diag = d[:p]
-        H = np.diag(diag)
-        H[i, j] = H[j, i] = 0.5 * (d[p:] - diag[i] - diag[j])
+        """The Hessian of l_n at theta, shape (p, p)."""
+        return self.hessians(self._check(theta)[None])[0]
+
+    def hessians(self, thetas) -> np.ndarray:
+        """The Hessian of l_n at each row of the (B, p) array thetas, shape
+        (B, p, p); FloatingPointError where one is not finite.
+
+        Density: -n (E_q' diag(w) E_q - m m'), with E_q the basis at the
+        quadrature nodes, w the quadrature weights times p_theta there and
+        m = w E_q, formed as -n (E_q - m)' diag(w) (E_q - m).  Regression:
+        G' diag(r b'' - A''(b) b'^2) G plus the forward operator's
+        contraction of s = r b' with hess G, where G holds the rows
+        d G(theta)(x_i) / d theta and r = y - A'(b).
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.p:
+            raise ValueError(f"thetas must have shape (B, {self.p}), got {thetas.shape}")
+        if self._n == 0:
+            return np.zeros((len(thetas), self.p, self.p))
+        if self._density:
+            E = self._E_quad
+            phi = thetas @ E.T
+            w = self._qw * np.exp(phi - phi.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            Ec = E - (w @ E)[:, None, :]  # centred rows e_q - m: no difference cancels
+            H = -self._n * ((Ec.transpose(0, 2, 1) * w[:, None, :]) @ Ec)
+        else:
+            u, G, contract = self.forward.hess_terms(thetas, self._x)
+            b, q1, q2 = self._natural_param(u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = self._y - self.family.A1(b)
+                s = r * q1
+                # a non-finite weight makes the Hessian non-finite; the
+                # Darcy contraction solves with s and must not see one
+                if not np.isfinite(s).all():
+                    raise FloatingPointError("non-finite Hessian")
+                w = r * q2 - self.family.A2(b) * q1 ** 2
+                H = (np.swapaxes(G, -1, -2) * w[:, None, :]) @ G + contract(s)
+        if not np.isfinite(H).all():
+            raise FloatingPointError("non-finite Hessian")
+        H += H.transpose(0, 2, 1)  # symmetric to the last bit
+        H *= 0.5
         return H
 
     def curvature_probe(self, center, eta, n_probes, seed) -> CurvatureReport:
         """Sample -v' hess l_n v over the ball B(center, eta).
 
         Each probe point gets 2p random unit directions plus the p coordinate
-        directions; points with non-finite likelihood are skipped and counted.
+        directions; points with non-finite likelihood are skipped and counted
+        and draw no directions.  The kept points' Hessians are formed
+        PROBE_BLOCK points at a time, then every form at once.
         """
         center = np.asarray(center, dtype=float)
         if eta <= 0:
@@ -304,27 +320,32 @@ class ModelInstance:
         rng = np.random.default_rng(seed)
         if self.n == 0:
             return CurvatureReport(0.0, 0.0, 0.0, n_probes, center, eta)
-        lam_min, lam_max = np.inf, -np.inf
-        skipped = 0
+        points, draws = [], []
         for _ in range(n_probes):
             direction = rng.standard_normal(p)
             direction /= math.sqrt(direction.dot(direction))  # == np.linalg.norm
             radius = eta * rng.random() ** (1.0 / p)
             theta = center + radius * direction
             if not math.isfinite(self.log_lik(theta)):
-                skipped += 1
                 continue
-            V = rng.standard_normal((p, 2 * p))
-            V /= np.linalg.norm(V, axis=0)
-            V = np.concatenate([V, np.eye(p)], axis=1)
-            vals = -self.hess_dir_many(theta, V)
-            lam_min = min(lam_min, float(np.min(vals)))
-            lam_max = max(lam_max, float(np.max(vals)))
-        if not math.isfinite(lam_min):
-            lam_min = lam_max = 0.0
+            points.append(theta)
+            draws.append(rng.standard_normal((p, 2 * p)))
+        lam_min = lam_max = 0.0
+        if points:
+            thetas = np.array(points)
+            H = np.concatenate([self.hessians(thetas[lo:lo + PROBE_BLOCK])
+                                for lo in range(0, len(points), PROBE_BLOCK)])
+            V = np.array(draws)
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            vals = -np.concatenate([((H @ V) * V).sum(axis=1),
+                                    np.diagonal(H, axis1=1, axis2=2)], axis=1)
+            if not np.isfinite(vals).all():
+                raise FloatingPointError("non-finite directional Hessian")
+            lam_min, lam_max = float(vals.min()), float(vals.max())
         g = self.grad_log_lik(center)
         grad_norm = math.sqrt(g.dot(g))
-        return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta, skipped)
+        return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta,
+                               n_probes - len(points))
 
     def _natural_param(self, u, order=2):
         """natural_param_derivs at u, (b, b', b'') or for order=1 (b, b');

@@ -110,10 +110,11 @@ def darcy_reference(op, theta, V, x):
 
 
 def hess_dir_many_composed(model, theta, V):
-    """ModelInstance.hess_dir_many as first composed: the second-order term
-    is the weights r b' against the forward operator's dir_hess, one
-    interpolated second-derivative field per direction, in place of the
-    operator's contraction dir_hess_dot."""
+    """ModelInstance.hess_dir_many as first composed: per direction v, the
+    density model's variance of Phi(v) under p_theta, or the weights
+    r b'' - A''(b) b'^2 against (v' grad G)^2 plus r b' against the forward
+    operator's dir_hess, one interpolated second-derivative field per
+    direction (in place of the Hessian matrix hess_dir_many forms)."""
     theta, V = np.asarray(theta, dtype=float), np.asarray(V, dtype=float)
     if model.n == 0:
         return np.zeros(V.shape[1])
@@ -138,6 +139,37 @@ def hess_dir_many_composed(model, theta, V):
     if not np.isfinite(vals).all():
         raise FloatingPointError("non-finite directional Hessian")
     return vals
+
+
+def curvature_probe_per_point(model, center, eta, n_probes, seed):
+    """ModelInstance.curvature_probe as first written: one hess_dir_many per
+    kept point, here the first composition hess_dir_many_composed, over the
+    point's 2p random unit directions and the p coordinate directions.
+    Returns (lambda_min, lambda_max, skipped)."""
+    center = np.asarray(center, dtype=float)
+    p = model.p
+    rng = np.random.default_rng(seed)
+    if model.n == 0:
+        return 0.0, 0.0, 0
+    lam_min, lam_max = np.inf, -np.inf
+    skipped = 0
+    for _ in range(n_probes):
+        direction = rng.standard_normal(p)
+        direction /= math.sqrt(direction.dot(direction))  # == np.linalg.norm
+        radius = eta * rng.random() ** (1.0 / p)
+        theta = center + radius * direction
+        if not math.isfinite(model.log_lik(theta)):
+            skipped += 1
+            continue
+        V = rng.standard_normal((p, 2 * p))
+        V /= np.linalg.norm(V, axis=0)
+        V = np.concatenate([V, np.eye(p)], axis=1)
+        vals = -hess_dir_many_composed(model, theta, V)
+        lam_min = min(lam_min, float(np.min(vals)))
+        lam_max = max(lam_max, float(np.max(vals)))
+    if not math.isfinite(lam_min):
+        lam_min = lam_max = 0.0
+    return lam_min, lam_max, skipped
 
 
 def recovery_csv_bytes(results, alpha):

@@ -795,6 +795,28 @@ def test_init_distance_over_eta_in_the_manifest_only(tmp_path):
     assert "distance_over_eta" not in resolve_cell(cfg, model, None, 0)[3]
 
 
+def test_relaxation_steps_and_relaxations_in_the_manifest_only(tmp_path):
+    # the chain's length against its relaxation time 2/(m gamma), under both
+    # burn-in rules; the report keeps its columns
+    assert not {"relaxation_steps", "relaxations"} & set(experiment.REPORT_COLUMNS)
+    for rule in ("auto", "fixed"):
+        cfg = ExperimentConfig(n_grid=[50], seeds=[0], p_value=2, n_probes=5,
+                               j_in_rule=rule, j_in_value=30, j=10)
+        model, theta0 = build_model(cfg, 50, 2, 0)
+        surrogate, _, resolved, _ = resolve_cell(cfg, model, theta0, 0)
+        steps = 2.0 / (surrogate.m * resolved["gamma"])
+        assert resolved["relaxation_steps"] == steps > 0.0
+        assert resolved["relaxations"] == (resolved["j_in"] + 10) / steps
+        assert resolved["relaxations"] == pytest.approx(
+            (resolved["j_in"] + 10) * surrogate.m * resolved["gamma"] / 2.0, rel=1e-15)
+    results, report = run_experiment(cfg, out_dir=tmp_path)
+    cell = json.loads((tmp_path / "manifest.json").read_text())["cells"][0]["resolved"]
+    for key in ("relaxation_steps", "relaxations"):
+        assert cell[key] == results[0].resolved[key]
+    assert cell["relaxations"] == 40 / cell["relaxation_steps"]
+    assert next(csv.reader(io.StringIO(report.read_text()))) == experiment.REPORT_COLUMNS
+
+
 FAILING_CELLS_GRID = [(n, seed) for n in (20, 30) for seed in (0, 1, 2)]
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -166,6 +166,53 @@ def test_family_maps_overflow_to_inf_never_nan(kind, h):
     fam = ExpFamily(kind)
     for method in (fam.A, fam.A1, fam.A2, fam.A3):
         assert not np.isnan(method(h))
+
+
+BERNOULLI_MEANS = st.floats(1e-300, 1.0 - 2.0 ** -53)
+
+
+def _bernoulli_cube_derivs_extended(u):
+    """(b', b'') of b = logit(u^{1/3}) in extended precision, whose exponent
+    range holds the values beyond the float maximum:
+    b' = 1/(3u(1 - m)) and b'' = -1/(3u^2(1 - m)) + 1/(9u^{5/3}(1 - m)^2)."""
+    u = np.longdouble(u)
+    m = np.cbrt(u)
+    return (1 / (3 * u * (1 - m)),
+            -1 / (3 * u * u * (1 - m)) + 1 / (9 * u * u / m * (1 - m) ** 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean=BERNOULLI_MEANS)
+@example(mean=1e-300)
+@example(mean=1.0 - 2.0 ** -53)
+def test_bernoulli_mean_maps_are_finite_silent_and_round_trip(mean):
+    # A1_inv at any mean in [1e-300, 1 - 2^-53], and the cube link's
+    # natural_param_derivs at u = mean^3, warn of nothing.  Both give a
+    # finite b that A1 maps back to the mean (the cube root of u for the
+    # link) within the rounding of b times its size; the link's b' and b''
+    # are finite wherever their exact values are below half the float
+    # maximum, and never NaN.  u = mean^3 rounds to 0 below about 1.7e-108,
+    # and its cube root to 1.0 next to 1: those u lie outside the link's
+    # range, and the call raises ValueError.
+    fam, cube = ExpFamily("bernoulli"), LinkFunction("cube")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = fam.A1_inv(mean)
+        assert math.isfinite(b)
+        assert abs(fam.A1(b) - mean) <= 4e-16 * (1.0 + abs(b)) * mean
+        u = mean ** 3
+        link_mean = np.cbrt(u)
+        if not 0.0 < link_mean < 1.0:
+            with pytest.raises(ValueError, match="cube|bernoulli"):
+                natural_param_derivs(fam, cube, u)
+            return
+        b, b1, b2 = natural_param_derivs(fam, cube, u)
+    assert math.isfinite(b)
+    assert abs(fam.A1(b) - link_mean) <= 4e-16 * (1.0 + abs(b)) * link_mean
+    for got, exact in zip((b1, b2), _bernoulli_cube_derivs_extended(u)):
+        assert not math.isnan(got)
+        if abs(exact) <= sys.float_info.max / 2:
+            assert math.isfinite(got)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "poisson", "bernoulli"])

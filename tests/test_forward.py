@@ -76,11 +76,12 @@ def test_linear_phi_trivialities():
         np.testing.assert_allclose(op.dir_grad(np.zeros(3), v, x),
                                    basis.eval(k + 1, x), atol=1e-14)
     assert np.all(op.dir_hess(np.ones(3), np.ones(3), x) == 0.0)
-    s = np.linspace(-3.0, 3.0, 7)
-    block = op.dir_hess_dot(np.ones(3), np.ones((3, 4)), x, s)
-    assert block.shape == (4,) and block.tobytes() == np.zeros(4).tobytes()
-    one = op.dir_hess_dot(np.ones(3), np.ones(3), x, s)
-    assert np.shape(one) == () and np.float64(one).tobytes() == np.float64(0.0).tobytes()
+    thetas = np.array([[0.5, -0.2, 0.1], [1.0, 2.0, -3.0]])
+    values, grad, contract = op.hess_terms(thetas, x)
+    np.testing.assert_allclose(values, thetas @ basis.design_matrix(x).T, rtol=1e-15)
+    assert grad is op.grad_rows(thetas[0], x)
+    C = contract(np.linspace(-3.0, 3.0, 14).reshape(2, 7))
+    assert C.shape == (2, 3, 3) and C.tobytes() == np.zeros((2, 3, 3)).tobytes()
 
 
 def test_linear_phi_design_memo_follows_x():
@@ -322,11 +323,11 @@ def test_darcy_tangent_memo_keeps_the_bits(calls, seed):
 @settings(max_examples=40, deadline=None)
 @given(M=st.integers(1, 80), k=st.integers(1, 6), log_scale=st.floats(-2.0, 2.0),
        seed=st.integers(0, 2 ** 16))
-def test_darcy_dir_hess_dot_is_s_dot_dir_hess(M, k, log_scale, seed):
-    # one adjoint solve contracts the weights s with every direction's
-    # second-derivative field: s @ dir_hess within rtol 1e-12 of the size of
-    # the terms the dot product sums, for blocks (one column zero), single
-    # directions and the zero direction, at the ends, on grid nodes and
+def test_darcy_contraction_is_s_dot_dir_hess(M, k, log_scale, seed):
+    # hess_terms' contraction C of the weights s with hess G, by one adjoint
+    # solve and summation by parts: v'Cv against s @ dir_hess(v) within
+    # 1e-12 of the size of the terms that dot product sums, for a block with
+    # a zero column and a single direction, at the ends, on grid nodes and
     # beyond [0, 1]
     rng = np.random.default_rng(seed)
     op = _darcy(M=M, f_min=0.5 + rng.random(), g1=float(rng.standard_normal()),
@@ -334,14 +335,63 @@ def test_darcy_dir_hess_dot_is_s_dot_dir_hess(M, k, log_scale, seed):
     theta = 0.5 * rng.standard_normal(4)
     x = np.concatenate((_points(M, rng.random(6)), [-0.5, 1.5]))
     s = 10.0 ** log_scale * rng.standard_normal(x.size)
+    C = op.hess_terms(theta[None], x)[2](s[None])[0]
+    assert C.shape == (4, 4)
+    assert np.all(np.abs(C - C.T) <= 1e-14 * np.abs(C).max())
     V = rng.standard_normal((4, k))
     V[:, rng.integers(k)] = 0.0
-    for v in (V, V[:, 0], rng.standard_normal(4), np.zeros(4)):
-        got = op.dir_hess_dot(theta, v, x, s)
+    for v in (V, rng.standard_normal((4, 1))):
+        got = ((C @ v) * v).sum(axis=0)
         H = op.dir_hess(theta, v, x)
-        assert np.shape(got) == np.shape(v)[1:]
         assert np.all(np.abs(got - s @ H) <= 1e-12 * (np.abs(s) @ np.abs(H)))
-    assert op.dir_hess_dot(theta, np.zeros(4), x, s) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 60), B=st.integers(1, 6), k=st.integers(1, 5),
+       log_scale=st.floats(-6.0, 6.0), seed=st.integers(0, 2 ** 16))
+def test_block_factor_and_solves_have_each_blocks_bits(M, B, k, log_scale, seed):
+    # B conductivities in one banded factor with zero coupling entries: each
+    # block of the factor, of the Dirichlet states and of any solve on it has
+    # the bits of that block's own factor and solve
+    rng = np.random.default_rng(seed)
+    f = 10.0 ** log_scale * (0.1 + rng.random((M + 2, B)))
+    g1, g2 = rng.standard_normal(M), tuple(rng.standard_normal(2))
+    cb, faces, _ = forward._factorized_operator(f)
+    u, cb2 = forward._solve_dirichlet(f, g1, g2)
+    assert cb.shape == (2, B * M) and faces.shape == (B, M + 1) and u.shape == (M + 2, B)
+    assert cb2.tobytes() == cb.tobytes()
+    rhs, col = rng.standard_normal((M, B, k)), rng.standard_normal(B * M)
+    W, x = Darcy1D._solve(cb, rhs), forward._banded_solve(cb, col)
+    assert W.shape == (M + 2, B, k)
+    for b in range(B):
+        fb = f[:, b].copy()
+        cb1 = forward._factorized_operator(fb)[0]
+        assert cb[:, b * M:(b + 1) * M].tobytes() == cb1.tobytes()
+        assert u[:, b].tobytes() == forward._solve_dirichlet(fb, g1, g2)[0].tobytes()
+        assert W[:, b].tobytes() == Darcy1D._solve(cb1, rhs[:, b]).tobytes()
+        assert x[b * M:(b + 1) * M].tobytes() == forward._banded_solve(
+            cb1, col[b * M:(b + 1) * M].copy()).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(M=st.integers(1, 64), B=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+def test_darcy_hess_terms_values_and_grad_rows(M, B, seed):
+    # the block's values and grad rows are the per-point ones (the block
+    # forms Phi with one product for all points, so within rounding), and
+    # one point reuses the memoized state and keeps the bits of values
+    rng = np.random.default_rng(seed)
+    op = _darcy(M=M, f_min=0.5 + rng.random(), g1=float(rng.standard_normal()),
+                g2=tuple(rng.standard_normal(2)))
+    thetas = 0.5 * rng.standard_normal((B, 4))
+    x = np.concatenate((_points(M, rng.random(5)), [-0.5, 1.5]))
+    values, grad, _ = op.hess_terms(thetas, x)
+    assert values.shape == (B, x.size) and grad.shape == (B, x.size, 4)
+    for b in range(B):
+        np.testing.assert_allclose(values[b], op.values(thetas[b], x), rtol=1e-12, atol=1e-14)
+        rows = op.grad_rows(thetas[b], x)
+        np.testing.assert_allclose(grad[b], rows, rtol=0, atol=1e-12 * np.abs(rows).max())
+        one = op.hess_terms(thetas[b:b + 1], x)[0][0]
+        assert one.tobytes() == op.values(thetas[b], x).tobytes()
 
 
 # -- one face array per solve and one flux per face -------------------------------

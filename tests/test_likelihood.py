@@ -15,8 +15,8 @@ from surrogate_langevin import forward
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
-from surrogate_langevin.likelihood import (CSV_BLOCK_ROWS, CurvatureReport, Dataset,
-                                           ModelInstance, generate_data)
+from surrogate_langevin.likelihood import (CSV_BLOCK_ROWS, PROBE_BLOCK, CurvatureReport,
+                                           Dataset, ModelInstance, generate_data)
 from surrogate_langevin.prior import SievePrior
 from surrogate_langevin.sampler import ChainDivergedError, SamplerConfig, run_chain
 from surrogate_langevin.surrogate import SurrogateSpec
@@ -333,9 +333,10 @@ def _hess_model(name):
 @given(name=st.sampled_from(sorted(HESS_MODELS)), k=st.integers(1, 12),
        scale=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2 ** 16))
 def test_hess_dir_many_matches_the_composition_with_dir_hess(name, k, scale, seed):
-    # the second-order term through the operator's contraction dir_hess_dot:
-    # the bits of (r b') @ dir_hess for LinearPhi and the density model, and
-    # for Darcy, whose contraction is one adjoint solve, within rtol 1e-12
+    # v'Hv from the Hessian matrix against the per-direction composition
+    # (the density model's variance of Phi(v), or r b' @ dir_hess): within
+    # 1e-13 of the size |v|'|H||v| of the terms the form sums.  Measured
+    # worst over 400 cases per model: 1.6e-14 for Darcy, 2.0e-15 for the rest.
     model, theta0 = _hess_model(name)
     rng = np.random.default_rng(seed)
     theta = theta0 + scale * rng.standard_normal(theta0.size)
@@ -347,30 +348,35 @@ def test_hess_dir_many_matches_the_composition_with_dir_hess(name, k, scale, see
             model.hess_dir_many(theta, V)
         return
     got = model.hess_dir_many(theta, V)
-    if name == "darcy":
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-    else:
-        assert got.tobytes() == want.tobytes()
+    terms = ((np.abs(model.hess_matrix(theta)) @ np.abs(V)) * np.abs(V)).sum(axis=0)
+    assert np.all(np.abs(got - want) <= 1e-13 * terms)
 
 
 def test_darcy_hess_dir_many_solves_one_tangent_and_one_adjoint():
-    # at an already-solved theta: the 3p tangent columns in one banded solve
-    # and the adjoint column in another
+    # at an already-solved theta: the p tangent columns of the Hessian in one
+    # banded solve and the adjoint column in another, whatever V holds
     model, theta0 = darcy_model(p=4)
     V = np.random.default_rng(43).standard_normal((4, 12))
     model.log_lik(theta0)
     with mock.patch.object(forward, "_banded_solve", wraps=forward._banded_solve) as solve:
         model.hess_dir_many(theta0, V)
-    assert [c.args[1].shape for c in solve.call_args_list] == [(64, 12), (64,)]
+    assert [c.args[1].shape for c in solve.call_args_list] == [(64, 4), (64,)]
 
 
-def test_hess_matrix_size_guard():
-    model, theta0 = glm_model(n=50, p=16)
-    H = model.hess_matrix(theta0)
-    assert H.shape == (16, 16) and np.array_equal(H, H.T)
-    model17, theta17 = glm_model(n=50, p=17)
-    with pytest.raises(ValueError, match="p <= 16"):
-        model17.hess_matrix(theta17)
+def test_hess_matrix_beyond_p_16():
+    # no size guard: H at p = 17 and 24 is symmetric and gives
+    # hess_dir_many's forms and the per-direction composition's within 1e-13
+    # of the size of the terms
+    for p in (17, 24):
+        model, theta0 = glm_model(n=50, p=p, family="poisson")
+        H = model.hess_matrix(theta0)
+        assert H.shape == (p, p) and np.array_equal(H, H.T)
+        V = np.random.default_rng(p).standard_normal((p, 2 * p))
+        V = np.concatenate([V, np.eye(p)], axis=1)
+        terms = ((np.abs(H) @ np.abs(V)) * np.abs(V)).sum(axis=0)
+        for vals in (model.hess_dir_many(theta0, V),
+                     _oracles.hess_dir_many_composed(model, theta0, V)):
+            assert np.all(np.abs(((H @ V) * V).sum(axis=0) - vals) <= 1e-13 * terms)
 
 
 def test_hess_matrix_polarization():
@@ -380,6 +386,68 @@ def test_hess_matrix_polarization():
     for _ in range(5):
         v = rng.standard_normal(3)
         assert float(v @ H @ v) == pytest.approx(model.hess_dir(theta0, v), rel=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(HESS_MODELS)), B=st.integers(2, 7),
+       scale=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_stacked_hessian_rows_match_single_points(name, B, scale, seed):
+    # row b of the (B, p, p) stack is the Hessian at point b alone, within
+    # 1e-13 of its largest entry: LinearPhi and the density model form all
+    # points' values with one product, which may round differently from one
+    # point's (Darcy forms Phi point by point, as its conditioning needs)
+    model, theta0 = _hess_model(name)
+    rng = np.random.default_rng(seed)
+    thetas = theta0 + scale * rng.standard_normal((B, theta0.size))
+    try:
+        stack = model.hessians(thetas)
+    except FloatingPointError:  # the cube link's range left at some point
+        return
+    assert stack.shape == (B, theta0.size, theta0.size)
+    for b in range(B):
+        H = model.hess_matrix(thetas[b])
+        assert np.array_equal(stack[b], stack[b].T)
+        assert np.all(np.abs(stack[b] - H) <= 1e-13 * np.abs(H).max())
+
+
+def _probe_cells():
+    """(label, model, center, eta, n_probes, seed): one cell per preset at its
+    default config, the glm-gaussian-cube cell whose probe skips points, and
+    a model without data."""
+    from surrogate_langevin.config import MODEL_PRESETS, ExperimentConfig
+    from surrogate_langevin.experiment import build_model
+    from surrogate_langevin.initializers import oracle_projection_init
+
+    cells = []
+    for preset in MODEL_PRESETS:
+        cfg = ExperimentConfig(model_preset=preset, darcy_mesh=64)
+        n = 300 if preset == "glm-gaussian-cube" else 150
+        model, theta0 = build_model(cfg, n, cfg.p_for(n), 0)
+        probes = 200 if preset == "glm-gaussian-cube" else 40
+        cells.append((preset, model, oracle_projection_init(theta0, model.p),
+                      cfg.eta_for(model.p), probes, 0))
+    basis = BasisFamily("cosine-with-constant", 2)
+    empty = Dataset("regression", np.zeros(0), np.zeros(0), 0)
+    cells.append(("n=0", ModelInstance(empty, basis, ExpFamily("gaussian"),
+                                       LinkFunction("canonical"), LinearPhi(basis)),
+                  np.zeros(2), 0.5, 10, 0))
+    return cells
+
+
+@pytest.mark.parametrize("cell", _probe_cells(), ids=lambda c: c[0])
+def test_curvature_probe_matches_the_per_point_oracle(cell):
+    # the same generator calls and skips as the first per-point loop, and its
+    # curvature range within rtol 1e-12; the probes keep more points than one
+    # block of PROBE_BLOCK, and the cube cell skips some
+    label, model, center, eta, n_probes, seed = cell
+    lam_min, lam_max, skipped = _oracles.curvature_probe_per_point(model, center, eta,
+                                                                   n_probes, seed)
+    probe = model.curvature_probe(center, eta, n_probes, seed)
+    assert probe.skipped == skipped
+    assert (skipped > 0) == (label == "glm-gaussian-cube")
+    assert label == "n=0" or n_probes - skipped > PROBE_BLOCK
+    np.testing.assert_allclose([probe.lambda_min_est, probe.lambda_max_est],
+                               [lam_min, lam_max], rtol=1e-12, atol=0)
 
 
 def test_density_hessian_negative_semidefinite():
