@@ -191,6 +191,9 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
         result.resolved = resolved
         if "distance_over_eta" in init_info:
             result.metrics["init_distance_over_eta"] = init_info["distance_over_eta"]
+        for key in ("objective_evals", "gradient_evals", "last_move"):  # pilot ascent only
+            if key in init_info:
+                result.metrics["pilot_" + key] = init_info[key]
         trace = sample_cell(cfg, surrogate, resolved, theta_star, seed)
         result.trace = trace
         mean = trace.ergodic_average("identity")

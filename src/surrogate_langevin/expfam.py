@@ -175,6 +175,11 @@ def natural_param_derivs(fam: ExpFamily, link: LinkFunction, u, order=2):
         d1 = mean / (3.0 * u)  # (g^{-1})' = cbrt(u) / (3u)
         if order == 1:
             return h, d1 / a2
-        d2 = -2.0 * mean / (9.0 * u * u)  # (g^{-1})'' = -2 cbrt(u) / (9u^2)
+        uu = 9.0 * u * u
+        d2 = -2.0 * mean / uu  # (g^{-1})'' = -2 cbrt(u) / (9u^2)
+        if np.any(uu == 0.0):  # 9u^2 rounds to 0 below u ~ 1e-162: divide by u twice
+            d2 = np.where(uu == 0.0, -2.0 / 3.0 * d1 / u, d2)[()]
+        if fam.kind == "gaussian":  # A3 = 0, and inf * 0 would read NaN
+            return h, d1 / a2, d2 / a2
         # (A1_inv o g_inv)'' = g_inv'' / A2 - g_inv'^2 A3 / A2^3
         return h, d1 / a2, d2 / a2 - d1 * d1 * fam.A3(h) / a2 ** 3

@@ -36,16 +36,27 @@ def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None,
                       theta_star=None, eta: float = None):
     """Backtracking gradient ascent on log-likelihood + log prior from zero.
 
-    Returns (theta, info) where info reports the final objective, step count,
-    and — when the truth projection and locality radius are supplied — the
-    ratio ||theta - theta_star|| / eta for checking the <= 1/8 initialization
-    contract.
+    Each distinct point is evaluated once: the objective is looked up by the
+    exact bytes of the point (so -0.0 and 0.0 stay apart), and the gradient
+    is recomputed only where an accepted step moves theta.  Once theta stops
+    moving, its candidates repeat earlier bytes and cost a dict lookup.
+
+    Returns (theta, info) where info reports the final objective and gradient
+    norm, the distinct objective evaluations (objective_evals), the gradient
+    evaluations (gradient_evals), the step at which theta last changed
+    (last_move, 0 if it never did), and — when the truth projection and
+    locality radius are supplied — the ratio ||theta - theta_star|| / eta for
+    checking the <= 1/8 initialization contract.
     """
     p = model.basis.p
     theta = np.zeros(p)
+    values = {}  # point bytes -> objective; at most steps + 1 entries
 
     def objective(t):
-        return model.log_lik(t) + prior.log_density(t)
+        key = t.tobytes()
+        if key not in values:
+            values[key] = model.log_lik(t) + prior.log_density(t)
+        return values[key]
 
     def gradient(t):
         return model.grad_log_lik(t) + prior.grad_log_density(t)
@@ -57,24 +68,29 @@ def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None,
     consecutive_failures = 0
     g = gradient(theta)  # computed again only where theta moves
     gnorm = math.sqrt(g.dot(g))  # == np.linalg.norm(g)
-    for _ in range(steps):
+    gradient_evals, last_move = 1, 0
+    for k in range(1, steps + 1):
         if gnorm < 1e-12:
             break
         candidate = theta + step * g
         cobj = objective(candidate)
         if math.isfinite(cobj) and cobj >= obj:
+            if candidate.tobytes() != theta.tobytes():  # theta moves
+                g = gradient(candidate)
+                gnorm = math.sqrt(g.dot(g))
+                gradient_evals, last_move = gradient_evals + 1, k
             theta, obj = candidate, cobj
             step *= 1.5
             consecutive_failures = 0
-            g = gradient(theta)
-            gnorm = math.sqrt(g.dot(g))
         else:
             step *= 0.5
             consecutive_failures += 1
             if consecutive_failures >= 50:
                 raise RuntimeError(
                     "pilot ascent failed 50 consecutive backtracking steps")
-    info = {"objective": float(obj), "grad_norm": gnorm}
+    info = {"objective": float(obj), "grad_norm": gnorm,
+            "objective_evals": len(values), "gradient_evals": gradient_evals,
+            "last_move": last_move}
     if theta_star is not None and eta is not None:
         d = theta - np.asarray(theta_star)
         info["distance_over_eta"] = math.sqrt(d.dot(d)) / eta

@@ -535,14 +535,16 @@ def run_chain_per_step(drift, theta_init, config, functionals, region_center,
 
 
 def pilot_ascent_per_iteration(model, prior, steps=500, rate=None, theta_star=None,
-                               eta=None):
-    """pilot_ascent_init as first composed, with the gradient computed at the
-    top of every iteration and once more for the report.
+                               eta=None, start=None):
+    """pilot_ascent_init as first composed, with the objective at every
+    candidate and the gradient at the top of every iteration and once more
+    for the report; start (default zeros) is where the ascent begins.
 
-    Returns (theta, info, accepted steps).
+    Returns (theta, info, moves, last_move): moves counts the accepted steps
+    that changed the bytes of theta, the last of them at step last_move.
     """
     p = model.basis.p
-    theta = np.zeros(p)
+    theta = np.zeros(p) if start is None else np.array(start, dtype=float)
 
     def objective(t):
         return model.log_lik(t) + prior.log_density(t)
@@ -551,19 +553,22 @@ def pilot_ascent_per_iteration(model, prior, steps=500, rate=None, theta_star=No
         return model.grad_log_lik(t) + prior.grad_log_density(t)
 
     obj = objective(theta)
+    if not np.isfinite(obj):
+        raise ValueError("log posterior is non-finite at the zero start")
     step = rate if rate is not None else 1.0 / max(model.dataset.n, 1)
-    failures = accepted = 0
-    for _ in range(steps):
+    failures = moves = last_move = 0
+    for k in range(1, steps + 1):
         g = gradient(theta)
         if np.linalg.norm(g) < 1e-12:
             break
         candidate = theta + step * g
         cobj = objective(candidate)
         if np.isfinite(cobj) and cobj >= obj:
+            if candidate.tobytes() != theta.tobytes():
+                moves, last_move = moves + 1, k
             theta, obj = candidate, cobj
             step *= 1.5
             failures = 0
-            accepted += 1
         else:
             step *= 0.5
             failures += 1
@@ -573,7 +578,7 @@ def pilot_ascent_per_iteration(model, prior, steps=500, rate=None, theta_star=No
     if theta_star is not None and eta is not None:
         info["distance_over_eta"] = float(
             np.linalg.norm(theta - np.asarray(theta_star)) / eta)
-    return theta, info, accepted
+    return theta, info, moves, last_move
 
 
 def grid_posterior_branchy(log_density, bounds, resolution):

@@ -764,9 +764,11 @@ def test_precision_floor_recorded_under_both_burn_in_rules(caplog):
 
 
 def test_init_distance_over_eta_in_the_manifest_only(tmp_path):
-    # ||theta_init - theta*|| / eta for each init mode; the report keeps its
-    # columns and bytes
+    # ||theta_init - theta*|| / eta for each init mode, and pilot ascent's
+    # counts for its cells; the report keeps its columns and bytes
+    counts = ("objective_evals", "gradient_evals", "last_move")
     assert "init_distance_over_eta" not in experiment.REPORT_COLUMNS
+    assert not {"pilot_" + key for key in counts} & set(experiment.REPORT_COLUMNS)
     base = dict(n_grid=[50], seeds=[0], p_value=2, n_probes=5, j_in_rule="fixed", j=10)
     for mode in ("oracle-projection", "oracle-perturbed", "pilot-ascent"):
         cfg = ExperimentConfig(init_mode=mode, init_rho=0.1, eta_rule="fixed",
@@ -787,6 +789,14 @@ def test_init_distance_over_eta_in_the_manifest_only(tmp_path):
         manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
         metrics = manifest["cells"][0]["metrics"]
         assert metrics["init_distance_over_eta"] == info["distance_over_eta"]
+        if mode == "pilot-ascent":
+            assert {key: metrics["pilot_" + key] for key in counts} == {
+                key: pilot[key] for key in counts}
+            # one distinct point per move, and one move at most per step
+            assert pilot["gradient_evals"] - 1 <= pilot["last_move"] <= 500
+            assert pilot["gradient_evals"] <= pilot["objective_evals"] <= 501
+        else:
+            assert not any(key.startswith("pilot_") for key in metrics)
         header = next(csv.reader(io.StringIO(report.read_text())))
         assert header == experiment.REPORT_COLUMNS
     # no truth: no distance

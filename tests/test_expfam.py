@@ -128,7 +128,13 @@ def test_natural_param_derivs_keeps_the_first_bits(family, link, data):
         got = natural_param_derivs(fam, lk, u)
         got1 = natural_param_derivs(fam, lk, u, order=1)
         b = natural_param(fam, lk, u)
-    assert [_bits(x, u.shape) for x in got] == [_bits(x, u.shape) for x in want]
+    assert [_bits(x, u.shape) for x in got[:2]] == [_bits(x, u.shape) for x in want[:2]]
+    # b'' keeps its bits wherever the first form's is finite; below u ~ 1e-162
+    # the gaussian's read -inf (9u^2 rounded to 0) or NaN (inf * A3 = inf * 0),
+    # see test_cube_link_derivs_are_silent_and_never_nan
+    b2, want2 = (np.broadcast_to(np.asarray(x, dtype=float), u.shape) for x in (got[2], want[2]))
+    finite = np.isfinite(want2)
+    assert b2[finite].tobytes() == want2[finite].tobytes()
     assert [_bits(x, u.shape) for x in got1] == [_bits(x, u.shape) for x in want[:2]]
     assert _bits(b, u.shape) == _bits(want[0], u.shape)
 
@@ -210,6 +216,46 @@ def test_bernoulli_mean_maps_are_finite_silent_and_round_trip(mean):
     assert math.isfinite(b)
     assert abs(fam.A1(b) - link_mean) <= 4e-16 * (1.0 + abs(b)) * link_mean
     for got, exact in zip((b1, b2), _bernoulli_cube_derivs_extended(u)):
+        assert not math.isnan(got)
+        if abs(exact) <= sys.float_info.max / 2:
+            assert math.isfinite(got)
+
+
+def _cube_derivs_extended(kind, u):
+    """(b', b'') of the cube link's b in extended precision: gaussian
+    b = u^{1/3}, poisson b = log(u)/3, bernoulli b = logit(u^{1/3})."""
+    if kind == "bernoulli":
+        return _bernoulli_cube_derivs_extended(u)
+    u = np.longdouble(u)
+    if kind == "gaussian":
+        c = np.cbrt(u)
+        return 1 / (3 * c * c), -2 / (9 * u * c * c)
+    return 1 / (3 * u), -1 / (3 * u * u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(FAMILY_KINDS), u=st.floats(1e-300, 1e300))
+@example(kind="gaussian", u=1e-240)  # (g^{-1})'^2 overflows against A3 = 0
+@example(kind="gaussian", u=1e-170)  # 9u^2 rounds to 0
+@example(kind="gaussian", u=1e-160)  # 9u^2 is subnormal
+@example(kind="poisson", u=1e-300)
+@example(kind="bernoulli", u=1.0)
+def test_cube_link_derivs_are_silent_and_never_nan(kind, u):
+    # natural_param_derivs of every family with the cube link at any u in
+    # [1e-300, 1e300] warns of nothing and gives a finite b; b' and b'' are
+    # never NaN, and +-inf only where their exact values exceed half the
+    # float maximum.  Bernoulli means end at 1: u whose cube root is not
+    # below 1 raise ValueError
+    fam, cube = ExpFamily(kind), LinkFunction("cube")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "bernoulli" and not np.cbrt(u) < 1.0:
+            with pytest.raises(ValueError, match="bernoulli"):
+                natural_param_derivs(fam, cube, u)
+            return
+        b, b1, b2 = natural_param_derivs(fam, cube, u)
+    assert math.isfinite(b)
+    for got, exact in zip((b1, b2), _cube_derivs_extended(kind, u)):
         assert not math.isnan(got)
         if abs(exact) <= sys.float_info.max / 2:
             assert math.isfinite(got)

@@ -5,19 +5,21 @@ call at a time; SurrogateSpec.posterior_grad, SurrogateSpec.grad and
 run_chain must give the same bits, and count the drift calls per region.
 """
 
+import contextlib
 import functools
+import itertools
 import math
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (drift_region, grad_composed, grad_log_lik_composed,
                       pilot_ascent_per_iteration, posterior_grad_composed, run_chain_per_step)
-from surrogate_langevin import experiment
+from surrogate_langevin import experiment, initializers
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
@@ -244,10 +246,10 @@ def test_drift_calls_sum_to_steps_plus_retries(every, seed):
 @pytest.mark.parametrize("name", ["glm-gaussian", "glm-poisson", "density", "darcy"])
 @pytest.mark.parametrize("steps", [1, 40, 500])
 def test_pilot_ascent_matches_per_iteration_composition(name, steps):
-    # the gradient is computed once at the start and once per accepted step
+    # the gradient is computed once at the start and once per step that moves theta
     model, theta_init = _model(name)
     prior = SievePrior(1.0, model.n, 3)
-    theta_ref, info_ref, accepted = pilot_ascent_per_iteration(
+    theta_ref, info_ref, moves, last_move = pilot_ascent_per_iteration(
         model, prior, steps=steps, theta_star=theta_init, eta=ETA)
     calls = [0]
 
@@ -259,5 +261,123 @@ def test_pilot_ascent_matches_per_iteration_composition(name, steps):
         theta, info = pilot_ascent_init(model, prior, steps=steps,
                                         theta_star=theta_init, eta=ETA)
     _same(theta, theta_ref)
-    assert info == info_ref
-    assert calls[0] == accepted + 1
+    assert {k: info[k] for k in info_ref} == info_ref
+    assert calls[0] == info["gradient_evals"] == moves + 1
+    assert info["last_move"] == last_move
+
+
+class _Stub:
+    """A p = 2 model and flat prior from two functions of theta."""
+
+    def __init__(self, log_lik, grad_log_lik):
+        self.basis = SimpleNamespace(p=2)
+        self.dataset = SimpleNamespace(n=1)
+        self.log_lik, self.grad_log_lik = log_lik, grad_log_lik
+
+    @staticmethod
+    def log_density(theta):
+        return 0.0
+
+    @staticmethod
+    def grad_log_density(theta):
+        return np.zeros(2)
+
+
+def _barrier():
+    # a slope inside a ball of radius 1e-15 about zero, -inf outside it: a
+    # first step above 2^49 * 1e-15 = 0.56 overshoots for 50 halvings
+    slope = np.array([0.6, 0.8])
+    return _Stub(lambda t: float(slope @ t) if t @ t < 1e-30 else -math.inf,
+                 lambda t: slope.copy()), None
+
+
+def _signed_zero():
+    # from (1e9, -0.0) the first candidate is (1e9, +0.0): 1e-9 is below half
+    # an ulp of 1e9.  The gradient reads the sign of the zero, so a pilot that
+    # took the two points for one would not turn towards theta_1 = 1
+    def grad(t):
+        return np.array([1e-9, 0.0 if math.copysign(1.0, t[1]) < 0 else 1.0 - t[1]])
+
+    return _Stub(lambda t: -0.5 * (t[1] - 1.0) ** 2, grad), np.array([1e9, -0.0])
+
+
+STUBS = {"barrier": _barrier, "signed-zero": _signed_zero}
+
+
+class _NumpyStartingAt:
+    """numpy as the initializers module sees it, with zeros(p) the given start."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def zeros(self, p):
+        return self.start.copy()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _pilot_case(name):
+    """(model, prior, start): a parity model from zero, or a stub that is its
+    own flat prior."""
+    if name in STUBS:
+        stub, start = STUBS[name]()
+        return stub, stub, start
+    model, _ = _model(name)
+    return model, SievePrior(1.0, model.n, 3), None
+
+
+def _recorded(fn, log):
+    def record(theta):
+        log.append(np.asarray(theta).tobytes())
+        return fn(theta)
+    return record
+
+
+def _run_recording(run, model):
+    """run() with model.log_lik and grad_log_lik recording the bytes of their
+    arguments; returns (result or the exception, log_lik args, gradient args)."""
+    values, grads = [], []
+    with mock.patch.object(model, "log_lik", _recorded(model.log_lik, values)), \
+            mock.patch.object(model, "grad_log_lik", _recorded(model.grad_log_lik, grads)):
+        try:
+            result = run()
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            result = exc
+    return result, values, grads
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from([*MODELS, *STUBS]),
+       steps=st.integers(0, 700), rate=st.floats(1e-8, 1e2))
+@example(name="glm-poisson", steps=700, rate=1e2)  # non-finite candidates
+@example(name="darcy", steps=700, rate=1e2)  # the Darcy factorization fails
+@example(name="barrier", steps=700, rate=1e2)  # 50 failures in a row
+@example(name="signed-zero", steps=700, rate=1.0)
+def test_pilot_ascent_evaluates_each_distinct_point_once(name, steps, rate):
+    # the pilot gives the oracle's bits or raises its error, evaluates the
+    # objective once per distinct candidate byte string (the start included),
+    # and the gradient once at the start and once per step that moves theta
+    model, prior, start = _pilot_case(name)
+    ref, ref_values, ref_grads = _run_recording(
+        lambda: pilot_ascent_per_iteration(model, prior, steps=steps, rate=rate,
+                                           start=start), model)
+    started = (contextlib.nullcontext() if start is None
+               else mock.patch.object(initializers, "np", _NumpyStartingAt(start)))
+    with started:
+        got, values, grads = _run_recording(
+            lambda: pilot_ascent_init(model, prior, steps=steps, rate=rate), model)
+    assert len(values) == len(set(values))
+    assert set(values) == set(ref_values)
+    # the oracle asks for the gradient at every iteration, so at each point
+    # theta moved to before the next one; the pilot asks once per point
+    assert grads == [point for point, _ in itertools.groupby(ref_grads)]
+    if isinstance(ref, Exception):
+        assert (type(got), str(got)) == (type(ref), str(ref))
+        return
+    theta_ref, info_ref, moves, last_move = ref
+    theta, info = got
+    _same(theta, theta_ref)
+    assert {k: info[k] for k in info_ref} == info_ref
+    assert (info["objective_evals"], info["gradient_evals"], info["last_move"]) == (
+        len(values), 1 + moves, last_move)
