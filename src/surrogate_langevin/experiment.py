@@ -185,6 +185,7 @@ def sample_cell(cfg: ExperimentConfig, surrogate, resolved, region_center, seed:
 def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     p = cfg.p_for(n)
     result = CellResult(n=n, p=p, seed=seed)
+    model = None
     try:
         model, theta0 = build_model(cfg, n, p, seed)
         surrogate, theta_star, resolved, init_info = resolve_cell(cfg, model, theta0, seed)
@@ -224,6 +225,9 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     except Exception as exc:  # cell failures must not abort the experiment
         result.status = "diverged" if isinstance(exc, ChainDivergedError) else "failed"
         result.message = f"{type(exc).__name__}: {exc}"
+    if model is not None and isinstance(model.forward, Darcy1D):
+        # every state the cell solved, the data's included (manifest only)
+        result.metrics["forward_states_solved"] = model.forward.states_solved
     return result
 
 

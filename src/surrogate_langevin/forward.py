@@ -11,13 +11,19 @@ Both operators serve one protocol, and it is all `ModelInstance` uses:
                              function contract(s) = sum_i s_bi hess G(theta_b)(x_i)
                              of weights s (B, len(x)), shape (B, p, p)
 
-A direction v is either one vector of shape (p,), giving results of shape
-(len(x),), or a block of k directions as the columns of a (p, k) array,
-giving results of shape (len(x), k).  Each operator memoizes the work it can
-reuse across calls: `LinearPhi` its design matrix at x, `Darcy1D` its
-solution and factorization at theta and its interpolation weights at x.
-`LinearPhi.hess_terms` gives the design matrix as the grad rows of every
-point and a zero contraction.
+values also takes a (B, p) block of points and gives G at each row,
+shape (B, len(x)), each row with the bits of its point alone.  A direction v
+is either one vector of shape (p,), giving results of shape (len(x),), or a
+block of k directions as the columns of a (p, k) array, giving results of
+shape (len(x), k).  Each operator memoizes the work it can reuse across
+calls: `LinearPhi` its design matrix at x, `Darcy1D` its interpolation
+weights at x and its solution and factorization at the last point and,
+apart, at the last block, keyed on the block's shape and bytes.  So the
+Hessians of a block whose likelihood was just evaluated (`hess_terms` at the
+same block) solve no state again.  `Darcy1D` counts the states it solves in
+`states_solved` (a block of B counts B), and raises `SolveError` where a
+state cannot be solved.  `LinearPhi.hess_terms` gives the design matrix as
+the grad rows of every point and a zero contraction.
 
 The Darcy operator maps coefficients theta to the solution u of the
 conservative boundary value problem  (f u')' = g1 on (0,1), u = g2 on {0,1},
@@ -61,6 +67,13 @@ def _lapack():
     solves the PDE loads scipy."""
     from scipy.linalg import get_lapack_funcs
     return get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty((2, 1)),))
+
+
+class SolveError(ValueError, ArithmeticError):
+    """A Darcy state could not be solved at theta: its conductivity
+    overflows, or the factorization of -L_f fails.  It keeps the message of
+    the ValueError or ArithmeticError it replaces and is caught as either;
+    ModelInstance reads it as a non-finite likelihood."""
 
 
 def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.ndarray:
@@ -185,7 +198,10 @@ class LinearPhi:
         return self._memo
 
     def values(self, theta, x):
-        return self._design(x).dot(np.asarray(theta, dtype=float))  # ndarray.dot: the gemv of @
+        E, theta = self._design(x), np.asarray(theta, dtype=float)
+        if theta.ndim == 1:
+            return E.dot(theta)  # ndarray.dot: the gemv of @
+        return np.stack([E.dot(t) for t in theta])  # each row with its point's product
 
     def grad_rows(self, theta, x):
         return self._design(x)
@@ -224,6 +240,9 @@ class Darcy1D:
         self._E_grid = self.basis.design_matrix(self._grid)
         self._memo_key = None
         self._memo = None
+        self._block_key = None
+        self._block_memo = None
+        self.states_solved = 0
         self._tangent_key = None
         self._tangent_memo = None
         self._x_key = None
@@ -238,24 +257,42 @@ class Darcy1D:
         return self.f_min + np.exp(phi)
 
     def _state(self, theta):
-        """Solution, exp(Phi) and operator factorization at theta (memoized)."""
+        """Solution, exp(Phi) and operator factorization at theta of shape
+        (p,), or at a (B, p) block, memoized on the last point and, apart,
+        on the last block: a block's key is its shape and bytes, since a
+        (1, p) block and its point share bytes but not result shapes."""
         theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()
-        if self._memo_key != key:
-            self._memo_key, self._memo = key, self._solve_at(theta)
-        return self._memo
+        if theta.ndim == 1:
+            key = theta.tobytes()
+            if self._memo_key != key:
+                self._memo_key, self._memo = key, self._solve_at(theta)
+            return self._memo
+        key = (theta.shape, theta.tobytes())
+        if self._block_key != key:
+            self._block_key, self._block_memo = key, self._solve_at(theta)
+        return self._block_memo
 
     def _solve_at(self, theta):
         """(u, exp(Phi), cb) at theta of shape (p,), or at each row of a
         (B, p) block as (M+2, B) node columns and their block factor.  A
         block's Phi is formed column by column with the product one point
-        uses, so each column has the bits of its point alone."""
+        uses, so each column has the bits of its point alone.  Adds the
+        number of states to states_solved, whether or not the solve succeeds;
+        a conductivity that overflows or an operator whose factorization
+        fails raises SolveError."""
         E = self._E_grid
         phi = E @ theta if theta.ndim == 1 else np.stack([E @ t for t in theta], axis=1)
-        exp_phi = np.exp(phi)
-        f = self.f_min + exp_phi
-        _require_finite(f, "conductivity overflow; theta too large")
-        u, cb = _solve_dirichlet(f, self._g1_int, self.g2)
+        self.states_solved += 1 if theta.ndim == 1 else len(theta)
+        try:
+            # an overflow leaves a non-finite conductivity or band, which the
+            # finiteness tests report
+            with np.errstate(over="ignore"):
+                exp_phi = np.exp(phi)
+                f = self.f_min + exp_phi
+                _require_finite(f, "conductivity overflow; theta too large")
+                u, cb = _solve_dirichlet(f, self._g1_int, self.g2)
+        except (ArithmeticError, ValueError) as exc:
+            raise SolveError(str(exc)) from exc
         return u, exp_phi, cb
 
     def solution(self, theta) -> np.ndarray:
@@ -267,7 +304,8 @@ class Darcy1D:
         return float(np.max(np.abs(_apply_operator(f, u) - self._g1_int)))
 
     def values(self, theta, x):
-        return self._at(x, self.solution(theta)[:, None])[:, 0]
+        u = self.solution(theta)
+        return self._at(x, u[:, None])[:, 0] if u.ndim == 1 else self._at(x, u).T
 
     def _tangent(self, theta, v):
         """State at theta, Phi(v) and f_v on the grid, and the tangent
@@ -360,8 +398,9 @@ class Darcy1D:
     def hess_terms(self, thetas, x):
         """The protocol's hess_terms (module docstring).  The B states, the
         p tangents w_k of each point and the adjoint columns mu_b =
-        (-L_f)^{-1} P' s_b are three solves on one block factor (one point
-        reuses its memoized state).  contract is mu' z_kl with
+        (-L_f)^{-1} P' s_b are three solves on one block factor; the states
+        and factor are the memoized ones of the same point or block, so a
+        block whose values were just taken solves no state again.  contract is mu' z_kl with
         z_kl = L_{f_k} w_l + L_{f_l} w_k + L_{f_kl} u, each term summed by
         parts: mu is zero at both ends, so mu' L_c w = -h^{-2} sum over faces
         of c Dw Dmu (D the difference across a face, c the face average).
@@ -369,7 +408,7 @@ class Darcy1D:
         thetas = np.asarray(thetas, dtype=float)
         B, p = thetas.shape
         M, E = self.M, self._E_grid
-        u, exp_phi, cb = self._state(thetas[0]) if B == 1 else self._solve_at(thetas)
+        u, exp_phi, cb = self._state(thetas[0] if B == 1 else thetas)
         u, exp_phi = u.reshape(M + 2, B), exp_phi.reshape(M + 2, B)
         fk = exp_phi[:, :, None] * E[:, None, :]  # f_k of each point, (M+2, B, p)
         w = self._solve(cb, _apply_operator(fk, u[:, :, None]))  # tangents w_k

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import BasisFamily
 from .expfam import ExpFamily, LinkFunction, natural_param, natural_param_derivs
-from .forward import LinearPhi
+from .forward import LinearPhi, SolveError
 
 
 # Gauss-Legendre nodes on [0, 1] for the density model's log-partition integral.
@@ -35,8 +35,9 @@ QUADRATURE_NODES = 256
 # Rows formatted and written at a time by write_float_csv.
 CSV_BLOCK_ROWS = 1024
 
-# Probe points whose Hessians curvature_probe forms in one call of
-# ModelInstance.hessians: it bounds the (block, n, p) arrays held at once.
+# Probe points that curvature_probe tests in one log_lik call, and whose
+# Hessians it forms in one call of ModelInstance.hessians: it bounds the
+# (block, n, p) arrays held at once.
 PROBE_BLOCK = 16
 
 
@@ -191,14 +192,24 @@ class ModelInstance:
 
     # -- public likelihood surface -------------------------------------------
 
-    def log_lik(self, theta) -> float:
+    def log_lik(self, theta):
+        """l_n at theta of shape (p,), a float; at a (B, p) block, an array
+        of B values, each row with the bits its point alone gets.  -inf
+        where l_n is not finite, the natural parameter is outside the link's
+        range, or the forward solve fails."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2 and theta.shape[1] == self.p:
+            return self._log_lik_rows(theta)
         theta = self._check(theta)
         if self._n == 0:
             return 0.0
         if self._density:
             phi_quad = self._E_quad.dot(theta)  # ndarray.dot: the gemv of @, less dispatch
             return float(self._E_data.dot(theta).sum() - self._n * self._log_partition(phi_quad))
-        u = self.forward.values(theta, self._x)
+        try:
+            u = self.forward.values(theta, self._x)
+        except SolveError:  # no Darcy state there: zero likelihood
+            return -np.inf
         try:
             b = natural_param(self.family, self.link, u)
         except ValueError:  # u outside the link's range: zero likelihood
@@ -207,6 +218,31 @@ class ModelInstance:
             terms = self._y * b - self.family.A(b)
         total = terms.sum()
         return float(total) if np.isfinite(total) else -np.inf
+
+    def _log_lik_rows(self, thetas) -> np.ndarray:
+        """log_lik at each row of the (B, p) array thetas.  Each row's
+        products are the one-point products, and the rest is elementwise or
+        a reduction along the row, so every row has its point's bits."""
+        if self._n == 0 or not len(thetas):
+            return np.zeros(len(thetas))
+        if self._density:
+            phi_quad = np.stack([self._E_quad.dot(t) for t in thetas])
+            data = np.stack([self._E_data.dot(t) for t in thetas]).sum(axis=1)
+            mx = phi_quad.max(axis=1)
+            log_z = mx + np.log((self._qw * np.exp(phi_quad - mx[:, None])).sum(axis=1))
+            return data - self._n * log_z
+        try:
+            u = self.forward.values(thetas, self._x)
+            b = natural_param(self.family, self.link, u)
+        except ValueError:
+            # a row outside the link's range, or a block whose Darcy solve
+            # fails (SolveError is a ValueError): each row reads what its own
+            # point reads, and any other error is raised there again
+            return np.array([self.log_lik(t) for t in thetas])
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self._y * b - self.family.A(b)
+        total = terms.sum(axis=1)
+        return np.where(np.isfinite(total), total, -np.inf)
 
     def grad_log_lik(self, theta) -> np.ndarray:
         """grad l_n(theta); FloatingPointError where the natural parameter
@@ -224,7 +260,8 @@ class ModelInstance:
         sampler.run_chain for a whole chain, whose drift (the inner region of
         SurrogateSpec.posterior_grad, or the vanilla drift) calls this
         directly.  Any other direct caller supplies its own.  An overflow
-        leaves a non-finite residual, which raises FloatingPointError.
+        leaves a non-finite residual, which raises FloatingPointError, as
+        does a Darcy state that cannot be solved.
         """
         if self._n == 0:
             return np.zeros(self.p)
@@ -233,7 +270,10 @@ class ModelInstance:
             p_quad = np.exp(phi_quad - self._log_partition(phi_quad))
             return self._grad_data_const - self._n * (self._qw * p_quad).dot(self._E_quad)
         x = self._x
-        u = self.forward.values(theta, x)
+        try:
+            u = self.forward.values(theta, x)
+        except SolveError as exc:
+            raise FloatingPointError(f"forward solve failed: {exc}") from None
         if self._canonical:
             # the natural parameter is u + 0.0, which differs from u only at
             # -0.0, where every A' gives the bits it gives at 0.0; the
@@ -310,8 +350,17 @@ class ModelInstance:
 
         Each probe point gets 2p random unit directions plus the p coordinate
         directions; points with non-finite likelihood are skipped and counted
-        and draw no directions.  The kept points' Hessians are formed
-        PROBE_BLOCK points at a time, then every form at once.
+        and draw no directions.  Candidates are tested with one log_lik call
+        per block, drawn as if each were kept: its point, then its
+        directions.  Where a block skips a point, the generator goes back to
+        the block's start and draws again up to that point, whose directions
+        it does not draw, and the next block starts after it; so every draw
+        is the one a per-point test makes, whatever the block sizes.  A block
+        holds twice the points the last one kept plus one, at most
+        PROBE_BLOCK, which is where a skip-free probe stays.  The kept points'
+        Hessians are formed PROBE_BLOCK kept points at a time, as soon as
+        that many wait, so a skip-free block's Hessians find its Darcy states
+        already solved; then every form at once.
         """
         center = np.asarray(center, dtype=float)
         if eta <= 0:
@@ -320,21 +369,42 @@ class ModelInstance:
         rng = np.random.default_rng(seed)
         if self.n == 0:
             return CurvatureReport(0.0, 0.0, 0.0, n_probes, center, eta)
-        points, draws = [], []
-        for _ in range(n_probes):
+
+        def candidate():
             direction = rng.standard_normal(p)
             direction /= math.sqrt(direction.dot(direction))  # == np.linalg.norm
             radius = eta * rng.random() ** (1.0 / p)
-            theta = center + radius * direction
-            if not math.isfinite(self.log_lik(theta)):
-                continue
-            points.append(theta)
-            draws.append(rng.standard_normal((p, 2 * p)))
+            return center + radius * direction
+
+        waiting, draws, H = [], [], []
+        tested, size = 0, PROBE_BLOCK
+        while tested < n_probes:
+            size = min(size, n_probes - tested)
+            start = rng.bit_generator.state
+            block, block_draws = [], []
+            for _ in range(size):
+                block.append(candidate())
+                block_draws.append(rng.standard_normal((p, 2 * p)))
+            finite = np.isfinite(self.log_lik(np.array(block)))
+            kept = size if finite.all() else int(finite.argmin())
+            if kept < size:  # block[kept] is skipped
+                rng.bit_generator.state = start
+                for _ in range(kept):
+                    candidate()
+                    rng.standard_normal((p, 2 * p))
+                candidate()
+                tested += 1
+            tested += kept
+            waiting += block[:kept]
+            draws += block_draws[:kept]
+            # a probe that skips often tests few candidates it must draw again
+            size = min(2 * kept + 1, PROBE_BLOCK)
+            while len(waiting) >= PROBE_BLOCK or (waiting and tested == n_probes):
+                H.append(self.hessians(np.array(waiting[:PROBE_BLOCK])))
+                del waiting[:PROBE_BLOCK]
         lam_min = lam_max = 0.0
-        if points:
-            thetas = np.array(points)
-            H = np.concatenate([self.hessians(thetas[lo:lo + PROBE_BLOCK])
-                                for lo in range(0, len(points), PROBE_BLOCK)])
+        if draws:
+            H = np.concatenate(H)
             V = np.array(draws)
             V /= np.linalg.norm(V, axis=1, keepdims=True)
             vals = -np.concatenate([((H @ V) * V).sum(axis=1),
@@ -345,7 +415,7 @@ class ModelInstance:
         g = self.grad_log_lik(center)
         grad_norm = math.sqrt(g.dot(g))
         return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta,
-                               n_probes - len(points))
+                               n_probes - len(draws))
 
     def _natural_param(self, u, order=2):
         """natural_param_derivs at u, (b, b', b'') or for order=1 (b, b');

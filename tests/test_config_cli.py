@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import AWKWARD_FLOATS, report_row_hand_written
-from surrogate_langevin import experiment
+from surrogate_langevin import experiment, forward
 from surrogate_langevin.cli import main
 from surrogate_langevin.config import (ConfigValidationError, ExperimentConfig,
                                        load_config)
@@ -803,6 +803,32 @@ def test_init_distance_over_eta_in_the_manifest_only(tmp_path):
     cfg = ExperimentConfig(init_mode="pilot-ascent", **base)
     model, _ = build_model(cfg, 50, 2, 0)
     assert "distance_over_eta" not in resolve_cell(cfg, model, None, 0)[3]
+
+
+def test_forward_states_solved_in_the_darcy_manifest_only(tmp_path):
+    # a Darcy cell's manifest counts the states its operator solved, the
+    # data's included: one per column of each factorized operator; other
+    # cells have no such key, and the report no such column
+    assert "forward_states_solved" not in experiment.REPORT_COLUMNS
+    base = dict(n_grid=[50], seeds=[0], p_value=2, n_probes=20, j_in_rule="fixed", j=10,
+                darcy_mesh=32, init_mode="pilot-ascent")
+    states = []
+
+    def counted(f, _factorize=forward._factorized_operator):
+        states.append(1 if f.ndim == 1 else f.shape[1])
+        return _factorize(f)
+
+    for preset in ("darcy-1d", "glm-gaussian"):
+        cfg = ExperimentConfig(model_preset=preset, **base)
+        with mock.patch.object(forward, "_factorized_operator", counted):
+            _, report = run_experiment(cfg, out_dir=tmp_path / preset)
+        cell = json.loads((tmp_path / preset / "manifest.json").read_text())["cells"][0]
+        assert cell["status"] == "ok"
+        if preset == "darcy-1d":
+            assert cell["metrics"]["forward_states_solved"] == sum(states) > cfg.n_probes
+        else:
+            assert "forward_states_solved" not in cell["metrics"]
+        assert next(csv.reader(io.StringIO(report.read_text()))) == experiment.REPORT_COLUMNS
 
 
 def test_relaxation_steps_and_relaxations_in_the_manifest_only(tmp_path):

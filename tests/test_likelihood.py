@@ -1,4 +1,5 @@
 import functools
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -448,6 +449,45 @@ def test_curvature_probe_matches_the_per_point_oracle(cell):
     assert label == "n=0" or n_probes - skipped > PROBE_BLOCK
     np.testing.assert_allclose([probe.lambda_min_est, probe.lambda_max_est],
                                [lam_min, lam_max], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n_probes", [PROBE_BLOCK, 37, 200])
+def test_skip_free_darcy_probe_solves_each_point_once(n_probes):
+    # one factorization per block of candidates, whose Hessians reuse it,
+    # and one at the centre's gradient: each point's state is solved once
+    model, theta0 = darcy_model(M=32)
+    op = model.forward
+    solved = op.states_solved
+    with mock.patch.object(forward, "_factorized_operator",
+                           wraps=forward._factorized_operator) as factorize:
+        probe = model.curvature_probe(0.5 * theta0, 0.1, n_probes, 0)
+    assert probe.skipped == 0
+    assert factorize.call_count == math.ceil(n_probes / PROBE_BLOCK) + 1
+    assert op.states_solved - solved == n_probes + 1
+
+
+def test_a_failing_darcy_solve_reads_as_a_non_finite_likelihood():
+    # log_lik reads -inf, the gradient raises FloatingPointError (which a
+    # chain's guard sees), and the probe skips such a point; a shape error is
+    # still a ValueError
+    model, theta0 = darcy_model(M=32)
+    for theta, cause in (([35.0, 0.0, 0.0], "not positive definite"),
+                         ([800.0, 0.0, 0.0], "conductivity overflow")):
+        theta = np.array(theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.log_lik(theta) == -np.inf
+            assert model.log_lik(np.stack([theta0, theta]))[1] == -np.inf
+        for grad in (model.grad_log_lik, model._grad):
+            with pytest.raises(FloatingPointError, match=cause):
+                grad(theta)
+    solved = model.forward.states_solved
+    model.log_lik(np.full((3, 3), 800.0))  # the block fails, then each row
+    assert model.forward.states_solved - solved == 3 + 3
+    assert model.curvature_probe(theta0, 100.0, 40, 0).skipped > 0
+    for bad in (np.zeros(4), np.zeros((2, 4)), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match="theta must"):
+            model.log_lik(bad)
 
 
 def test_density_hessian_negative_semidefinite():

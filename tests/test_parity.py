@@ -17,14 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (drift_region, grad_composed, grad_log_lik_composed,
-                      pilot_ascent_per_iteration, posterior_grad_composed, run_chain_per_step)
+from _oracles import (curvature_probe_per_point, drift_region, grad_composed,
+                      grad_log_lik_composed, pilot_ascent_per_iteration,
+                      posterior_grad_composed, run_chain_per_step)
 from surrogate_langevin import experiment, initializers
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
 from surrogate_langevin.initializers import pilot_ascent_init
-from surrogate_langevin.likelihood import CurvatureReport, ModelInstance, generate_data
+from surrogate_langevin.likelihood import (PROBE_BLOCK, CurvatureReport, ModelInstance,
+                                           generate_data)
 from surrogate_langevin.prior import SievePrior
 from surrogate_langevin.sampler import NOISE_BLOCK, ChainDivergedError, SamplerConfig, run_chain
 from surrogate_langevin.surrogate import SurrogateSpec
@@ -351,7 +353,7 @@ def _run_recording(run, model):
 @given(name=st.sampled_from([*MODELS, *STUBS]),
        steps=st.integers(0, 700), rate=st.floats(1e-8, 1e2))
 @example(name="glm-poisson", steps=700, rate=1e2)  # non-finite candidates
-@example(name="darcy", steps=700, rate=1e2)  # the Darcy factorization fails
+@example(name="darcy", steps=700, rate=1e2)  # a failed Darcy factorization reads -inf
 @example(name="barrier", steps=700, rate=1e2)  # 50 failures in a row
 @example(name="signed-zero", steps=700, rate=1.0)
 def test_pilot_ascent_evaluates_each_distinct_point_once(name, steps, rate):
@@ -381,3 +383,89 @@ def test_pilot_ascent_evaluates_each_distinct_point_once(name, steps, rate):
     assert {k: info[k] for k in info_ref} == info_ref
     assert (info["objective_evals"], info["gradient_evals"], info["last_move"]) == (
         len(values), 1 + moves, last_move)
+
+
+# Rows at which a parity model's likelihood is not finite: outside the cube
+# link's range (u < 0), a poisson A(b) that overflows, and for Darcy a
+# factorization that fails and a conductivity that overflows.
+NON_FINITE_ROWS = {
+    "glm-gaussian-cube": [[-5.0, 0.0, 0.0]],
+    "glm-poisson": [[800.0, 0.0, 0.0]],
+    "darcy": [[35.0, 0.0, 0.0], [800.0, 0.0, 0.0]],
+}
+_row = st.tuples(st.floats(-3.0, 3.0), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MODELS)),
+       rows=st.lists(_row | st.integers(0, 1), min_size=1, max_size=40))
+@example(name="glm-gaussian-cube", rows=[(0.0, [0.1, 0.0, 0.0]), 0, (-3.0, [1.0, 0.0, 0.0])])
+@example(name="glm-poisson", rows=[0, (2.5, [1.0, 1.0, 1.0]), (0.0, [0.1, 0.2, 0.3])])
+@example(name="darcy", rows=[(0.0, [0.1, 0.0, 0.0]), 0, 1, (-1.0, [1.0, -1.0, 0.0])])
+@example(name="density", rows=[(3.0, [1.0, -1.0, 0.5])] * 40)
+def test_log_lik_of_a_block_is_each_rows_log_lik(name, rows):
+    # each row of a (B, p) block has the bits the single point gets, -inf
+    # included; a row (e, v) is theta_init + 10^e v, an integer a row of
+    # NON_FINITE_ROWS
+    model, theta_init = _model(name)
+    bad = NON_FINITE_ROWS.get(name, [])
+    thetas = np.array([theta_init + 10.0 ** row[0] * np.array(row[1]) if isinstance(row, tuple)
+                       else bad[row % len(bad)] if bad else theta_init for row in rows])
+    got = model.log_lik(thetas)
+    want = np.array([model.log_lik(theta) for theta in thetas])
+    assert got.shape == (len(thetas),)
+    _same(got, want)
+    for k, row in enumerate(rows):
+        if not isinstance(row, tuple) and bad:
+            assert got[k] == -np.inf
+
+
+def _chosen_candidates(model, center, eta, n_probes, seed, skip):
+    """The bytes of the candidates at the indices `skip` when a per-point
+    probe (_oracles.curvature_probe_per_point) skips exactly those."""
+    p, chosen = model.p, set()
+    rng = np.random.default_rng(seed)
+    for i in range(n_probes):
+        direction = rng.standard_normal(p)
+        direction /= math.sqrt(direction.dot(direction))
+        theta = center + eta * rng.random() ** (1.0 / p) * direction
+        if i in skip:
+            chosen.add(theta.tobytes())
+        else:
+            rng.standard_normal((p, 2 * p))
+    return chosen
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MODELS)), n_probes=st.integers(0, 80),
+       skip=st.sets(st.integers(0, 79)), seed=st.integers(0, 2 ** 16))
+@example(name="glm-gaussian", n_probes=48, skip={0, 15, 16, 31, 47}, seed=0)  # block ends
+@example(name="density", n_probes=80, skip=set(range(16, 32)), seed=1)  # a whole block
+@example(name="darcy", n_probes=37, skip=set(range(5, 30)) | {36}, seed=2)  # a run, and the last
+@example(name="glm-poisson", n_probes=20, skip=set(range(20)), seed=3)  # every point
+@example(name="glm-gaussian-cube", n_probes=50, skip=set(range(0, 50, 3)), seed=4)
+def test_blocked_probe_skips_like_the_per_point_oracle(name, n_probes, skip, seed):
+    # a likelihood that reads -inf at the chosen candidates: the blocked
+    # probe skips exactly those, draws what the per-point loop draws, and
+    # tests at most PROBE_BLOCK + 3 n_probes candidates, since a block holds
+    # at most twice the points the last one kept plus one
+    model, center = _model(name)
+    chosen = _chosen_candidates(model, center, ETA, n_probes, seed, skip)
+    original, tested = model.log_lik, []
+
+    def log_lik(theta):
+        theta = np.asarray(theta)
+        if theta.ndim == 2:
+            tested.append(len(theta))
+            return np.array([log_lik(t) for t in theta])
+        return -math.inf if theta.tobytes() in chosen else original(theta)
+
+    with mock.patch.object(model, "log_lik", log_lik):
+        lam_min, lam_max, skipped = curvature_probe_per_point(model, center, ETA,
+                                                              n_probes, seed)
+        probe = model.curvature_probe(center, ETA, n_probes, seed)
+    assert skipped == probe.skipped == len(skip & set(range(n_probes)))
+    assert max(tested, default=0) <= PROBE_BLOCK
+    assert sum(tested) <= PROBE_BLOCK + 3 * n_probes
+    np.testing.assert_allclose([probe.lambda_min_est, probe.lambda_max_est],
+                               [lam_min, lam_max], rtol=1e-12, atol=0)
