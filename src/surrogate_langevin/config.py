@@ -144,6 +144,12 @@ class ExperimentConfig:
             problems.append("surrogate.eta_value: must be positive when eta_rule = fixed")
         if self.k_override is not None and self.k_override <= 0:
             problems.append("surrogate.k_override: must be positive when given")
+        preset = MODEL_PRESETS.get(self.model_preset)
+        if self.init_mode == "pilot-ascent" and preset is not None and preset.link == "cube":
+            problems.append(
+                "surrogate.init_mode: pilot-ascent starts at theta = 0, where the forward "
+                "value u = 0 is outside the range u > 0 of the cube link of preset "
+                f"{self.model_preset}; use an oracle init")
         if self.init_mode == "oracle-perturbed" and self.init_rho < 0:
             problems.append("surrogate.init_rho: must be nonnegative")
         if self.n_probes < 1:

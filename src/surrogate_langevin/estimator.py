@@ -54,6 +54,9 @@ class LangevinGLMRegressor:
         return self
 
     def fit(self, X, y):
+        if self.link == "cube":
+            raise ValueError("link='cube' cannot be fitted: fit starts pilot ascent at "
+                             "theta = 0, where u = 0 is outside the cube link's range u > 0")
         x = np.ravel(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float)
         n = x.size

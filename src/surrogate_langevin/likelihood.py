@@ -51,6 +51,76 @@ def _density_quadrature():
     return qx, qw
 
 
+def _log_partition(qw, phi_quad):
+    """log of the quadrature sum of exp(phi_quad) with weights qw, shifted
+    by the maximum.  np.maximum.reduce and np.add.reduce are the reductions
+    of ndarray.max and ndarray.sum, without their Python wrappers."""
+    mx = np.maximum.reduce(phi_quad)
+    return mx + np.log(np.add.reduce(qw * np.exp(phi_quad - mx)))
+
+
+def _natural_param(family, link, u, order=2):
+    """natural_param_derivs at u, (b, b', b'') or for order=1 (b, b');
+    outside the link's range (u <= 0 for the cube link)
+    FloatingPointError, so a chain's guard retries or it diverges."""
+    try:
+        return natural_param_derivs(family, link, u, order)
+    except ValueError as exc:
+        raise FloatingPointError(str(exc)) from None
+
+
+def _require_finite_resid(resid):
+    """FloatingPointError unless every entry of the residual is finite; a
+    NaN or inf entry makes resid.resid NaN or inf, so the element-wise test
+    runs only then."""
+    if not math.isfinite(resid.dot(resid)) and not np.isfinite(resid).all():
+        raise FloatingPointError("non-finite likelihood gradient (overflowed natural parameter)")
+
+
+# The bodies of grad_log_lik, one per model kind; ModelInstance binds its own
+# arrays and functions to one of them once, with functools.partial.  None of
+# them refers back to the model, so a model is freed by reference counting.
+
+def _no_data_grad(p, theta):
+    return np.zeros(p)
+
+
+def _density_grad(E_quad, qw, data_sum, n, theta):
+    phi_quad = E_quad.dot(theta)  # ndarray.dot: the gemv of @, less dispatch
+    p_quad = np.exp(phi_quad - _log_partition(qw, phi_quad))
+    return data_sum - n * (qw * p_quad).dot(E_quad)
+
+
+def _linear_grad(E, y, A1, out, theta):
+    """The canonical-link gradient with the LinearPhi design matrix E.  The
+    natural parameter is u + 0.0, which differs from u only at -0.0, where
+    every A' gives the bits it gives at 0.0; the canonical factor b' is
+    exactly 1.0.  Where A' is a ufunc, u, A'(u) and the residual are
+    written into the n-vector `out` in turn (the same bits as fresh arrays),
+    else out is None."""
+    if out is None:
+        resid = y - A1(E.dot(theta))
+    else:
+        resid = np.subtract(y, A1(E.dot(theta, out=out), out=out), out=out)
+    _require_finite_resid(resid)
+    return resid.dot(E)
+
+
+def _forward_grad(forward, x, y, family, link, theta):
+    """The gradient through any forward operator and link."""
+    try:
+        u = forward.values(theta, x)
+    except SolveError as exc:
+        raise FloatingPointError(f"forward solve failed: {exc}") from None
+    if link.kind == "canonical":  # b' is exactly 1.0, as in _linear_grad
+        resid = y - family._A1(u)
+    else:
+        b, q1 = _natural_param(family, link, u, order=1)
+        resid = (y - family._A1(b)) * q1
+    _require_finite_resid(resid)
+    return resid.dot(forward.grad_rows(theta, x))
+
+
 def write_float_csv(path, header, values, index=None):
     """Write `header` and the rows of the 2-D float array `values` as CSV.
 
@@ -141,7 +211,21 @@ class CurvatureReport:
 
 @dataclass
 class ModelInstance:
-    """A likelihood engine binding data, basis, family, link and forward operator."""
+    """A likelihood engine binding data, basis, family, link and forward operator.
+
+    `_grad` is the body of grad_log_lik at a float array theta of shape (p,),
+    unchecked, chosen once per model: no data, density, a LinearPhi GLM with
+    the canonical link, or any other forward operator and link.  It runs
+    under the caller's floating-point error state: grad_log_lik enters
+    np.errstate(over="ignore", invalid="ignore") for one call, and
+    sampler.run_chain for a whole chain, whose drift (the inner region of
+    SurrogateSpec.posterior_grad, or the vanilla drift) calls it directly.
+    Any other direct caller supplies its own.  An overflow leaves a
+    non-finite residual, which raises FloatingPointError, as does a Darcy
+    state that cannot be solved.  Where the family's A' is a ufunc (poisson)
+    the LinearPhi body reuses one n-vector of the model, so a model is not
+    to be shared across threads.
+    """
 
     dataset: Dataset
     basis: BasisFamily
@@ -170,7 +254,20 @@ class ModelInstance:
                 raise ValueError("the forward operator must use the model's basis")
             self._x, self._y = self.dataset.x, self.dataset.y
             self._canonical = self.link.kind == "canonical"
-            self._A1 = self.family._A1  # the family's A', looked up once
+        # the body of grad_log_lik (see the class docstring)
+        if not self._n:
+            self._grad = functools.partial(_no_data_grad, self.p)
+        elif self._density:
+            self._grad = functools.partial(_density_grad, self._E_quad, self._qw,
+                                           self._grad_data_const, self._n)
+        elif self._canonical and isinstance(self.forward, LinearPhi):
+            A1 = self.family._A1
+            out = np.empty(self._n) if isinstance(A1, np.ufunc) else None
+            self._grad = functools.partial(_linear_grad, self.forward._design(self._x),
+                                           self._y, A1, out)
+        else:
+            self._grad = functools.partial(_forward_grad, self.forward, self._x, self._y,
+                                           self.family, self.link)
 
     @property
     def p(self) -> int:
@@ -187,8 +284,7 @@ class ModelInstance:
     # -- density internals ---------------------------------------------------
 
     def _log_partition(self, phi_quad):
-        mx = phi_quad.max()
-        return mx + np.log((self._qw * np.exp(phi_quad - mx)).sum())
+        return _log_partition(self._qw, phi_quad)
 
     # -- public likelihood surface -------------------------------------------
 
@@ -231,18 +327,23 @@ class ModelInstance:
             mx = phi_quad.max(axis=1)
             log_z = mx + np.log((self._qw * np.exp(phi_quad - mx[:, None])).sum(axis=1))
             return data - self._n * log_z
+        # a row with a value outside the cube link's range (u <= 0) reads
+        # -inf; the rest are one block
         try:
             u = self.forward.values(thetas, self._x)
-            b = natural_param(self.family, self.link, u)
+            inside = slice(None) if self._canonical else ~(u <= 0).any(axis=1)
+            b = natural_param(self.family, self.link, u[inside])
         except ValueError:
-            # a row outside the link's range, or a block whose Darcy solve
-            # fails (SolveError is a ValueError): each row reads what its own
-            # point reads, and any other error is raised there again
+            # a block whose Darcy solve fails (SolveError is a ValueError), or
+            # a mean outside the family's range (bernoulli with the cube
+            # link): each row reads what its own point reads
             return np.array([self.log_lik(t) for t in thetas])
+        out = np.full(len(thetas), -np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self._y * b - self.family.A(b)
         total = terms.sum(axis=1)
-        return np.where(np.isfinite(total), total, -np.inf)
+        out[inside] = np.where(np.isfinite(total), total, -np.inf)
+        return out
 
     def grad_log_lik(self, theta) -> np.ndarray:
         """grad l_n(theta); FloatingPointError where the natural parameter
@@ -250,42 +351,6 @@ class ModelInstance:
         theta = self._check(theta)
         with np.errstate(over="ignore", invalid="ignore"):
             return self._grad(theta)
-
-    def _grad(self, theta) -> np.ndarray:
-        """The body of grad_log_lik at a float array theta of shape (p,),
-        unchecked.
-
-        It runs under the caller's floating-point error state: grad_log_lik
-        enters np.errstate(over="ignore", invalid="ignore") for one call, and
-        sampler.run_chain for a whole chain, whose drift (the inner region of
-        SurrogateSpec.posterior_grad, or the vanilla drift) calls this
-        directly.  Any other direct caller supplies its own.  An overflow
-        leaves a non-finite residual, which raises FloatingPointError, as
-        does a Darcy state that cannot be solved.
-        """
-        if self._n == 0:
-            return np.zeros(self.p)
-        if self._density:
-            phi_quad = self._E_quad.dot(theta)
-            p_quad = np.exp(phi_quad - self._log_partition(phi_quad))
-            return self._grad_data_const - self._n * (self._qw * p_quad).dot(self._E_quad)
-        x = self._x
-        try:
-            u = self.forward.values(theta, x)
-        except SolveError as exc:
-            raise FloatingPointError(f"forward solve failed: {exc}") from None
-        if self._canonical:
-            # the natural parameter is u + 0.0, which differs from u only at
-            # -0.0, where every A' gives the bits it gives at 0.0; the
-            # canonical factor b' is exactly 1.0
-            resid = self._y - self._A1(u)
-        else:
-            b, q1 = self._natural_param(u, order=1)
-            resid = (self._y - self._A1(b)) * q1
-        # a NaN or inf entry makes resid.resid NaN or inf (see sampler._step)
-        if not math.isfinite(resid.dot(resid)) and not np.isfinite(resid).all():
-            raise FloatingPointError("non-finite likelihood gradient (overflowed natural parameter)")
-        return resid.dot(self.forward.grad_rows(theta, x))
 
     def hess_dir(self, theta, v) -> float:
         """Directional second derivative v' hess l_n(theta) v: the public
@@ -329,7 +394,7 @@ class ModelInstance:
             H = -self._n * ((Ec.transpose(0, 2, 1) * w[:, None, :]) @ Ec)
         else:
             u, G, contract = self.forward.hess_terms(thetas, self._x)
-            b, q1, q2 = self._natural_param(u)
+            b, q1, q2 = _natural_param(self.family, self.link, u)
             with np.errstate(over="ignore", invalid="ignore"):
                 r = self._y - self.family.A1(b)
                 s = r * q1
@@ -416,15 +481,6 @@ class ModelInstance:
         grad_norm = math.sqrt(g.dot(g))
         return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta,
                                n_probes - len(draws))
-
-    def _natural_param(self, u, order=2):
-        """natural_param_derivs at u, (b, b', b'') or for order=1 (b, b');
-        outside the link's range (u <= 0 for the cube link)
-        FloatingPointError, so a chain's guard retries or it diverges."""
-        try:
-            return natural_param_derivs(self.family, self.link, u, order)
-        except ValueError as exc:
-            raise FloatingPointError(str(exc)) from None
 
     def _check(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

@@ -71,20 +71,24 @@ class ChainTrace:
 
 def ula_step(drift, state, gamma, noise):
     """One Euler step: state + gamma * drift(state) + sqrt(2 gamma) * noise."""
-    return _step(drift, state, gamma, math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float))
+    return _step(drift, state, gamma, math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float))[0]
 
 
 def _step(drift, state, gamma, scaled_noise):
-    """state + gamma * drift(state) + scaled_noise, the one ULA step formula;
-    raises FloatingPointError for a drift with a NaN or infinite entry."""
+    """(new, new.new) for new = state + gamma * drift(state) + scaled_noise,
+    the one ULA step formula; raises FloatingPointError for a drift with a
+    NaN or infinite entry."""
     d = drift(state)
     if type(d) is not np.ndarray:  # a list, say
         d = np.asarray(d, dtype=float)
-    # A NaN or infinite entry makes d.d NaN or inf, so the element-wise test
-    # runs only then (a finite d whose squares overflow gets there and passes).
-    if not math.isfinite(d.dot(d)) and not np.isfinite(d).all():
+    new = state + gamma * d + scaled_noise
+    sq = new.dot(new)
+    # gamma > 0, so a NaN or infinite drift entry leaves one in new and makes
+    # sq NaN or inf: the drift is tested element-wise only then (a finite
+    # drift or state whose squares overflow gets there and passes).
+    if not math.isfinite(sq) and not np.isfinite(d).all():
         raise FloatingPointError("non-finite drift")
-    return state + gamma * d + scaled_noise
+    return new, sq
 
 
 def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
@@ -134,7 +138,7 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
             block *= noise_scale  # the same bits as noise_scale * noise, step by step
             for i, noise in enumerate(block):
                 try:
-                    new = _step(drift, theta, gamma, noise)
+                    theta, sq = _step(drift, theta, gamma, noise)
                 except FloatingPointError:
                     if not reflect:
                         raise ChainDivergedError(lo + i + 1, theta) from None
@@ -144,11 +148,9 @@ def run_chain(drift, theta_init, config: SamplerConfig, functionals=None,
                         theta = theta * (radius / r)
                     guard_count += 1
                     try:
-                        new = _step(drift, theta, gamma, noise)
+                        theta, sq = _step(drift, theta, gamma, noise)
                     except FloatingPointError:
                         raise ChainDivergedError(lo + i + 1, theta) from None
-                theta = new
-                sq = theta.dot(theta)
                 if reflect:
                     r = _norm(theta, sq)
                     if r > radius:

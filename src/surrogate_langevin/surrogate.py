@@ -257,21 +257,26 @@ class SurrogateSpec:
         """The Langevin drift: grad lt + grad log prior, counted in
         `drift_calls` by its region.
 
-        The inner region calls the likelihood gradient's body
-        ModelInstance._grad, which runs under the caller's floating-point
-        error state: run_chain holds np.errstate(over="ignore",
-        invalid="ignore") for the whole chain, and a direct caller supplies
-        its own, or numpy warns of an overflow before FloatingPointError.
+        The region rule is _region's, applied inline.  The inner region calls
+        the likelihood gradient's body self.model._grad, looked up at each
+        call, which runs under the caller's floating-point error state:
+        run_chain holds np.errstate(over="ignore", invalid="ignore") for the
+        whole chain, and a direct caller supplies its own, or numpy warns of
+        an overflow before FloatingPointError.  The far field is
+        -K v_eta'(t) (diff / t), as in _region_grad.
         """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self.theta_init.shape:
             raise ValueError(f"theta must have length p={self.model.p}, got shape {theta.shape}")
         diff = theta - self.theta_init
         t = math.sqrt(diff.dot(diff))
-        region = self._region(t)
-        self.drift_calls[region] += 1
-        if region == "inner":
+        if t <= self._inner_edge:
+            self.drift_calls["inner"] += 1
             g = self.model._grad(theta)
+        elif t / self.eta >= 0.875:
+            self.drift_calls["far"] += 1
+            g = -self.K * self.penalty.deriv(t) * (diff / t)
         else:
-            g = self._region_grad(region, theta, diff, t)
+            self.drift_calls["annulus"] += 1
+            g = self._region_grad("annulus", theta, diff, t)
         return g + self.prior.grad_diag * theta

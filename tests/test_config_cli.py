@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import logging
 import re
 import tempfile
 import warnings
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 from _oracles import AWKWARD_FLOATS, report_row_hand_written
 from surrogate_langevin import experiment, forward
 from surrogate_langevin.cli import main
-from surrogate_langevin.config import (ConfigValidationError, ExperimentConfig,
-                                       load_config)
+from surrogate_langevin.config import (MODEL_PRESETS, ConfigValidationError,
+                                       ExperimentConfig, load_config)
 from surrogate_langevin.experiment import build_model, resolve_cell, run_cell, run_experiment
 from surrogate_langevin.initializers import pilot_ascent_init
 from surrogate_langevin.likelihood import CSV_BLOCK_ROWS
@@ -688,6 +690,51 @@ def test_cube_link_cell_skips_probe_points_outside_the_link_range():
     assert resolved["probe_skipped"] == surrogate.probe.skipped > 0
     cell = run_cell(cfg, 300, 0)
     assert cell.status == "ok", cell.message
+
+
+@pytest.mark.parametrize("preset, init_mode", [
+    ("glm-poisson", "oracle-projection"), ("glm-gaussian", "oracle-perturbed"),
+    ("density", "pilot-ascent"), ("darcy-1d", "pilot-ascent")])
+def test_a_finished_cell_is_freed_by_reference_counting(preset, init_mode):
+    # no reference cycle holds a cell's model or surrogate (and the arrays they
+    # bind): with the cyclic collector off, both are gone when run_cell returns
+    refs = []
+    resolve = experiment.resolve_cell
+
+    def recording(cfg, model, theta0, seed):
+        out = resolve(cfg, model, theta0, seed)
+        refs.extend([weakref.ref(model), weakref.ref(out[0])])
+        return out
+
+    cfg = ExperimentConfig(model_preset=preset, init_mode=init_mode, j_in_rule="fixed",
+                           j_in_value=10, j=200, n_probes=20, darcy_mesh=32,
+                           diagnostics=["condition-numbers"]).validate()
+    gc.collect()
+    gc.disable()
+    try:
+        with mock.patch.object(experiment, "resolve_cell", recording):
+            cell = run_cell(cfg, 100, 0)
+        assert cell.status == "ok", cell.message
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("preset", sorted(MODEL_PRESETS))
+def test_pilot_ascent_rejected_for_the_cube_link_only(preset):
+    # pilot ascent starts at theta = 0, where u = 0 is outside the cube
+    # link's range u > 0: every such cell would fail
+    cfg = ExperimentConfig(model_preset=preset, init_mode="pilot-ascent")
+    if MODEL_PRESETS[preset].link != "cube":
+        cfg.validate()
+        return
+    with pytest.raises(ConfigValidationError) as info:
+        cfg.validate()
+    assert len(info.value.problems) == 1
+    assert info.value.problems[0].startswith("surrogate.init_mode: pilot-ascent starts at "
+                                             "theta = 0")
+    assert "cube link" in info.value.problems[0]
+    ExperimentConfig(model_preset=preset, init_mode="oracle-perturbed").validate()
 
 
 @pytest.mark.parametrize("guard", ["none", "reflect"])

@@ -1,8 +1,10 @@
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from surrogate_langevin import estimator
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.config import ConfigValidationError
 from surrogate_langevin.estimator import LangevinGLMRegressor
@@ -45,6 +47,20 @@ def test_fit_rejects_step_above_bound():
     x, y, _, _ = make_data(n=50, p=2)
     with pytest.raises(ConfigValidationError):
         LangevinGLMRegressor(p=2, gamma_fraction=1.5).fit(x, y)
+
+
+def test_fit_rejects_the_cube_link_before_any_work():
+    # fit starts pilot ascent at theta = 0, where u = 0 is outside the cube
+    # link's range: it must say so before building a config, data or model
+    x, y, _, _ = make_data(n=50, p=2)
+    with mock.patch.object(estimator, "ExperimentConfig", side_effect=AssertionError), \
+            mock.patch.object(estimator, "ModelInstance", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="cube"):
+            LangevinGLMRegressor(p=2, link="cube").fit(x, y)
+    est = LangevinGLMRegressor(p=2, link="cube")
+    with pytest.raises(ValueError, match="u > 0"):
+        est.fit(x, y)
+    assert not hasattr(est, "model_")
 
 
 def test_predict_before_fit_raises():

@@ -606,6 +606,20 @@ def test_cube_link_outside_its_range_raises_floating_point_error():
         cube.hess_dir(theta, np.ones(3))
 
 
+def test_cube_block_reads_out_of_range_rows_without_a_row_by_row_pass():
+    # rows with some u <= 0 read -inf and the others are one block, with the
+    # bits each row gets alone; log_lik is not called again row by row
+    cube, theta0 = glm_model(family="gaussian", link="cube", theta0=np.array([2.0, 0.3, 0.1]))
+    block = theta0 + np.array([[0.0, 0.0, 0.0], [-4.0, 0.0, 0.0], [0.1, -0.2, 0.05],
+                               [-2.0, 0.0, 0.0], [0.2, 0.1, 0.0]])
+    want = [cube.log_lik(t) for t in block]
+    assert np.isinf(want[1]) and np.isinf(want[3]) and np.isfinite(want).sum() == 3
+    with mock.patch.object(cube, "log_lik", wraps=cube.log_lik) as log_lik:
+        got = cube.log_lik(block)
+    assert log_lik.call_count == 1
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_grad_log_lik_sets_its_own_error_state():
     # exp(900) overflows: a direct call raises without a numpy warning, as the
     # body does under run_chain's error state

@@ -1,17 +1,18 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (cutoff_deriv_masked, cutoff_masked, penalty_quadrature,
-                      penalty_quadrature_deriv)
+                      penalty_quadrature_deriv, posterior_grad_composed)
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.config import MODEL_PRESETS
 from surrogate_langevin.expfam import ExpFamily, LinkFunction
-from surrogate_langevin.forward import LinearPhi
+from surrogate_langevin.forward import Darcy1D, LinearPhi
 from surrogate_langevin.likelihood import CurvatureReport, ModelInstance, generate_data
 from surrogate_langevin.prior import SievePrior
 from surrogate_langevin.surrogate import (CUTOFF_C2_NORM, ConfigurationError,
@@ -246,7 +247,7 @@ def test_constants_are_built_once(monkeypatch):
     # after one warm-up build, neither a density model nor a surrogate (at any
     # eta) computes Gauss-Legendre nodes again
     basis = BasisFamily("cosine-centered", 3)
-    theta0 = np.array([0.3, -0.2, 0.1])
+    theta0 = np.array([0.3, -0.2, 0.0])
 
     def density_model(seed):
         ds = generate_data(basis, theta0, 50, seed, kind="density")
@@ -511,3 +512,67 @@ def test_penalty_shell_keeps_the_quadrature_bits(eta, ratio):
         penalty_quadrature(eta, t)).tobytes()
     assert np.float64(penalty.deriv(t)).tobytes() == np.float64(
         penalty_quadrature_deriv(eta, t)).tobytes()
+
+
+# -- the drift at the region edges ----------------------------------------------
+
+@functools.cache
+def _edge_model(name):
+    """A small model of each kind and its theta_init."""
+    if name == "density":
+        basis, theta = BasisFamily("cosine-centered", 3), np.array([0.3, -0.2, 0.0])
+        return ModelInstance(generate_data(basis, theta, 60, 1, kind="density"),
+                             basis, None, None, None), theta
+    basis_kind, family, link, theta = {
+        "glm-poisson": ("cosine-with-constant", "poisson", "canonical", [0.4, -0.3, 0.0]),
+        "glm-gaussian-cube": ("cosine-with-constant", "gaussian", "cube", [2.0, 0.2, 0.0]),
+        "darcy": ("dirichlet-sine", "gaussian", "canonical", [0.2, 0.1, 0.0]),
+    }[name]
+    basis, theta = BasisFamily(basis_kind, 3), np.array(theta)
+    fam, lk = ExpFamily(family), LinkFunction(link)
+    op = Darcy1D(basis, M=32) if name == "darcy" else LinearPhi(basis)
+    ds = generate_data(basis, theta, 60, 1, family=fam, link=lk, forward=op)
+    return ModelInstance(ds, basis, fam, lk, op), theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["density", "glm-poisson", "glm-gaussian-cube", "darcy"]),
+       eta=st.floats(0.05, 1.0), edge=st.sampled_from([0.5, 0.875]),
+       ulps=st.integers(-4, 4),
+       direction=st.none() | st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+           lambda u: np.linalg.norm(u) > 1e-3))
+@example(name="glm-poisson", eta=0.7354630307237434, edge=0.875, ulps=0, direction=None)
+@example(name="darcy", eta=0.2606070829593833, edge=0.875, ulps=-1, direction=None)
+def test_drift_at_the_region_edges_keeps_the_region_rule_and_bits(name, eta, edge, ulps,
+                                                                  direction):
+    # t within a few ulps of eta/2 and 7 eta/8: posterior_grad counts the call
+    # in the region _region names, and gives the bits of the composed drift
+    # (or its FloatingPointError).  direction None moves only the last
+    # coordinate, whose theta_init entry is 0.0, so t is exactly the radius.
+    # In the two examples t >= 7 eta/8 and t / eta >= 7/8 disagree.
+    model, theta_init = _edge_model(name)
+    probe = CurvatureReport(1.0, 2.0, 0.0, 1, theta_init, eta)
+    spec = SurrogateSpec(model, SievePrior(1.0, model.n, 3), theta_init, eta, 30.0, probe)
+    radius = edge * eta
+    for _ in range(abs(ulps)):
+        radius = math.nextafter(radius, math.copysign(math.inf, ulps))
+    if direction is None:
+        theta = theta_init.copy()
+        theta[-1] = radius
+    else:
+        u = np.array(direction)
+        theta = theta_init + (radius / np.linalg.norm(u)) * u
+    diff = theta - theta_init
+    t = math.sqrt(diff.dot(diff))
+    if direction is None:
+        assert t == radius
+    region = spec._region(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = posterior_grad_composed(spec, theta)
+        except FloatingPointError:
+            with pytest.raises(FloatingPointError):
+                spec.posterior_grad(theta)
+        else:
+            assert spec.posterior_grad(theta).tobytes() == want.tobytes()
+    assert spec.drift_calls == {**dict.fromkeys(spec.drift_calls, 0), region: 1}
