@@ -1,6 +1,6 @@
 """Forward operators: the linear series map and a 1-D Darcy-type elliptic solver.
 
-Both operators serve one protocol, and it is all `ModelInstance` uses:
+Both operators serve one protocol:
 
     values(theta, x)         G(theta) at the points x,        shape (len(x),)
     grad_rows(theta, x)      rows d G(theta)(x_i) / d theta,  shape (len(x), p)
@@ -11,19 +11,23 @@ Both operators serve one protocol, and it is all `ModelInstance` uses:
                              function contract(s) = sum_i s_bi hess G(theta_b)(x_i)
                              of weights s (B, len(x)), shape (B, p, p)
 
-values also takes a (B, p) block of points and gives G at each row,
-shape (B, len(x)), each row with the bits of its point alone.  A direction v
-is either one vector of shape (p,), giving results of shape (len(x),), or a
-block of k directions as the columns of a (p, k) array, giving results of
-shape (len(x), k).  Each operator memoizes the work it can reuse across
-calls: `LinearPhi` its design matrix at x, `Darcy1D` its interpolation
-weights at x and its solution and factorization at the last point and,
-apart, at the last block, keyed on the block's shape and bytes.  So the
-Hessians of a block whose likelihood was just evaluated (`hess_terms` at the
-same block) solve no state again.  `Darcy1D` counts the states it solves in
-`states_solved` (a block of B counts B), and raises `SolveError` where a
-state cannot be solved.  `LinearPhi.hess_terms` gives the design matrix as
-the grad rows of every point and a zero contraction.
+`ModelInstance` calls values, grad_rows and hess_terms; dir_grad and dir_hess
+are the general-direction forms, for tests and benchmarks.  values also takes
+a (B, p) block of points and gives G at each row as a C-ordered (B, len(x))
+array, each row with the bits of its point alone.  A direction v is either
+one vector of shape (p,), giving results of shape (len(x),), or a block of k
+directions as the columns of a (p, k) array, giving results of shape
+(len(x), k).  Each memo is keyed on the bytes of its input: `LinearPhi`'s
+design matrix at x, and `Darcy1D`'s interpolation weights at x and states.
+`Darcy1D` treats a point as a one-row block: a state is (M+2, B) node
+columns and their block factor, kept in two slots, one point and several
+points.  So a point and its one-row block share a state, a block leaves the
+last point solved, and the Hessians of a block whose likelihood was just
+evaluated solve no state again; a tangent is solved on each call.  `Darcy1D`
+counts the states it solves in `states_solved` (a block of B counts B), and
+raises `SolveError` where a state cannot be solved.  `LinearPhi.hess_terms`
+gives the design matrix as the grad rows of every point and a zero
+contraction.
 
 The Darcy operator maps coefficients theta to the solution u of the
 conservative boundary value problem  (f u')' = g1 on (0,1), u = g2 on {0,1},
@@ -180,21 +184,14 @@ class LinearPhi:
     """The linear forward operator G(theta) = Phi(theta)."""
 
     basis: BasisFamily
-    _memo_x = None  # not dataclass fields: set per instance by _design
-    _memo_key = None
+    _memo_key = None  # not dataclass fields: set per instance by _design
     _memo = None
 
     def _design(self, x):
-        """Design matrix at x, memoized.  A read-only array that owns its data
-        (Dataset.x) cannot change, so it is matched by identity; any other x
-        is matched on its bytes."""
-        if x is self._memo_x:
-            return self._memo
+        """Design matrix at x, memoized on the bytes of x."""
         key = np.asarray(x, dtype=float).tobytes()
         if self._memo_key != key:
             self._memo_key, self._memo = key, self.basis.design_matrix(x)
-        frozen = type(x) is np.ndarray and not x.flags.writeable and x.base is None
-        self._memo_x = x if frozen else None
         return self._memo
 
     def values(self, theta, x):
@@ -238,13 +235,9 @@ class Darcy1D:
         self._g1_int = np.full(self.M, float(self.g1))
         self._dgrid = np.diff(self._grid)[:, None]
         self._E_grid = self.basis.design_matrix(self._grid)
-        self._memo_key = None
-        self._memo = None
-        self._block_key = None
-        self._block_memo = None
+        self._state_keys = [None, None]  # slots: one point, several points
+        self._states = [None, None]
         self.states_solved = 0
-        self._tangent_key = None
-        self._tangent_memo = None
         self._x_key = None
         self._x_memo = None
 
@@ -257,37 +250,35 @@ class Darcy1D:
         return self.f_min + np.exp(phi)
 
     def _state(self, theta):
-        """Solution, exp(Phi) and operator factorization at theta of shape
-        (p,), or at a (B, p) block, memoized on the last point and, apart,
-        on the last block: a block's key is its shape and bytes, since a
-        (1, p) block and its point share bytes but not result shapes."""
+        """(u, exp(Phi), cb) at each row of theta, a point (p,) being a
+        one-row block: (M+2, B) node columns and their block factor.  Kept
+        in two slots, one point and several points, each keyed on the bytes
+        of theta (p is fixed, so the bytes fix B)."""
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            key = theta.tobytes()
-            if self._memo_key != key:
-                self._memo_key, self._memo = key, self._solve_at(theta)
-            return self._memo
-        key = (theta.shape, theta.tobytes())
-        if self._block_key != key:
-            self._block_key, self._block_memo = key, self._solve_at(theta)
-        return self._block_memo
+        p = self.basis.p
+        if theta.ndim not in (1, 2) or theta.shape[-1] != p:
+            raise ValueError(f"theta must have shape ({p},) or (B, {p}), got {theta.shape}")
+        thetas, key = theta.reshape(-1, p), theta.tobytes()
+        slot = int(len(thetas) > 1)
+        if self._state_keys[slot] != key:
+            self._state_keys[slot], self._states[slot] = key, self._solve_at(thetas)
+        return self._states[slot]
 
-    def _solve_at(self, theta):
-        """(u, exp(Phi), cb) at theta of shape (p,), or at each row of a
-        (B, p) block as (M+2, B) node columns and their block factor.  A
-        block's Phi is formed column by column with the product one point
-        uses, so each column has the bits of its point alone.  Adds the
-        number of states to states_solved, whether or not the solve succeeds;
-        a conductivity that overflows or an operator whose factorization
-        fails raises SolveError."""
-        E = self._E_grid
-        phi = E @ theta if theta.ndim == 1 else np.stack([E @ t for t in theta], axis=1)
-        self.states_solved += 1 if theta.ndim == 1 else len(theta)
+    def _solve_at(self, thetas):
+        """(u, exp(Phi), cb) at each row of the (B, p) array thetas.  Phi is
+        formed row by row with the product one point uses, so each column has
+        the bits of its point alone.  Adds B to states_solved, whether or not
+        the solve succeeds; a conductivity that overflows or an operator
+        whose factorization fails raises SolveError."""
+        phi = np.empty((len(thetas), self.M + 2))
+        for t, row in zip(thetas, phi):
+            self._E_grid.dot(t, out=row)  # the gemv of E @ t, into its row
+        self.states_solved += len(thetas)
         try:
             # an overflow leaves a non-finite conductivity or band, which the
             # finiteness tests report
             with np.errstate(over="ignore"):
-                exp_phi = np.exp(phi)
+                exp_phi = np.exp(phi).T  # (M+2, B) node columns
                 f = self.f_min + exp_phi
                 _require_finite(f, "conductivity overflow; theta too large")
                 u, cb = _solve_dirichlet(f, self._g1_int, self.g2)
@@ -296,32 +287,25 @@ class Darcy1D:
         return u, exp_phi, cb
 
     def solution(self, theta) -> np.ndarray:
-        return self._state(theta)[0]
+        """u at a point (M+2,), or one C-ordered row per point of a block."""
+        u = self._state(theta)[0]
+        return u[:, 0] if np.ndim(theta) == 1 else u.T
 
     def residual_inf_norm(self, theta) -> float:
-        u, _, _ = self._state(theta)
         f = self.conductivity(theta)
-        return float(np.max(np.abs(_apply_operator(f, u) - self._g1_int)))
+        return float(np.max(np.abs(_apply_operator(f, self.solution(theta)) - self._g1_int)))
 
     def values(self, theta, x):
-        u = self.solution(theta)
-        return self._at(x, u[:, None])[:, 0] if u.ndim == 1 else self._at(x, u).T
+        out = self._at(x, self._state(theta)[0])
+        return out[:, 0] if np.ndim(theta) == 1 else np.ascontiguousarray(out.T)
 
     def _tangent(self, theta, v):
-        """State at theta, Phi(v) and f_v on the grid, and the tangent
-        w = (-L_f)^{-1} L_{f_v} u, one column per direction.  Memoized on the
-        last (theta, v), so dir_hess reuses the solve dir_grad made."""
+        """State at the point theta, Phi(v) and f_v on the grid, and the
+        tangent w = (-L_f)^{-1} L_{f_v} u, one column per direction."""
         u, exp_phi, cb = self._state(theta)
-        v = np.asarray(v, dtype=float)
-        key = self._memo_key + v.tobytes()
-        if self._tangent_key != key:
-            u, exp_phi = u[:, None], exp_phi[:, None]
-            phiv = self._E_grid @ v.reshape(self.basis.p, -1)
-            fv = exp_phi * phiv
-            w = self._solve(cb, _apply_operator(fv, u))
-            self._tangent_key = key
-            self._tangent_memo = u, exp_phi, cb, phiv, fv, w
-        return self._tangent_memo
+        phiv = self._E_grid @ np.asarray(v, dtype=float).reshape(self.basis.p, -1)
+        fv = exp_phi * phiv
+        return u, exp_phi, cb, phiv, fv, self._solve(cb, _apply_operator(fv, u))
 
     @staticmethod
     def _solve(cb, rhs):
@@ -399,8 +383,8 @@ class Darcy1D:
         """The protocol's hess_terms (module docstring).  The B states, the
         p tangents w_k of each point and the adjoint columns mu_b =
         (-L_f)^{-1} P' s_b are three solves on one block factor; the states
-        and factor are the memoized ones of the same point or block, so a
-        block whose values were just taken solves no state again.  contract is mu' z_kl with
+        and factor are the memoized ones, so a block whose values were just
+        taken solves no state again.  contract is mu' z_kl with
         z_kl = L_{f_k} w_l + L_{f_l} w_k + L_{f_kl} u, each term summed by
         parts: mu is zero at both ends, so mu' L_c w = -h^{-2} sum over faces
         of c Dw Dmu (D the difference across a face, c the face average).
@@ -408,8 +392,7 @@ class Darcy1D:
         thetas = np.asarray(thetas, dtype=float)
         B, p = thetas.shape
         M, E = self.M, self._E_grid
-        u, exp_phi, cb = self._state(thetas[0] if B == 1 else thetas)
-        u, exp_phi = u.reshape(M + 2, B), exp_phi.reshape(M + 2, B)
+        u, exp_phi, cb = self._state(thetas)
         fk = exp_phi[:, :, None] * E[:, None, :]  # f_k of each point, (M+2, B, p)
         w = self._solve(cb, _apply_operator(fk, u[:, :, None]))  # tangents w_k
         grad = self._at(x, w.reshape(M + 2, B * p)).reshape(-1, B, p).transpose(1, 0, 2)
@@ -429,4 +412,4 @@ class Darcy1D:
             S = (E.T * (0.5 * exp_phi * node_q).T[:, None, :]) @ E
             return -(M + 1) ** 2 * (T + T.transpose(0, 2, 1) + S)
 
-        return self._at(x, u).T, grad, contract
+        return self.values(thetas, x), grad, contract

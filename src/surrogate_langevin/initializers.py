@@ -32,8 +32,7 @@ def oracle_perturbed_init(theta0: np.ndarray, p: int, rho: float, eta: float,
     return oracle_projection_init(theta0, p) + radius * direction
 
 
-def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None,
-                      theta_star=None, eta: float = None):
+def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None):
     """Backtracking gradient ascent on log-likelihood + log prior from zero.
 
     Each distinct point is evaluated once: the objective is looked up by the
@@ -44,9 +43,7 @@ def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None,
     Returns (theta, info) where info reports the final objective and gradient
     norm, the distinct objective evaluations (objective_evals), the gradient
     evaluations (gradient_evals), the step at which theta last changed
-    (last_move, 0 if it never did), and — when the truth projection and
-    locality radius are supplied — the ratio ||theta - theta_star|| / eta for
-    checking the <= 1/8 initialization contract.
+    (last_move, 0 if it never did).
     """
     p = model.basis.p
     theta = np.zeros(p)
@@ -91,7 +88,4 @@ def pilot_ascent_init(model, prior, steps: int = 500, rate: float = None,
     info = {"objective": float(obj), "grad_norm": gnorm,
             "objective_evals": len(values), "gradient_evals": gradient_evals,
             "last_move": last_move}
-    if theta_star is not None and eta is not None:
-        d = theta - np.asarray(theta_star)
-        info["distance_over_eta"] = math.sqrt(d.dot(d)) / eta
     return theta, info

@@ -106,19 +106,29 @@ def _linear_grad(E, y, A1, out, theta):
     return resid.dot(E)
 
 
-def _forward_grad(forward, x, y, family, link, theta):
-    """The gradient through any forward operator and link."""
-    try:
-        u = forward.values(theta, x)
-    except SolveError as exc:
-        raise FloatingPointError(f"forward solve failed: {exc}") from None
+def _link_resid(y, family, link, u):
+    """The residual (y - A'(b)) b' at the forward values u."""
     if link.kind == "canonical":  # b' is exactly 1.0, as in _linear_grad
         resid = y - family._A1(u)
     else:
         b, q1 = _natural_param(family, link, u, order=1)
         resid = (y - family._A1(b)) * q1
     _require_finite_resid(resid)
-    return resid.dot(forward.grad_rows(theta, x))
+    return resid
+
+
+def _linear_link_grad(E, y, family, link, theta):
+    """_forward_grad of a LinearPhi model, with its design matrix E bound."""
+    return _link_resid(y, family, link, E.dot(theta)).dot(E)
+
+
+def _forward_grad(forward, x, y, family, link, theta):
+    """The gradient through any forward operator and link."""
+    try:
+        u = forward.values(theta, x)
+    except SolveError as exc:
+        raise FloatingPointError(f"forward solve failed: {exc}") from None
+    return _link_resid(y, family, link, u).dot(forward.grad_rows(theta, x))
 
 
 def write_float_csv(path, header, values, index=None):
@@ -155,7 +165,7 @@ class Dataset:
     def __post_init__(self):
         if self.kind not in ("regression", "density"):
             raise ValueError(f"unknown data kind {self.kind!r}")
-        # a read-only copy: the forward operators may memoize on it by identity
+        # a read-only copy, so that a model's bound design matrix cannot go stale
         self.x = np.array(self.x, dtype=float)
         self.x.flags.writeable = False
         if self.x.shape != (self.n,):
@@ -214,17 +224,17 @@ class ModelInstance:
     """A likelihood engine binding data, basis, family, link and forward operator.
 
     `_grad` is the body of grad_log_lik at a float array theta of shape (p,),
-    unchecked, chosen once per model: no data, density, a LinearPhi GLM with
-    the canonical link, or any other forward operator and link.  It runs
-    under the caller's floating-point error state: grad_log_lik enters
-    np.errstate(over="ignore", invalid="ignore") for one call, and
-    sampler.run_chain for a whole chain, whose drift (the inner region of
-    SurrogateSpec.posterior_grad, or the vanilla drift) calls it directly.
-    Any other direct caller supplies its own.  An overflow leaves a
-    non-finite residual, which raises FloatingPointError, as does a Darcy
-    state that cannot be solved.  Where the family's A' is a ufunc (poisson)
-    the LinearPhi body reuses one n-vector of the model, so a model is not
-    to be shared across threads.
+    unchecked, chosen once per model: no data, density, a LinearPhi GLM
+    that keeps its design matrix (canonical or other link), or any other
+    forward operator.  It runs under the caller's floating-point error
+    state: grad_log_lik enters np.errstate(over="ignore", invalid="ignore")
+    for one call, and sampler.run_chain for a whole chain, whose drift (the
+    inner region of SurrogateSpec.posterior_grad, or the vanilla drift)
+    calls it directly.  Any other direct caller supplies its own.  An
+    overflow leaves a non-finite residual, which raises FloatingPointError,
+    as does a Darcy state that cannot be solved.  Where the family's A' is
+    a ufunc (poisson) the canonical LinearPhi body reuses one n-vector of
+    the model, so a model is not to be shared across threads.
     """
 
     dataset: Dataset
@@ -265,6 +275,9 @@ class ModelInstance:
             out = np.empty(self._n) if isinstance(A1, np.ufunc) else None
             self._grad = functools.partial(_linear_grad, self.forward._design(self._x),
                                            self._y, A1, out)
+        elif isinstance(self.forward, LinearPhi):
+            self._grad = functools.partial(_linear_link_grad, self.forward._design(self._x),
+                                           self._y, self.family, self.link)
         else:
             self._grad = functools.partial(_forward_grad, self.forward, self._x, self._y,
                                            self.family, self.link)
@@ -281,11 +294,6 @@ class ModelInstance:
     def kind(self) -> str:
         return self.dataset.kind
 
-    # -- density internals ---------------------------------------------------
-
-    def _log_partition(self, phi_quad):
-        return _log_partition(self._qw, phi_quad)
-
     # -- public likelihood surface -------------------------------------------
 
     def log_lik(self, theta):
@@ -300,8 +308,8 @@ class ModelInstance:
         if self._n == 0:
             return 0.0
         if self._density:
-            phi_quad = self._E_quad.dot(theta)  # ndarray.dot: the gemv of @, less dispatch
-            return float(self._E_data.dot(theta).sum() - self._n * self._log_partition(phi_quad))
+            log_z = _log_partition(self._qw, self._E_quad.dot(theta))  # ndarray.dot: gemv
+            return float(self._E_data.dot(theta).sum() - self._n * log_z)
         try:
             u = self.forward.values(theta, self._x)
         except SolveError:  # no Darcy state there: zero likelihood
@@ -360,14 +368,10 @@ class ModelInstance:
     def hess_dir_many(self, theta, V) -> np.ndarray:
         """v' hess l_n(theta) v for every column v of the (p, k) array V."""
         V = np.asarray(V, dtype=float)
-        vals = ((self.hess_matrix(theta) @ V) * V).sum(axis=0)
+        vals = ((self.hessians(self._check(theta)[None])[0] @ V) * V).sum(axis=0)
         if not np.isfinite(vals).all():
             raise FloatingPointError("non-finite directional Hessian")
         return vals
-
-    def hess_matrix(self, theta) -> np.ndarray:
-        """The Hessian of l_n at theta, shape (p, p)."""
-        return self.hessians(self._check(theta)[None])[0]
 
     def hessians(self, thetas) -> np.ndarray:
         """The Hessian of l_n at each row of the (B, p) array thetas, shape

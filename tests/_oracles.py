@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 
 from surrogate_langevin.diagnostics import BoundaryMassError
 from surrogate_langevin.expfam import natural_param_derivs
-from surrogate_langevin.likelihood import _density_quadrature
+from surrogate_langevin.likelihood import _density_quadrature, _log_partition
 from surrogate_langevin.surrogate import _MOLLIFIER_W, _MOLLIFIER_Z
 
 
@@ -120,7 +120,7 @@ def hess_dir_many_composed(model, theta, V):
         return np.zeros(V.shape[1])
     if model.kind == "density":
         phi_quad = model._E_quad @ theta
-        wp = model._qw * np.exp(phi_quad - model._log_partition(phi_quad))
+        wp = model._qw * np.exp(phi_quad - _log_partition(model._qw, phi_quad))
         PV = model._E_quad @ V
         vals = -model.n * (wp @ (PV - wp @ PV) ** 2)
     else:
@@ -534,8 +534,7 @@ def run_chain_per_step(drift, theta_init, config, functionals, region_center,
     return np.asarray(stored), stride, exit_step, acc, guards, theta
 
 
-def pilot_ascent_per_iteration(model, prior, steps=500, rate=None, theta_star=None,
-                               eta=None, start=None):
+def pilot_ascent_per_iteration(model, prior, steps=500, rate=None, start=None):
     """pilot_ascent_init as first composed, with the objective at every
     candidate and the gradient at the top of every iteration and once more
     for the report; start (default zeros) is where the ascent begins.
@@ -575,9 +574,6 @@ def pilot_ascent_per_iteration(model, prior, steps=500, rate=None, theta_star=No
             if failures >= 50:
                 raise RuntimeError("pilot ascent failed 50 consecutive backtracking steps")
     info = {"objective": float(obj), "grad_norm": float(np.linalg.norm(gradient(theta)))}
-    if theta_star is not None and eta is not None:
-        info["distance_over_eta"] = float(
-            np.linalg.norm(theta - np.asarray(theta_star)) / eta)
     return theta, info, moves, last_move
 
 

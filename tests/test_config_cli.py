@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import logging
+import math
 import re
 import tempfile
 import warnings
@@ -828,10 +829,10 @@ def test_init_distance_over_eta_in_the_manifest_only(tmp_path):
             assert info["distance_over_eta"] == 0.0
         elif mode == "oracle-perturbed":
             assert 0.0 < info["distance_over_eta"] <= 0.1
-        else:  # the value pilot ascent reports for its 1/8 contract
-            _, pilot = pilot_ascent_init(model, SievePrior(cfg.alpha, 50, 2),
-                                         theta_star=theta_star, eta=surrogate.eta)
-            assert info["distance_over_eta"] == pilot["distance_over_eta"]
+        else:  # the distance of the point pilot ascent returns, for its 1/8 contract
+            theta, pilot = pilot_ascent_init(model, SievePrior(cfg.alpha, 50, 2))
+            d = theta - theta_star
+            assert info["distance_over_eta"] == math.sqrt(d.dot(d)) / surrogate.eta
         _, report = run_experiment(cfg, out_dir=tmp_path / mode)
         manifest = json.loads((tmp_path / mode / "manifest.json").read_text())
         metrics = manifest["cells"][0]["metrics"]

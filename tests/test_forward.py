@@ -93,9 +93,10 @@ def test_linear_phi_design_memo_follows_x():
         np.testing.assert_array_equal(op.values(theta, x), basis.design_matrix(x) @ theta)
 
 
-def test_linear_phi_design_memo_matches_a_frozen_x_by_identity():
-    # Dataset.x is a read-only copy, matched by identity; the caller's array
-    # and a read-only view of a writeable array still go by their bytes
+def test_linear_phi_design_memo_follows_a_read_only_x():
+    # the memo is keyed on the bytes of x, so it follows Dataset.x (a
+    # read-only copy), the caller's array and a read-only view of a
+    # writeable array, also after the arrays behind them change
     basis = BasisFamily("cosine-with-constant", 3)
     op = LinearPhi(basis)
     theta = np.array([0.5, -0.2, 0.1])
@@ -304,9 +305,9 @@ def test_darcy_interpolation_is_np_interp(M, k, seed):
 @given(calls=st.lists(st.tuples(st.sampled_from(["grad", "hess"]), st.integers(0, 2),
                                 st.integers(0, 2)), min_size=1, max_size=8),
        seed=st.integers(0, 2 ** 16))
-def test_darcy_tangent_memo_keeps_the_bits(calls, seed):
-    # dir_hess reuses the tangent solve of the dir_grad call before it when
-    # (theta, v) agree; any sequence of calls must give the fresh results
+def test_darcy_direction_calls_keep_the_bits(calls, seed):
+    # dir_grad and dir_hess read the memoized state at theta and solve their
+    # tangent afresh; any sequence of calls must give the fresh results
     rng = np.random.default_rng(seed)
     op = _darcy(M=32)
     x = rng.random(20)
@@ -376,9 +377,8 @@ def test_block_factor_and_solves_have_each_blocks_bits(M, B, k, log_scale, seed)
 @settings(max_examples=30, deadline=None)
 @given(M=st.integers(1, 64), B=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
 def test_darcy_hess_terms_values_and_grad_rows(M, B, seed):
-    # the block's values and grad rows are the per-point ones (the block
-    # forms Phi with one product for all points, so within rounding), and
-    # one point reuses the memoized state and keeps the bits of values
+    # the block's values and grad rows have the bits of each point's own,
+    # and a one-row block those of its point
     rng = np.random.default_rng(seed)
     op = _darcy(M=M, f_min=0.5 + rng.random(), g1=float(rng.standard_normal()),
                 g2=tuple(rng.standard_normal(2)))
@@ -387,9 +387,8 @@ def test_darcy_hess_terms_values_and_grad_rows(M, B, seed):
     values, grad, _ = op.hess_terms(thetas, x)
     assert values.shape == (B, x.size) and grad.shape == (B, x.size, 4)
     for b in range(B):
-        np.testing.assert_allclose(values[b], op.values(thetas[b], x), rtol=1e-12, atol=1e-14)
-        rows = op.grad_rows(thetas[b], x)
-        np.testing.assert_allclose(grad[b], rows, rtol=0, atol=1e-12 * np.abs(rows).max())
+        assert values[b].tobytes() == op.values(thetas[b], x).tobytes()
+        assert grad[b].tobytes() == op.grad_rows(thetas[b], x).tobytes()
         one = op.hess_terms(thetas[b:b + 1], x)[0][0]
         assert one.tobytes() == op.values(thetas[b], x).tobytes()
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import natural_param, natural_param_d1, natural_param_d2
-from surrogate_langevin import forward
+from surrogate_langevin import forward, likelihood
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
@@ -349,7 +349,7 @@ def test_hess_dir_many_matches_the_composition_with_dir_hess(name, k, scale, see
             model.hess_dir_many(theta, V)
         return
     got = model.hess_dir_many(theta, V)
-    terms = ((np.abs(model.hess_matrix(theta)) @ np.abs(V)) * np.abs(V)).sum(axis=0)
+    terms = ((np.abs(model.hessians(theta[None])[0]) @ np.abs(V)) * np.abs(V)).sum(axis=0)
     assert np.all(np.abs(got - want) <= 1e-13 * terms)
 
 
@@ -370,7 +370,7 @@ def test_hess_matrix_beyond_p_16():
     # of the size of the terms
     for p in (17, 24):
         model, theta0 = glm_model(n=50, p=p, family="poisson")
-        H = model.hess_matrix(theta0)
+        H = model.hessians(theta0[None])[0]
         assert H.shape == (p, p) and np.array_equal(H, H.T)
         V = np.random.default_rng(p).standard_normal((p, 2 * p))
         V = np.concatenate([V, np.eye(p)], axis=1)
@@ -382,7 +382,7 @@ def test_hess_matrix_beyond_p_16():
 
 def test_hess_matrix_polarization():
     model, theta0 = glm_model(family="bernoulli")
-    H = model.hess_matrix(theta0)
+    H = model.hessians(theta0[None])[0]
     rng = np.random.default_rng(23)
     for _ in range(5):
         v = rng.standard_normal(3)
@@ -406,7 +406,7 @@ def test_stacked_hessian_rows_match_single_points(name, B, scale, seed):
         return
     assert stack.shape == (B, theta0.size, theta0.size)
     for b in range(B):
-        H = model.hess_matrix(thetas[b])
+        H = model.hessians(thetas[b][None])[0]
         assert np.array_equal(stack[b], stack[b].T)
         assert np.all(np.abs(stack[b] - H) <= 1e-13 * np.abs(H).max())
 
@@ -464,6 +464,37 @@ def test_skip_free_darcy_probe_solves_each_point_once(n_probes):
     assert probe.skipped == 0
     assert factorize.call_count == math.ceil(n_probes / PROBE_BLOCK) + 1
     assert op.states_solved - solved == n_probes + 1
+
+
+def test_darcy_states_are_keyed_on_the_bytes_of_theta():
+    # a point and its one-row block share one state; a probe-sized block
+    # does not evict the last point, and its Hessians right after its
+    # log_lik solve nothing; values and solution give a point's column or
+    # C-ordered rows; a theta of any shape but (p,) or (B, p) raises
+    model, theta0 = darcy_model(p=4, M=32)
+    op, x = model.forward, model.dataset.x
+    rng = np.random.default_rng(11)
+    point = theta0 + 0.01 * rng.standard_normal(4)
+    block = theta0 + 0.01 * rng.standard_normal((PROBE_BLOCK, 4))
+    solved = op.states_solved
+    model.log_lik(point[None])
+    model.grad_log_lik(point)
+    assert op.states_solved - solved == 1
+    model.log_lik(block)
+    model.grad_log_lik(point)
+    model.hessians(block)
+    model.hessians(point[None])
+    assert op.states_solved - solved == 1 + PROBE_BLOCK
+    for theta in (point, point[None], block):
+        u, values = op.solution(theta), op.values(theta, x)
+        assert u.shape == theta.shape[:-1] + (op.M + 2,)
+        assert values.shape == theta.shape[:-1] + x.shape
+        assert u.flags.c_contiguous and values.flags.c_contiguous
+        for row, t in zip(np.atleast_2d(values), np.atleast_2d(theta)):
+            assert row.tobytes() == op.values(t.copy(), x).tobytes()
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((1, 2, 4))):
+        with pytest.raises(ValueError, match="theta must"):
+            op.values(bad, x)
 
 
 def test_a_failing_darcy_solve_reads_as_a_non_finite_likelihood():
@@ -604,6 +635,21 @@ def test_cube_link_outside_its_range_raises_floating_point_error():
         cube.hess_dir_many(theta, np.eye(3))
     with pytest.raises(FloatingPointError, match="cube"):
         cube.hess_dir(theta, np.ones(3))
+
+
+@pytest.mark.parametrize("family, link", [("poisson", "canonical"), ("gaussian", "cube")])
+def test_linear_phi_gradients_keep_their_design_matrix(family, link):
+    # a LinearPhi model binds its design matrix once, whatever the link: the
+    # gradient never reaches the forward operator, with the bits of the
+    # gradient through it
+    model, theta0 = glm_model(family=family, link=link, theta0=np.array([2.0, 0.3, 0.1]))
+    thetas = theta0 + 0.1 * np.random.default_rng(3).standard_normal((5, 3))
+    want = [likelihood._forward_grad(model.forward, model.dataset.x, model.dataset.y,
+                                     model.family, model.link, t) for t in thetas]
+    fail = mock.Mock(side_effect=AssertionError("forward operator reached"))
+    with mock.patch.multiple(LinearPhi, _design=fail, values=fail, grad_rows=fail):
+        for t, g in zip(thetas, want):
+            assert model.grad_log_lik(t).tobytes() == g.tobytes()
 
 
 def test_cube_block_reads_out_of_range_rows_without_a_row_by_row_pass():

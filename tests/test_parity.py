@@ -249,10 +249,10 @@ def test_drift_calls_sum_to_steps_plus_retries(every, seed):
 @pytest.mark.parametrize("steps", [1, 40, 500])
 def test_pilot_ascent_matches_per_iteration_composition(name, steps):
     # the gradient is computed once at the start and once per step that moves theta
-    model, theta_init = _model(name)
+    model, _ = _model(name)
     prior = SievePrior(1.0, model.n, 3)
-    theta_ref, info_ref, moves, last_move = pilot_ascent_per_iteration(
-        model, prior, steps=steps, theta_star=theta_init, eta=ETA)
+    theta_ref, info_ref, moves, last_move = pilot_ascent_per_iteration(model, prior,
+                                                                       steps=steps)
     calls = [0]
 
     def counted(theta, _grad=model.grad_log_lik):
@@ -260,8 +260,7 @@ def test_pilot_ascent_matches_per_iteration_composition(name, steps):
         return _grad(theta)
 
     with mock.patch.object(model, "grad_log_lik", counted):
-        theta, info = pilot_ascent_init(model, prior, steps=steps,
-                                        theta_star=theta_init, eta=ETA)
+        theta, info = pilot_ascent_init(model, prior, steps=steps)
     _same(theta, theta_ref)
     assert {k: info[k] for k in info_ref} == info_ref
     assert calls[0] == info["gradient_evals"] == moves + 1
@@ -402,6 +401,8 @@ _row = st.tuples(st.floats(-3.0, 3.0), st.lists(st.floats(-1.0, 1.0), min_size=3
 @example(name="glm-gaussian-cube", rows=[(0.0, [0.1, 0.0, 0.0]), 0, (-3.0, [1.0, 0.0, 0.0])])
 @example(name="glm-poisson", rows=[0, (2.5, [1.0, 1.0, 1.0]), (0.0, [0.1, 0.2, 0.3])])
 @example(name="darcy", rows=[(0.0, [0.1, 0.0, 0.0]), 0, 1, (-1.0, [1.0, -1.0, 0.0])])
+@example(name="darcy", rows=[(0.0, [0.1, 0.0, 0.0]), (-1.0, [1.0, -1.0, 0.0]),
+                             (-2.0, [0.5, 0.5, 0.5])])
 @example(name="density", rows=[(3.0, [1.0, -1.0, 0.5])] * 40)
 def test_log_lik_of_a_block_is_each_rows_log_lik(name, rows):
     # each row of a (B, p) block has the bits the single point gets, -inf
