@@ -18,7 +18,8 @@ array, each row with the bits of its point alone.  A direction v is either
 one vector of shape (p,), giving results of shape (len(x),), or a block of k
 directions as the columns of a (p, k) array, giving results of shape
 (len(x), k).  Each memo is keyed on the bytes of its input: `LinearPhi`'s
-design matrix at x, and `Darcy1D`'s interpolation weights at x and states.
+design matrix at x, kept column-major and read-only, and `Darcy1D`'s
+interpolation weights at x and states.
 `Darcy1D` treats a point as a one-row block: a state is (M+2, B) node
 columns and their block factor, kept in two slots, one point and several
 points.  So a point and its one-row block share a state, a block leaves the
@@ -26,8 +27,8 @@ last point solved, and the Hessians of a block whose likelihood was just
 evaluated solve no state again; a tangent is solved on each call.  `Darcy1D`
 counts the states it solves in `states_solved` (a block of B counts B), and
 raises `SolveError` where a state cannot be solved.  `LinearPhi.hess_terms`
-gives the design matrix as the grad rows of every point and a zero
-contraction.
+gives the block's values, the design matrix as the grad rows of every point
+and a zero contraction.
 
 The Darcy operator maps coefficients theta to the solution u of the
 conservative boundary value problem  (f u')' = g1 on (0,1), u = g2 on {0,1},
@@ -188,17 +189,25 @@ class LinearPhi:
     _memo = None
 
     def _design(self, x):
-        """Design matrix at x, memoized on the bytes of x."""
+        """Design matrix at x, memoized on the bytes of x.  It is kept
+        column-major, where OpenBLAS forms E theta and r' E of a tall, skinny
+        E with its column-axpy gemv kernel instead of len(x) dot products of
+        length p, and read-only, since grad_rows hands it out."""
         key = np.asarray(x, dtype=float).tobytes()
         if self._memo_key != key:
-            self._memo_key, self._memo = key, self.basis.design_matrix(x)
+            E = np.asfortranarray(self.basis.design_matrix(x))
+            E.flags.writeable = False
+            self._memo_key, self._memo = key, E
         return self._memo
 
     def values(self, theta, x):
         E, theta = self._design(x), np.asarray(theta, dtype=float)
         if theta.ndim == 1:
             return E.dot(theta)  # ndarray.dot: the gemv of @
-        return np.stack([E.dot(t) for t in theta])  # each row with its point's product
+        out = np.empty((len(theta), len(E)))
+        for t, row in zip(theta, out):
+            E.dot(t, out=row)  # each row with its point's product
+        return out
 
     def grad_rows(self, theta, x):
         return self._design(x)
@@ -211,9 +220,8 @@ class LinearPhi:
 
     def hess_terms(self, thetas, x):
         E = self._design(x)
-        thetas = np.asarray(thetas, dtype=float)
         zeros = np.zeros((len(thetas), E.shape[1], E.shape[1]))
-        return thetas @ E.T, E, lambda s: zeros
+        return self.values(thetas, x), E, lambda s: zeros
 
 
 @dataclass

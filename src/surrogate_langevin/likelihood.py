@@ -136,19 +136,26 @@ def write_float_csv(path, header, values, index=None):
 
     The bytes are those of csv.writer with every value written as
     repr(float(v)), after an integer first column taken from `index` if it is
-    given.  Rows are formatted and written CSV_BLOCK_ROWS at a time, so a long
-    trace is never held as one string.
+    given.  Rows are formatted and written CSV_BLOCK_ROWS at a time, each
+    block with one % format of its cells in row order, so a long trace is
+    never held as one string.
     """
+    p = values.shape[1]
+    width = p + (index is not None)
+    # %r of a float is its repr; \r\n is csv.writer's line terminator
+    row = ",".join(["%d"] * (index is not None) + ["%r"] * p) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, len(values), CSV_BLOCK_ROWS):
-            rows = values[lo:lo + CSV_BLOCK_ROWS].tolist()
+            block = values[lo:lo + CSV_BLOCK_ROWS]
             if index is None:
-                lines = [",".join(map(repr, row)) for row in rows]
+                cells = block.ravel().tolist()
             else:
-                lines = [",".join([str(i), *map(repr, row)])
-                         for i, row in zip(index[lo:lo + CSV_BLOCK_ROWS], rows)]
-            fh.write("\r\n".join(lines) + "\r\n")  # csv.writer's line terminator
+                cells = [None] * (len(block) * width)
+                cells[::width] = index[lo:lo + len(block)]
+                for j in range(p):
+                    cells[j + 1::width] = block[:, j].tolist()
+            fh.write(row * len(block) % tuple(cells))
 
 
 @dataclass
@@ -375,7 +382,8 @@ class ModelInstance:
 
     def hessians(self, thetas) -> np.ndarray:
         """The Hessian of l_n at each row of the (B, p) array thetas, shape
-        (B, p, p); FloatingPointError where one is not finite.
+        (B, p, p), with no work for B = 0; FloatingPointError where one is
+        not finite.
 
         Density: -n (E_q' diag(w) E_q - m m'), with E_q the basis at the
         quadrature nodes, w the quadrature weights times p_theta there and
@@ -387,7 +395,7 @@ class ModelInstance:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.p:
             raise ValueError(f"thetas must have shape (B, {self.p}), got {thetas.shape}")
-        if self._n == 0:
+        if self._n == 0 or not len(thetas):
             return np.zeros((len(thetas), self.p, self.p))
         if self._density:
             E = self._E_quad

@@ -79,6 +79,8 @@ def test_linear_phi_trivialities():
     thetas = np.array([[0.5, -0.2, 0.1], [1.0, 2.0, -3.0]])
     values, grad, contract = op.hess_terms(thetas, x)
     np.testing.assert_allclose(values, thetas @ basis.design_matrix(x).T, rtol=1e-15)
+    for row, theta in zip(values, thetas):  # the bits log_lik reads at each point
+        assert row.tobytes() == op.values(theta, x).tobytes()
     assert grad is op.grad_rows(thetas[0], x)
     C = contract(np.linspace(-3.0, 3.0, 14).reshape(2, 7))
     assert C.shape == (2, 3, 3) and C.tobytes() == np.zeros((2, 3, 3)).tobytes()
@@ -90,7 +92,15 @@ def test_linear_phi_design_memo_follows_x():
     theta = np.array([0.5, -0.2, 0.1])
     x1, x2 = np.linspace(0, 1, 7), np.linspace(0.05, 0.95, 5)
     for x in (x1, x2, x1):
-        np.testing.assert_array_equal(op.values(theta, x), basis.design_matrix(x) @ theta)
+        _assert_fresh_values(op, theta, x)
+
+
+def _assert_fresh_values(op, theta, x):
+    """op.values at x has the bits of an operator that has seen only x, and
+    matches the basis: a stale memo would give another x's values."""
+    got = op.values(theta, x)
+    assert got.tobytes() == LinearPhi(op.basis).values(theta, x).tobytes()
+    np.testing.assert_allclose(got, op.basis.design_matrix(x) @ theta, rtol=1e-15)
 
 
 def test_linear_phi_design_memo_follows_a_read_only_x():
@@ -107,12 +117,27 @@ def test_linear_phi_design_memo_follows_a_read_only_x():
     view = w.view()
     view.flags.writeable = False
     for xs in (ds.x, x, ds.x, view):
-        np.testing.assert_array_equal(op.values(theta, xs), basis.design_matrix(xs) @ theta)
+        _assert_fresh_values(op, theta, xs)
     x[0] = 0.5
     w[1] = 0.9
     for xs in (view, x, ds.x):
-        np.testing.assert_array_equal(op.values(theta, xs), basis.design_matrix(xs) @ theta)
+        _assert_fresh_values(op, theta, xs)
     np.testing.assert_array_equal(ds.x, np.linspace(0, 1, 7))
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_linear_phi_design_memo_is_column_major_and_read_only(n):
+    # column-major for the gemv kernel of a skinny matrix; read-only because
+    # grad_rows and hess_terms hand the memo itself to their callers
+    basis = BasisFamily("cosine-with-constant", 4)
+    op = LinearPhi(basis)
+    x = np.linspace(0, 1, n)
+    E = op.grad_rows(np.zeros(4), x)
+    assert E.flags.f_contiguous and not E.flags.writeable
+    assert op.hess_terms(np.zeros((2, 4)), x)[1] is E
+    np.testing.assert_array_equal(E, basis.design_matrix(x))
+    with pytest.raises(ValueError, match="read-only"):
+        E[0, 0] = 1.0
 
 
 def _darcy(p=4, M=256, **kw):

@@ -130,6 +130,40 @@ def test_dataset_save_bytes_match_csv_writer(tmp_path):
         assert path.read_bytes() == csv_writer_bytes(header, rows)
 
 
+# values whose repr differs in form: signed zero, infinities, nan, the
+# smallest subnormal, and the switches to exponent form at 1e16 and 1e-5
+CSV_SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                      -2.5e-310, 1e16, -1e16, 9999999999999998.0,
+                                      1e-5, 0.0001, -1e-5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_write_float_csv_bytes_match_csv_writer(data):
+    # a block is one % format of its cells; each row must read as csv.writer
+    # writes it with repr(float(v)), with and without an index, across blocks
+    p = data.draw(st.integers(1, 4), label="p")
+    rows = data.draw(st.sampled_from([0, 1, 3, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 2]), label="rows")
+    pattern = data.draw(st.lists(CSV_SPECIAL_FLOATS | st.floats(), min_size=1, max_size=12),
+                        label="pattern")
+    values = np.resize(np.array(pattern), (rows, p))
+    index = data.draw(st.sampled_from(["none", "range", "list"]), label="index")
+    if index == "range":
+        index = range(data.draw(st.integers(-5, 5)), 10 ** 9, data.draw(st.integers(1, 7)))
+    elif index == "list":
+        ints = data.draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=5))
+        index = [ints[i % len(ints)] for i in range(rows)]
+    else:
+        index = None
+    header = ["i"] * (index is not None) + [f"c{k}" for k in range(p)]
+    expected = _oracles.csv_writer_bytes(header, values if index is None else
+                                [[i, *row] for i, row in zip(index, values)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "values.csv"
+        likelihood.write_float_csv(path, header, values, index=index)
+        assert path.read_bytes() == expected
+
+
 @settings(max_examples=60)
 @given(kind=st.sampled_from(["regression", "density"]), data=st.data())
 def test_dataset_save_load_roundtrip_any_size(kind, data):
@@ -640,9 +674,12 @@ def test_cube_link_outside_its_range_raises_floating_point_error():
 @pytest.mark.parametrize("family, link", [("poisson", "canonical"), ("gaussian", "cube")])
 def test_linear_phi_gradients_keep_their_design_matrix(family, link):
     # a LinearPhi model binds its design matrix once, whatever the link: the
+    # operator's one column-major memo, not a copy in another layout; the
     # gradient never reaches the forward operator, with the bits of the
     # gradient through it
     model, theta0 = glm_model(family=family, link=link, theta0=np.array([2.0, 0.3, 0.1]))
+    E = model.forward.grad_rows(theta0, model.dataset.x)
+    assert model._grad.args[0] is E and E.flags.f_contiguous
     thetas = theta0 + 0.1 * np.random.default_rng(3).standard_normal((5, 3))
     want = [likelihood._forward_grad(model.forward, model.dataset.x, model.dataset.y,
                                      model.family, model.link, t) for t in thetas]

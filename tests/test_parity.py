@@ -421,6 +421,17 @@ def test_log_lik_of_a_block_is_each_rows_log_lik(name, rows):
             assert got[k] == -np.inf
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_an_empty_block_gives_empty_results(name):
+    # a (0, p) block does no work and is no error, for every model kind
+    model, _ = _model(name)
+    empty = np.empty((0, model.p))
+    assert model.log_lik(empty).shape == (0,)
+    assert model.hessians(empty).shape == (0, model.p, model.p)
+    if isinstance(model.forward, LinearPhi):
+        assert model.forward.values(empty, model.dataset.x).shape == (0, model.n)
+
+
 def _chosen_candidates(model, center, eta, n_probes, seed, skip):
     """The bytes of the candidates at the indices `skip` when a per-point
     probe (_oracles.curvature_probe_per_point) skips exactly those."""
