@@ -26,7 +26,9 @@ points.  So a point and its one-row block share a state, a block leaves the
 last point solved, and the Hessians of a block whose likelihood was just
 evaluated solve no state again; a tangent is solved on each call.  `Darcy1D`
 counts the states it solves in `states_solved` (a block of B counts B), and
-raises `SolveError` where a state cannot be solved.  `LinearPhi.hess_terms`
+raises `SolveError` where a state cannot be solved.  An empty (0, p) block
+solves nothing: values, solution and hess_terms give empty arrays with no
+LAPACK call and the memo as it was.  `LinearPhi.hess_terms`
 gives the block's values, the design matrix as the grad rows of every point
 and a zero contraction.
 
@@ -267,6 +269,8 @@ class Darcy1D:
         if theta.ndim not in (1, 2) or theta.shape[-1] != p:
             raise ValueError(f"theta must have shape ({p},) or (B, {p}), got {theta.shape}")
         thetas, key = theta.reshape(-1, p), theta.tobytes()
+        if not len(thetas):  # no state to solve: no LAPACK call, the memo as it was
+            return np.empty((self.M + 2, 0)), np.empty((self.M + 2, 0)), None
         slot = int(len(thetas) > 1)
         if self._state_keys[slot] != key:
             self._state_keys[slot], self._states[slot] = key, self._solve_at(thetas)
@@ -399,6 +403,9 @@ class Darcy1D:
         """
         thetas = np.asarray(thetas, dtype=float)
         B, p = thetas.shape
+        if not B:  # as _state: nothing to solve
+            values = self.values(thetas, x)
+            return values, np.empty(values.shape + (p,)), lambda s: np.zeros((0, p, p))
         M, E = self.M, self._E_grid
         u, exp_phi, cb = self._state(thetas)
         fk = exp_phi[:, :, None] * E[:, None, :]  # f_k of each point, (M+2, B, p)

@@ -35,9 +35,9 @@ QUADRATURE_NODES = 256
 # Rows formatted and written at a time by write_float_csv.
 CSV_BLOCK_ROWS = 1024
 
-# Probe points that curvature_probe tests in one log_lik call, and whose
-# Hessians it forms in one call of ModelInstance.hessians: it bounds the
-# (block, n, p) arrays held at once.
+# Probe candidates that curvature_probe tests in one log_lik call, and whose
+# kept points' Hessians it forms in one call of ModelInstance.hessians: it
+# bounds the (block, n, p) arrays held at once.
 PROBE_BLOCK = 16
 
 
@@ -52,11 +52,14 @@ def _density_quadrature():
 
 
 def _log_partition(qw, phi_quad):
-    """log of the quadrature sum of exp(phi_quad) with weights qw, shifted
-    by the maximum.  np.maximum.reduce and np.add.reduce are the reductions
-    of ndarray.max and ndarray.sum, without their Python wrappers."""
-    mx = np.maximum.reduce(phi_quad)
-    return mx + np.log(np.add.reduce(qw * np.exp(phi_quad - mx)))
+    """log of the quadrature sum of exp(phi_quad) with weights qw along the
+    last axis, shifted by the maximum: a float for one point's (Q,) values,
+    one per row of a (B, Q) block.  np.maximum.reduce and np.add.reduce are
+    the reductions of ndarray.max and ndarray.sum, without their Python
+    wrappers; (phi_quad.T - mx).T subtracts each row's maximum and keeps the
+    rows C-contiguous, at less cost to one point than mx[..., None]."""
+    mx = np.maximum.reduce(phi_quad, -1)
+    return mx + np.log(np.add.reduce(qw * np.exp((phi_quad.T - mx).T), -1))
 
 
 def _natural_param(family, link, u, order=2):
@@ -304,44 +307,29 @@ class ModelInstance:
     # -- public likelihood surface -------------------------------------------
 
     def log_lik(self, theta):
-        """l_n at theta of shape (p,), a float; at a (B, p) block, an array
-        of B values, each row with the bits its point alone gets.  -inf
-        where l_n is not finite, the natural parameter is outside the link's
-        range, or the forward solve fails."""
+        """l_n at each row of a (B, p) block, an array of B values; a point
+        of shape (p,) is a one-row block, and gives a float.  -inf where l_n
+        is not finite, the natural parameter is outside the link's range, or
+        the forward solve fails."""
         theta = np.asarray(theta, dtype=float)
         if theta.ndim == 2 and theta.shape[1] == self.p:
             return self._log_lik_rows(theta)
-        theta = self._check(theta)
-        if self._n == 0:
-            return 0.0
-        if self._density:
-            log_z = _log_partition(self._qw, self._E_quad.dot(theta))  # ndarray.dot: gemv
-            return float(self._E_data.dot(theta).sum() - self._n * log_z)
-        try:
-            u = self.forward.values(theta, self._x)
-        except SolveError:  # no Darcy state there: zero likelihood
-            return -np.inf
-        try:
-            b = natural_param(self.family, self.link, u)
-        except ValueError:  # u outside the link's range: zero likelihood
-            return -np.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = self._y * b - self.family.A(b)
-        total = terms.sum()
-        return float(total) if np.isfinite(total) else -np.inf
+        return float(self._log_lik_rows(self._check(theta)[None])[0])
 
     def _log_lik_rows(self, thetas) -> np.ndarray:
         """log_lik at each row of the (B, p) array thetas.  Each row's
         products are the one-point products, and the rest is elementwise or
-        a reduction along the row, so every row has its point's bits."""
+        a reduction along the row, so every row has the bits of its own
+        one-row block."""
         if self._n == 0 or not len(thetas):
             return np.zeros(len(thetas))
         if self._density:
-            phi_quad = np.stack([self._E_quad.dot(t) for t in thetas])
-            data = np.stack([self._E_data.dot(t) for t in thetas]).sum(axis=1)
-            mx = phi_quad.max(axis=1)
-            log_z = mx + np.log((self._qw * np.exp(phi_quad - mx[:, None])).sum(axis=1))
-            return data - self._n * log_z
+            phi_quad = np.empty((len(thetas), len(self._E_quad)))
+            data = np.empty((len(thetas), self._n))
+            for t, q, d in zip(thetas, phi_quad, data):
+                self._E_quad.dot(t, out=q)  # ndarray.dot: the gemv of @, into its row
+                self._E_data.dot(t, out=d)
+            return np.add.reduce(data, -1) - self._n * _log_partition(self._qw, phi_quad)
         # a row with a value outside the cube link's range (u <= 0) reads
         # -inf; the rest are one block
         try:
@@ -349,15 +337,17 @@ class ModelInstance:
             inside = slice(None) if self._canonical else ~(u <= 0).any(axis=1)
             b = natural_param(self.family, self.link, u[inside])
         except ValueError:
-            # a block whose Darcy solve fails (SolveError is a ValueError), or
-            # a mean outside the family's range (bernoulli with the cube
-            # link): each row reads what its own point reads
-            return np.array([self.log_lik(t) for t in thetas])
-        out = np.full(len(thetas), -np.inf)
+            # a Darcy solve that fails (SolveError is a ValueError), or a mean
+            # outside the family's range (bernoulli with the cube link): a
+            # one-row block reads -inf, a longer one each row as its own
+            if len(thetas) == 1:
+                return np.array([-np.inf])
+            return np.concatenate([self._log_lik_rows(t[None]) for t in thetas])
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self._y * b - self.family.A(b)
-        total = terms.sum(axis=1)
-        out[inside] = np.where(np.isfinite(total), total, -np.inf)
+        out = np.full(len(thetas), -np.inf)
+        out[inside] = np.add.reduce(terms, -1)
+        out[~np.isfinite(out)] = -np.inf
         return out
 
     def grad_log_lik(self, theta) -> np.ndarray:
@@ -425,19 +415,14 @@ class ModelInstance:
     def curvature_probe(self, center, eta, n_probes, seed) -> CurvatureReport:
         """Sample -v' hess l_n v over the ball B(center, eta).
 
-        Each probe point gets 2p random unit directions plus the p coordinate
-        directions; points with non-finite likelihood are skipped and counted
-        and draw no directions.  Candidates are tested with one log_lik call
-        per block, drawn as if each were kept: its point, then its
-        directions.  Where a block skips a point, the generator goes back to
-        the block's start and draws again up to that point, whose directions
-        it does not draw, and the next block starts after it; so every draw
-        is the one a per-point test makes, whatever the block sizes.  A block
-        holds twice the points the last one kept plus one, at most
-        PROBE_BLOCK, which is where a skip-free probe stays.  The kept points'
-        Hessians are formed PROBE_BLOCK kept points at a time, as soon as
-        that many wait, so a skip-free block's Hessians find its Darcy states
-        already solved; then every form at once.
+        Each candidate draws its point, uniform in the ball, and then 2p
+        random directions, whether or not it is kept.  Candidates are tested
+        in fixed blocks of PROBE_BLOCK with one log_lik call each, so each is
+        tested once; a point whose likelihood is not finite is skipped and
+        counted.  The Hessians of a block's kept points are formed right
+        after its test, so a skip-free Darcy block finds its states already
+        solved.  Each kept point is probed in its 2p directions, normalised,
+        and in the p coordinate directions.
         """
         center = np.asarray(center, dtype=float)
         if eta <= 0:
@@ -446,43 +431,20 @@ class ModelInstance:
         rng = np.random.default_rng(seed)
         if self.n == 0:
             return CurvatureReport(0.0, 0.0, 0.0, n_probes, center, eta)
-
-        def candidate():
-            direction = rng.standard_normal(p)
-            direction /= math.sqrt(direction.dot(direction))  # == np.linalg.norm
-            radius = eta * rng.random() ** (1.0 / p)
-            return center + radius * direction
-
-        waiting, draws, H = [], [], []
-        tested, size = 0, PROBE_BLOCK
-        while tested < n_probes:
-            size = min(size, n_probes - tested)
-            start = rng.bit_generator.state
-            block, block_draws = [], []
-            for _ in range(size):
-                block.append(candidate())
-                block_draws.append(rng.standard_normal((p, 2 * p)))
-            finite = np.isfinite(self.log_lik(np.array(block)))
-            kept = size if finite.all() else int(finite.argmin())
-            if kept < size:  # block[kept] is skipped
-                rng.bit_generator.state = start
-                for _ in range(kept):
-                    candidate()
-                    rng.standard_normal((p, 2 * p))
-                candidate()
-                tested += 1
-            tested += kept
-            waiting += block[:kept]
-            draws += block_draws[:kept]
-            # a probe that skips often tests few candidates it must draw again
-            size = min(2 * kept + 1, PROBE_BLOCK)
-            while len(waiting) >= PROBE_BLOCK or (waiting and tested == n_probes):
-                H.append(self.hessians(np.array(waiting[:PROBE_BLOCK])))
-                del waiting[:PROBE_BLOCK]
+        points, V = np.empty((n_probes, p)), np.empty((n_probes, p, 2 * p))
+        H, kept = np.empty((n_probes, p, p)), np.empty(n_probes, dtype=bool)
+        for lo in range(0, n_probes, PROBE_BLOCK):
+            block = slice(lo, lo + PROBE_BLOCK)
+            for point, v in zip(points[block], V[block]):
+                direction = rng.standard_normal(p)
+                direction /= math.sqrt(direction.dot(direction))  # == np.linalg.norm
+                point[:] = center + eta * rng.random() ** (1.0 / p) * direction
+                rng.standard_normal(out=v)
+            finite = kept[block] = np.isfinite(self.log_lik(points[block]))
+            H[block][finite] = self.hessians(points[block][finite])
+        H, V = H[kept], V[kept]
         lam_min = lam_max = 0.0
-        if draws:
-            H = np.concatenate(H)
-            V = np.array(draws)
+        if len(V):
             V /= np.linalg.norm(V, axis=1, keepdims=True)
             vals = -np.concatenate([((H @ V) * V).sum(axis=1),
                                     np.diagonal(H, axis1=1, axis2=2)], axis=1)
@@ -492,7 +454,7 @@ class ModelInstance:
         g = self.grad_log_lik(center)
         grad_norm = math.sqrt(g.dot(g))
         return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta,
-                               n_probes - len(draws))
+                               n_probes - len(V))
 
     def _check(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

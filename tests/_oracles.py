@@ -144,7 +144,8 @@ def hess_dir_many_composed(model, theta, V):
 def curvature_probe_per_point(model, center, eta, n_probes, seed):
     """ModelInstance.curvature_probe as first written: one hess_dir_many per
     kept point, here the first composition hess_dir_many_composed, over the
-    point's 2p random unit directions and the p coordinate directions.
+    point's 2p random unit directions and the p coordinate directions.  Each
+    candidate draws its point and then its directions, kept or not.
     Returns (lambda_min, lambda_max, skipped)."""
     center = np.asarray(center, dtype=float)
     p = model.p
@@ -158,10 +159,10 @@ def curvature_probe_per_point(model, center, eta, n_probes, seed):
         direction /= math.sqrt(direction.dot(direction))  # == np.linalg.norm
         radius = eta * rng.random() ** (1.0 / p)
         theta = center + radius * direction
+        V = rng.standard_normal((p, 2 * p))  # drawn whether or not theta is kept
         if not math.isfinite(model.log_lik(theta)):
             skipped += 1
             continue
-        V = rng.standard_normal((p, 2 * p))
         V /= np.linalg.norm(V, axis=0)
         V = np.concatenate([V, np.eye(p)], axis=1)
         vals = -hess_dir_many_composed(model, theta, V)
@@ -368,10 +369,10 @@ def log_lik_composed(model, theta) -> float:
         mx = phi_quad.max()
         log_partition = mx + np.log((qw * np.exp(phi_quad - mx)).sum())
         return float((model.basis.design_matrix(ds.x) @ theta).sum() - ds.n * log_partition)
-    u = model.forward.values(theta, ds.x)
     try:
+        u = model.forward.values(theta, ds.x)
         b = natural_param(model.family, model.link, u)
-    except ValueError:
+    except ValueError:  # a failed Darcy solve (SolveError) or u outside the link's range
         return -np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         terms = ds.y * b - model.family.A(b)
