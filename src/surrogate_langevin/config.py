@@ -48,7 +48,9 @@ def _list_of(conv):
 
 def _pair(raw):
     vals = _list_of(float)(raw)
-    return (vals[0], vals[1])
+    if len(vals) != 2:
+        raise ValueError(f"expected two numbers, got {len(vals)}")
+    return tuple(vals)
 
 
 def _opt(section, default, parse=None, *, key=None, choices=None):
@@ -208,7 +210,7 @@ def load_config(path) -> ExperimentConfig:
                 continue
             try:
                 setattr(cfg, keys[key].name, keys[key].metadata["parse"](raw))
-            except (ValueError, IndexError):
+            except ValueError:
                 problems.append(f"{name}.{key}: cannot parse {raw!r}")
     if problems:
         raise ConfigValidationError(problems)

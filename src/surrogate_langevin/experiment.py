@@ -164,15 +164,15 @@ def sample_cell(cfg: ExperimentConfig, surrogate, resolved, region_center, seed:
     """Run the cell's ULA chain on the drift `cfg.variant` names.
 
     The identity functional gives the posterior mean; the exit step is taken
-    from the coincidence ball around `region_center`.  The vanilla drift, like
-    posterior_grad in its inner region, calls ModelInstance._grad directly,
-    under run_chain's floating-point error state.
+    from the coincidence ball around `region_center`.  The vanilla drift is
+    posterior_grad's inner region everywhere: ModelInstance._grad, under
+    run_chain's floating-point error state, plus prior.grad_diag * t.
     """
     if cfg.variant == "surrogate":
         drift = surrogate.posterior_grad
     else:
-        grad, prior = surrogate.model._grad, surrogate.prior
-        drift = lambda t: grad(t) + prior.grad_log_density(t)
+        grad, grad_diag = surrogate.model._grad, surrogate.prior.grad_diag
+        drift = lambda t: grad(t) + grad_diag * t
     sconf = SamplerConfig(gamma=resolved["gamma"], j_in=resolved["j_in"], j=cfg.j,
                           seed=seed, guard=cfg.guard, guard_radius=cfg.guard_radius)
     return run_chain(drift, surrogate.theta_init, sconf,

@@ -10,6 +10,12 @@ FAMILY_KINDS = ("gaussian", "poisson", "bernoulli")
 LINK_KINDS = ("canonical", "cube")
 
 
+class DomainError(ValueError, FloatingPointError):
+    """A value outside the natural-parameter map's domain (the cube link's
+    u <= 0, a mean outside the family's range): a ValueError to a caller
+    that validates input, a non-finite drift to a chain's guard."""
+
+
 def _sigmoid(h):
     # numerically stable logistic function
     out = np.empty_like(h, dtype=float)
@@ -85,16 +91,16 @@ class ExpFamily:
             return -np.sign(h) * (e * (1.0 - e) / (1.0 + e) ** 3)
 
     def A1_inv(self, m):
-        """Inverse of A' on the family's mean range."""
+        """Inverse of A' on the family's mean range; DomainError outside it."""
         m = np.asarray(m, dtype=float)
         if self.kind == "gaussian":
             return m + 0.0
         if self.kind == "poisson":
             if np.any(m <= 0):
-                raise ValueError("poisson mean must be positive")
+                raise DomainError("poisson mean must be positive")
             return np.log(m)
         if np.any((m <= 0) | (m >= 1)):
-            raise ValueError("bernoulli mean must lie in (0, 1)")
+            raise DomainError("bernoulli mean must lie in (0, 1)")
         return np.log(m) - np.log1p(-m)
 
     def sample(self, h, seed):
@@ -144,12 +150,12 @@ class LinkFunction:
 
 
 def _link_mean(link: LinkFunction, u):
-    """g^{-1}(u) of a non-canonical link, naming the link when u is outside
-    its range."""
+    """g^{-1}(u) of a non-canonical link; DomainError, naming the link, when
+    u is outside its range."""
     try:
         return link.g_inv(u)
     except ValueError as exc:
-        raise ValueError(f"value outside the range of link {link.kind!r}: {exc}") from exc
+        raise DomainError(f"value outside the range of link {link.kind!r}: {exc}") from exc
 
 
 def natural_param(fam: ExpFamily, link: LinkFunction, u):

@@ -63,6 +63,7 @@ from functools import cache
 import numpy as np
 
 from .basis import BasisFamily
+from .expfam import DomainError
 
 
 @cache
@@ -76,11 +77,12 @@ def _lapack():
     return get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty((2, 1)),))
 
 
-class SolveError(ValueError, ArithmeticError):
+class SolveError(DomainError):
     """A Darcy state could not be solved at theta: its conductivity
     overflows, or the factorization of -L_f fails.  It keeps the message of
     the ValueError or ArithmeticError it replaces and is caught as either;
-    ModelInstance reads it as a non-finite likelihood."""
+    ModelInstance reads it as a non-finite likelihood, and a chain's guard
+    as a non-finite drift."""
 
 
 def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.ndarray:

@@ -23,8 +23,8 @@ def oracle_projection_init(theta0: np.ndarray, p: int) -> np.ndarray:
 def oracle_perturbed_init(theta0: np.ndarray, p: int, rho: float, eta: float,
                           seed: int) -> np.ndarray:
     """Truth projection plus a uniform-ball perturbation of radius rho <= eta/8."""
-    if rho > eta / 8.0:
-        raise ValueError(f"perturbation radius {rho:g} exceeds eta/8 = {eta / 8.0:g}")
+    if not 0 <= rho <= eta / 8.0:  # NaN too
+        raise ValueError(f"perturbation radius {rho:g} is not in [0, eta/8 = {eta / 8.0:g}]")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(p)
     direction /= np.linalg.norm(direction)

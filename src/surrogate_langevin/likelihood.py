@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import BasisFamily
 from .expfam import ExpFamily, LinkFunction, natural_param, natural_param_derivs
-from .forward import LinearPhi, SolveError
+from .forward import LinearPhi
 
 
 # Gauss-Legendre nodes on [0, 1] for the density model's log-partition integral.
@@ -60,16 +60,6 @@ def _log_partition(qw, phi_quad):
     rows C-contiguous, at less cost to one point than mx[..., None]."""
     mx = np.maximum.reduce(phi_quad, -1)
     return mx + np.log(np.add.reduce(qw * np.exp((phi_quad.T - mx).T), -1))
-
-
-def _natural_param(family, link, u, order=2):
-    """natural_param_derivs at u, (b, b', b'') or for order=1 (b, b');
-    outside the link's range (u <= 0 for the cube link)
-    FloatingPointError, so a chain's guard retries or it diverges."""
-    try:
-        return natural_param_derivs(family, link, u, order)
-    except ValueError as exc:
-        raise FloatingPointError(str(exc)) from None
 
 
 def _require_finite_resid(resid):
@@ -114,7 +104,7 @@ def _link_resid(y, family, link, u):
     if link.kind == "canonical":  # b' is exactly 1.0, as in _linear_grad
         resid = y - family._A1(u)
     else:
-        b, q1 = _natural_param(family, link, u, order=1)
+        b, q1 = natural_param_derivs(family, link, u, order=1)
         resid = (y - family._A1(b)) * q1
     _require_finite_resid(resid)
     return resid
@@ -127,10 +117,7 @@ def _linear_link_grad(E, y, family, link, theta):
 
 def _forward_grad(forward, x, y, family, link, theta):
     """The gradient through any forward operator and link."""
-    try:
-        u = forward.values(theta, x)
-    except SolveError as exc:
-        raise FloatingPointError(f"forward solve failed: {exc}") from None
+    u = forward.values(theta, x)
     return _link_resid(y, family, link, u).dot(forward.grad_rows(theta, x))
 
 
@@ -239,12 +226,14 @@ class ModelInstance:
     forward operator.  It runs under the caller's floating-point error
     state: grad_log_lik enters np.errstate(over="ignore", invalid="ignore")
     for one call, and sampler.run_chain for a whole chain, whose drift (the
-    inner region of SurrogateSpec.posterior_grad, or the vanilla drift)
-    calls it directly.  Any other direct caller supplies its own.  An
-    overflow leaves a non-finite residual, which raises FloatingPointError,
-    as does a Darcy state that cannot be solved.  Where the family's A' is
-    a ufunc (poisson) the canonical LinearPhi body reuses one n-vector of
-    the model, so a model is not to be shared across threads.
+    inner and annulus regions of SurrogateSpec.posterior_grad, or the
+    vanilla drift) calls it directly.  Any other direct caller supplies its
+    own.  An overflow leaves a non-finite residual, which raises
+    FloatingPointError; a value outside the link's range or a Darcy state
+    that cannot be solved raises a DomainError, which is one, here and in
+    hessians.  Where the family's A' is a ufunc (poisson) the canonical
+    LinearPhi body reuses one n-vector of the model, so a model is not to be
+    shared across threads.
     """
 
     dataset: Dataset
@@ -337,9 +326,9 @@ class ModelInstance:
             inside = slice(None) if self._canonical else ~(u <= 0).any(axis=1)
             b = natural_param(self.family, self.link, u[inside])
         except ValueError:
-            # a Darcy solve that fails (SolveError is a ValueError), or a mean
-            # outside the family's range (bernoulli with the cube link): a
-            # one-row block reads -inf, a longer one each row as its own
+            # a DomainError (a Darcy solve that fails, or a bernoulli-cube
+            # mean outside (0, 1)): a one-row block reads -inf, a longer one
+            # each row as its own
             if len(thetas) == 1:
                 return np.array([-np.inf])
             return np.concatenate([self._log_lik_rows(t[None]) for t in thetas])
@@ -396,7 +385,7 @@ class ModelInstance:
             H = -self._n * ((Ec.transpose(0, 2, 1) * w[:, None, :]) @ Ec)
         else:
             u, G, contract = self.forward.hess_terms(thetas, self._x)
-            b, q1, q2 = _natural_param(self.family, self.link, u)
+            b, q1, q2 = natural_param_derivs(self.family, self.link, u)
             with np.errstate(over="ignore", invalid="ignore"):
                 r = self._y - self.family.A1(b)
                 s = r * q1
@@ -425,8 +414,8 @@ class ModelInstance:
         and in the p coordinate directions.
         """
         center = np.asarray(center, dtype=float)
-        if eta <= 0:
-            raise ValueError("probe radius eta must be positive")
+        if not 0 < eta < math.inf:  # NaN too
+            raise ValueError("probe radius eta must be positive and finite")
         p = self.p
         rng = np.random.default_rng(seed)
         if self.n == 0:

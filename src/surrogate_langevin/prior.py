@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,8 @@ class SievePrior:
     grad_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.alpha <= 0.5:
-            raise ValueError(f"smoothness alpha must exceed 1/2, got {self.alpha}")
+        if not 0.5 < self.alpha < math.inf:  # NaN too
+            raise ValueError(f"smoothness alpha must exceed 1/2 and be finite, got {self.alpha}")
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive integers")
         diag = np.arange(1, self.p + 1, dtype=float) ** (2.0 * self.alpha)

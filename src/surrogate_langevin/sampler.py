@@ -239,8 +239,8 @@ def _fold_radius(s: float, radius: float) -> float:
 
 def step_size_bound(m: float, lam: float) -> tuple[float, float]:
     """(sampling bound 2/(m+Lambda), exit-time bound m/(sqrt(54) Lambda^2))."""
-    if m <= 0 or lam <= 0:
-        raise ValueError("m and lambda must be positive")
+    if not (0 < m < math.inf and 0 < lam < math.inf):  # NaN too
+        raise ValueError("m and lambda must be positive and finite")
     return 2.0 / (m + lam), m / (math.sqrt(54.0) * lam ** 2)
 
 
@@ -262,8 +262,10 @@ def burn_in_steps(epsilon: float, m: float, gamma: float, eta: float,
     J_in = ceil( log(eps^2 / (32 (c_w max(eta, Lambda_pi/m)^2 + p/m)))
                  / log(1 - m gamma / 2) ).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # NaN too
+        raise ValueError("epsilon must be positive and finite")
+    if not (0 < m < math.inf and 0 < gamma < math.inf):
+        raise ValueError("m and gamma must be positive and finite")
     if m * gamma >= 2.0:
         raise ConfigurationStepError("m * gamma must be below 2 for the contraction bound")
     if floor is not None and epsilon < floor:

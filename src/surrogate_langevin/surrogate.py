@@ -199,7 +199,7 @@ class SurrogateSpec:
     # evaluations --------------------------------------------------------------
 
     def log_lik(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
+        theta = self.model._check(theta)
         diff = theta - self.theta_init
         t = math.sqrt(diff.dot(diff))  # == float(np.linalg.norm(diff))
         region = self._region(t)
@@ -217,10 +217,9 @@ class SurrogateSpec:
         return vt * (ll - self._ll_init) + self._ll_init - self.K * pen
 
     def grad(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        diff = theta - self.theta_init
-        t = math.sqrt(diff.dot(diff))  # == float(np.linalg.norm(diff))
-        return self._region_grad(self._region(t), theta, diff, t)
+        theta = self.model._check(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._grad(theta)[1]
 
     def _region(self, t: float) -> str:
         """The region of drift_calls that t = ||theta - theta_init|| falls in."""
@@ -229,14 +228,20 @@ class SurrogateSpec:
         # the cutoff and its derivative are exactly 0 from 7/8 on
         return "far" if t / self.eta >= 0.875 else "annulus"
 
-    def _region_grad(self, region, theta, diff, t):
-        """grad lt(theta) in `region`, at t = ||diff||, diff = theta - theta_init."""
+    def _grad(self, theta):
+        """(region, grad lt(theta)) at a checked theta, under the caller's
+        floating-point error state: inside, the likelihood gradient's body
+        self.model._grad, looked up at each call; in the far field
+        -K v_eta'(t) (diff / t)."""
+        diff = theta - self.theta_init
+        t = math.sqrt(diff.dot(diff))
+        region = self._region(t)
         if region == "inner":
-            return self.model.grad_log_lik(theta)
+            return region, self.model._grad(theta)
         radial = diff / t
         out = -self.K * self.penalty.deriv(t) * radial
         if region == "far":
-            return out
+            return region, out
         s = t / self.eta
         vt = float(cutoff(s))
         dv = float(cutoff_deriv(s)) / self.eta
@@ -246,8 +251,8 @@ class SurrogateSpec:
                 raise FloatingPointError("non-finite base likelihood inside the cutoff support")
             out = out + dv * (ll - self._ll_init) * radial
             if vt != 0.0:
-                out = out + vt * self.model.grad_log_lik(theta)
-        return out
+                out = out + vt * self.model._grad(theta)
+        return region, out
 
     def posterior_log_density(self, theta) -> float:
         """log of the (unnormalized) surrogate posterior density."""
@@ -255,28 +260,11 @@ class SurrogateSpec:
 
     def posterior_grad(self, theta) -> np.ndarray:
         """The Langevin drift: grad lt + grad log prior, counted in
-        `drift_calls` by its region.
-
-        The region rule is _region's, applied inline.  The inner region calls
-        the likelihood gradient's body self.model._grad, looked up at each
-        call, which runs under the caller's floating-point error state:
-        run_chain holds np.errstate(over="ignore", invalid="ignore") for the
-        whole chain, and a direct caller supplies its own, or numpy warns of
-        an overflow before FloatingPointError.  The far field is
-        -K v_eta'(t) (diff / t), as in _region_grad.
-        """
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != self.theta_init.shape:
-            raise ValueError(f"theta must have length p={self.model.p}, got shape {theta.shape}")
-        diff = theta - self.theta_init
-        t = math.sqrt(diff.dot(diff))
-        if t <= self._inner_edge:
-            self.drift_calls["inner"] += 1
-            g = self.model._grad(theta)
-        elif t / self.eta >= 0.875:
-            self.drift_calls["far"] += 1
-            g = -self.K * self.penalty.deriv(t) * (diff / t)
-        else:
-            self.drift_calls["annulus"] += 1
-            g = self._region_grad("annulus", theta, diff, t)
+        `drift_calls` by its region.  _grad runs under the caller's
+        floating-point error state: run_chain holds np.errstate(over="ignore",
+        invalid="ignore") for the whole chain, and a direct caller supplies
+        its own, or numpy warns of an overflow before FloatingPointError."""
+        theta = self.model._check(theta)
+        region, g = self._grad(theta)
+        self.drift_calls[region] += 1
         return g + self.prior.grad_diag * theta

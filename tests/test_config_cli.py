@@ -191,6 +191,15 @@ def test_unparseable_value_rejected(tmp_path):
             load_config(write_cfg(tmp_path, text))
 
 
+@pytest.mark.parametrize("raw", ["1 2 3", "1"])
+def test_darcy_boundary_takes_exactly_two_numbers(tmp_path, raw):
+    # a third number was dropped without a word
+    text = MINIMAL.replace("[model]\n", f"[model]\ndarcy_boundary = {raw}\n")
+    with pytest.raises(ConfigValidationError) as exc:
+        load_config(write_cfg(tmp_path, text))
+    assert exc.value.problems == [f"model.darcy_boundary: cannot parse {raw!r}"]
+
+
 def test_default_config_is_valid():
     ExperimentConfig().validate()
 

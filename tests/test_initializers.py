@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import ExpFamily, LinkFunction
@@ -41,6 +45,17 @@ def test_oracle_perturbed_within_ball():
 def test_oracle_perturbed_rejects_large_radius():
     with pytest.raises(ValueError):
         oracle_perturbed_init(np.zeros(2), 2, 0.2, 0.8, 0)
+
+
+@given(rho=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]))
+def test_oracle_perturbed_radius_lies_in_zero_to_eta_over_8(rho):
+    # a NaN rho passed `rho > eta/8` and gave a NaN theta; 0 is the projection
+    theta0 = np.array([0.5, -0.2])
+    if rho == 0.0:
+        np.testing.assert_array_equal(oracle_perturbed_init(theta0, 2, rho, 0.8, 0), theta0)
+        return
+    with pytest.raises(ValueError, match="perturbation radius"):
+        oracle_perturbed_init(theta0, 2, rho, 0.8, 0)
 
 
 def test_pilot_ascent_conjugate_mode():

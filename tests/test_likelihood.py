@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import natural_param, natural_param_d1, natural_param_d2
-from surrogate_langevin import forward, likelihood
+from surrogate_langevin import expfam, forward, likelihood
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction
 from surrogate_langevin.forward import Darcy1D, LinearPhi
@@ -732,6 +732,63 @@ def test_cube_link_chain_leaving_the_range_diverges(guard):
         run_chain(spec.posterior_grad, theta_init, cfg)
     assert exc.value.step < 200
     assert spec.drift_calls["annulus"] == spec.drift_calls["far"] == 0
+
+
+def _out_of_domain(case):
+    """(model, theta_init, theta) with theta outside the natural-parameter
+    map's domain: the cube link's u <= 0, a bernoulli-cube mean >= 1, or a
+    Darcy state that cannot be solved."""
+    if case == "darcy":
+        model, theta_init = darcy_model(M=32)
+        return model, theta_init, np.array([35.0, 0.0, 0.0])
+    family, theta_init, theta = {
+        "cube": ("gaussian", [2.0, 0.3, 0.1], [-2.0, 0.0, 0.0]),
+        "bernoulli-cube": ("bernoulli", [0.4, 0.1, 0.0], [3.0, 0.0, 0.0]),
+    }[case]
+    model, theta_init = glm_model(family=family, link="cube", theta0=np.array(theta_init))
+    return model, theta_init, np.array(theta)
+
+
+@pytest.mark.parametrize("case", ["cube", "bernoulli-cube", "darcy"])
+def test_out_of_domain_is_one_error_on_every_path(case):
+    # natural_param, natural_param_derivs (or the Darcy solve), the gradient,
+    # the Hessians and the drift raise the one DomainError, a ValueError to a
+    # caller and a FloatingPointError to the chain's guard; log_lik reads -inf
+    assert issubclass(forward.SolveError, expfam.DomainError)
+    model, theta_init, theta = _out_of_domain(case)
+    x = model.dataset.x
+    eta = 2.0 * float(np.linalg.norm(theta - theta_init)) + 1.0  # theta is inner
+    probe = CurvatureReport(1.0, 2.0, 0.0, 1, theta_init, eta)
+    spec = SurrogateSpec(model, SievePrior(1.0, model.n, 3), theta_init, eta, 30.0, probe)
+    paths = [lambda: model.grad_log_lik(theta), lambda: model.hessians(theta[None]),
+             lambda: spec.grad(theta), lambda: spec.posterior_grad(theta)]
+    if case == "darcy":
+        paths.append(lambda: model.forward.values(theta, x))
+    else:
+        u = model.forward.values(theta, x)
+        paths += [lambda: expfam.natural_param(model.family, model.link, u),
+                  lambda: expfam.natural_param_derivs(model.family, model.link, u),
+                  lambda: expfam.natural_param_derivs(model.family, model.link, u, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for path in paths:
+            with pytest.raises(expfam.DomainError) as exc:
+                path()
+            assert isinstance(exc.value, ValueError)
+            assert isinstance(exc.value, FloatingPointError)
+    assert model.log_lik(theta) == spec.log_lik(theta) == -np.inf
+    cfg = SamplerConfig(gamma=1e-3, j=10, guard="none")
+    with pytest.raises(ChainDivergedError) as diverged:
+        run_chain(spec.posterior_grad, theta, cfg)
+    assert diverged.value.step == 1
+    assert diverged.value.last_state.tobytes() == theta.tobytes()
+
+
+@given(eta=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]))
+def test_curvature_probe_rejects_a_non_finite_radius(eta):
+    # a NaN eta skipped every point and read lambda = 0
+    model, theta0 = glm_model(n=50)
+    with pytest.raises(ValueError, match="probe radius eta must be positive"):
+        model.curvature_probe(theta0, eta, 5, 0)
 
 
 def test_darcy_block_directions():

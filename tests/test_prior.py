@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from surrogate_langevin.prior import SievePrior
 
@@ -66,3 +70,10 @@ def test_norm_fourth_moment_bounded():
 def test_alpha_validation():
     with pytest.raises(ValueError):
         SievePrior(0.4, 100, 3)
+
+
+@given(alpha=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]))
+def test_alpha_must_be_finite(alpha):
+    # a NaN alpha passed `alpha <= 0.5` and gave a NaN m_pi
+    with pytest.raises(ValueError, match="smoothness alpha must exceed 1/2"):
+        SievePrior(alpha, 100, 3)

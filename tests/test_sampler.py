@@ -441,6 +441,14 @@ def test_step_size_bound_rejects_nonpositive():
         step_size_bound(1.0, -1.0)
 
 
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]))
+def test_step_size_bound_rejects_non_finite(bad):
+    # a NaN m or lambda passed `<= 0` and gave (nan, nan)
+    for m, lam in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="m and lambda must be positive"):
+            step_size_bound(m, lam)
+
+
 def test_discretization_bias_values():
     assert discretization_bias(0.0, 4, 1.0, 2.0) == 0.0
     assert discretization_bias(1e-3, 4, 1.0, 2.0) == pytest.approx(0.576768,
@@ -475,6 +483,16 @@ def test_burn_in_floor_warning():
 def test_burn_in_rejects_nonpositive_epsilon():
     with pytest.raises(ValueError):
         burn_in_steps(0.0, 1.0, 0.1, 1.0, 0.5, 4)
+
+
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0]))
+def test_burn_in_rejects_non_finite_epsilon_m_and_gamma(bad):
+    # a NaN epsilon or m failed with "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        burn_in_steps(bad, 1.0, 0.1, 1.0, 0.5, 4)
+    for m, gamma in ((bad, 0.1), (1.0, bad)):
+        with pytest.raises(ValueError, match="m and gamma must be positive"):
+            burn_in_steps(0.1, m, gamma, 1.0, 0.5, 4)
 
 
 def test_precision_floor_value():

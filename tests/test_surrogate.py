@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,6 +283,33 @@ def test_region_identity_values_and_grads():
         theta = spec.theta_init + d
         assert spec.log_lik(theta) == spec.model.log_lik(theta)
         np.testing.assert_array_equal(spec.grad(theta), spec.model.grad_log_lik(theta))
+
+
+def test_surrogate_rejects_a_wrongly_shaped_theta():
+    # a theta of another length broadcast against theta_init and was answered
+    # for another point: log_lik read -2.1e12 at [100.0]
+    spec = build_spec(n=200, p=4, family="poisson")
+    for bad in (np.array([100.0]), np.zeros(5), np.zeros((1, 4)), np.zeros((2, 4))):
+        for method in (spec.log_lik, spec.grad, spec.posterior_grad,
+                       spec.posterior_log_density):
+            with pytest.raises(ValueError, match=r"theta must have length p=4"):
+                method(bad)
+    assert spec.drift_calls == {"inner": 0, "annulus": 0, "far": 0}
+
+
+@pytest.mark.parametrize("ratio, region", [(0.25, "inner"), (0.6, "annulus"), (2.0, "far")])
+def test_each_evaluation_applies_the_region_rule_once(ratio, region):
+    # the drift, the gradient and the value each ask _region once: no second
+    # copy of the rule decides the drift's region
+    spec = build_spec()
+    u = np.array([1.0, -2.0, 0.5]) / np.linalg.norm([1.0, -2.0, 0.5])
+    theta = spec.theta_init + ratio * spec.eta * u
+    with mock.patch.object(spec, "_region", wraps=spec._region) as rule:
+        for method in (spec.posterior_grad, spec.grad, spec.log_lik):
+            rule.reset_mock()
+            method(theta)
+            assert rule.call_count == 1
+    assert spec.drift_calls == {**dict.fromkeys(spec.drift_calls, 0), region: 1}
 
 
 def test_far_field_value_and_grad():
