@@ -154,6 +154,15 @@ class ExperimentConfig:
                 f"{self.model_preset}; use an oracle init")
         if self.init_mode == "oracle-perturbed" and self.init_rho < 0:
             problems.append("surrogate.init_rho: must be nonnegative")
+        elif (self.init_mode == "oracle-perturbed" and preset is not None
+              and self.alpha > 0.5 and (self.p_rule != "fixed" or self.p_value >= 1)):
+            # oracle_perturbed_init draws within eta/8, and eta depends on p
+            for n in (n for n in self.n_grid if n >= 1):
+                p = self.p_for(n)
+                bound = self.eta_for(p) / 8.0
+                if self.init_rho > bound:
+                    problems.append(f"surrogate.init_rho: {self.init_rho} exceeds "
+                                    f"eta/8 = {bound} at n = {n}, p = {p}")
         if self.n_probes < 1:
             problems.append("surrogate.n_probes: must be >= 1")
         if self.gamma_rule == "fraction" and not 0.0 < self.gamma_fraction <= 1.0:

@@ -9,6 +9,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -92,7 +93,8 @@ def build_model(cfg: ExperimentConfig, n: int, p: int, seed: int):
     return ModelInstance(dataset, basis, family, link, forward), theta0
 
 
-def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
+def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int,
+                 clock=lambda phase: None):
     """Resolve every rule to numbers: init point, eta, K, gamma, J_in, and the
     certified precision floor that the requested epsilon is checked against.
 
@@ -104,6 +106,8 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
     epsilon is below the certified precision floor.  resolved also records
     the chain's relaxation time relaxation_steps = 2/(m gamma) and its
     length in those, relaxations = (j_in + j) / relaxation_steps.
+    clock(phase) is called as each of the phases "init", "probe" and "setup"
+    (K, the surrogate and the step and burn-in rules) ends.
     """
     n, p = model.n, model.p
     prior = SievePrior(cfg.alpha, n, p)
@@ -120,7 +124,9 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
     if theta_star is not None:
         d = theta_init - theta_star
         init_info["distance_over_eta"] = math.sqrt(d.dot(d)) / eta
+    clock("init")
     probe = model.curvature_probe(theta_init, eta, cfg.n_probes, seed)
+    clock("probe")
     kappa = choose_K(probe, n, p, delta_n, MODEL_PRESETS[cfg.model_preset].exponents,
                      override=cfg.k_override)
     surrogate = SurrogateSpec(model, prior, theta_init, eta, kappa, probe)
@@ -157,6 +163,7 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int):
     }
     resolved["relaxation_steps"] = 2.0 / (surrogate.m * gamma)
     resolved["relaxations"] = (j_in + cfg.j) / resolved["relaxation_steps"]
+    clock("setup")
     return surrogate, theta_star, resolved, init_info
 
 
@@ -183,12 +190,26 @@ def sample_cell(cfg: ExperimentConfig, surrogate, resolved, region_center, seed:
 
 
 def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
+    """One (n, seed) cell.  Its metrics hold the wall seconds of each phase,
+    "seconds_<phase>" for data, init, probe, setup, chain and diagnostics,
+    each from the end of the one before, written as the phase ends, so a
+    failed cell keeps the phases it finished.  They go to the manifest only,
+    since report.csv stays byte-identical across reruns."""
     p = cfg.p_for(n)
     result = CellResult(n=n, p=p, seed=seed)
+    last = perf_counter()
+
+    def clock(phase):
+        nonlocal last
+        now = perf_counter()
+        result.metrics["seconds_" + phase], last = now - last, now
+
     model = None
     try:
         model, theta0 = build_model(cfg, n, p, seed)
-        surrogate, theta_star, resolved, init_info = resolve_cell(cfg, model, theta0, seed)
+        clock("data")
+        surrogate, theta_star, resolved, init_info = resolve_cell(cfg, model, theta0, seed,
+                                                                  clock)
         result.resolved = resolved
         if "distance_over_eta" in init_info:
             result.metrics["init_distance_over_eta"] = init_info["distance_over_eta"]
@@ -196,6 +217,7 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
             if key in init_info:
                 result.metrics["pilot_" + key] = init_info[key]
         trace = sample_cell(cfg, surrogate, resolved, theta_star, seed)
+        clock("chain")
         result.trace = trace
         mean = trace.ergodic_average("identity")
         result.metrics["exit_step"] = trace.exit_step
@@ -222,6 +244,7 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
                 lambda t: model.log_lik(t) + surrogate.prior.log_density(t),
                 bounds, (1024,))
             result.metrics["grid_tv"] = grid_tv_distance(g_sur, g_true)
+        clock("diagnostics")
     except Exception as exc:  # cell failures must not abort the experiment
         result.status = "diverged" if isinstance(exc, ChainDivergedError) else "failed"
         result.message = f"{type(exc).__name__}: {exc}"

@@ -54,10 +54,22 @@ def _density_quadrature():
 def _log_partition(qw, phi_quad):
     """log of the quadrature sum of exp(phi_quad) with weights qw along the
     last axis, shifted by the maximum: a float for one point's (Q,) values,
-    one per row of a (B, Q) block.  np.maximum.reduce and np.add.reduce are
-    the reductions of ndarray.max and ndarray.sum, without their Python
-    wrappers; (phi_quad.T - mx).T subtracts each row's maximum and keeps the
-    rows C-contiguous, at less cost to one point than mx[..., None]."""
+    one per row of a (B, Q) block; phi_quad is not written.  Both paths keep
+    the operation order of ndarray.max, ndarray.sum and a fresh array per
+    step, so the gradient body and log_lik share one log-partition.  One
+    point takes phi_quad[phi_quad.argmax()], the first maximum: the float
+    ndarray.max gives (NaN if there is one, up to its sign bit) at a third
+    of the cost; it exponentiates and weights one scratch vector in place.
+    A block reduces with np.maximum.reduce and np.add.reduce, the
+    reductions of ndarray.max and ndarray.sum without their Python
+    wrappers; (phi_quad.T - mx).T subtracts each row's maximum and keeps
+    the rows C-contiguous."""
+    if phi_quad.ndim == 1:
+        mx = phi_quad[phi_quad.argmax()]
+        w = phi_quad - mx
+        np.exp(w, out=w)
+        w *= qw  # IEEE * commutes: the bits of qw * w
+        return mx + np.log(np.add.reduce(w))
     mx = np.maximum.reduce(phi_quad, -1)
     return mx + np.log(np.add.reduce(qw * np.exp((phi_quad.T - mx).T), -1))
 
@@ -79,9 +91,18 @@ def _no_data_grad(p, theta):
 
 
 def _density_grad(E_quad, qw, data_sum, n, theta):
-    phi_quad = E_quad.dot(theta)  # ndarray.dot: the gemv of @, less dispatch
-    p_quad = np.exp(phi_quad - _log_partition(qw, phi_quad))
-    return data_sum - n * (qw * p_quad).dot(E_quad)
+    """data_sum - n * (qw * exp(phi - log Z)) E_quad with phi = E_quad theta:
+    each step in place on the output of the first gemv (ndarray.dot: the
+    gemv of @, less dispatch), then of the second.  Every operation has the
+    operands and order of the fresh-array formula, since IEEE * and + are
+    commutative, so the bits are its bits."""
+    w = E_quad.dot(theta)
+    w -= _log_partition(qw, w)
+    np.exp(w, out=w)
+    w *= qw
+    g = w.dot(E_quad)
+    g *= n
+    return np.subtract(data_sum, g, out=g)
 
 
 def _linear_grad(E, y, A1, out, theta):

@@ -10,6 +10,7 @@ import warnings
 import weakref
 from dataclasses import fields
 from pathlib import Path
+from time import perf_counter
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from surrogate_langevin.config import (MODEL_PRESETS, ConfigValidationError,
                                        ExperimentConfig, load_config)
 from surrogate_langevin.experiment import build_model, resolve_cell, run_cell, run_experiment
 from surrogate_langevin.initializers import pilot_ascent_init
-from surrogate_langevin.likelihood import CSV_BLOCK_ROWS
+from surrogate_langevin.likelihood import CSV_BLOCK_ROWS, ModelInstance
 from surrogate_langevin.prior import SievePrior
 from surrogate_langevin.sampler import ChainTrace, discretization_bias, precision_floor
 from surrogate_langevin.surrogate import ConfigurationError
@@ -338,7 +339,18 @@ def test_jobs_run_matches_one_process(tmp_path, command):
     assert "report.csv" in names and "manifest.json" in names
     assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
     for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        if name != "manifest.json":
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    # the same manifest but for the cells' phase times, which are wall times
+    manifests = [json.loads((tmp_path / jobs / "manifest.json").read_text())
+                 for jobs in ("1", "2")]
+    for manifest in manifests:
+        for cell in manifest["cells"]:
+            times = [k for k in cell["metrics"] if k.startswith("seconds_")]
+            assert len(times) == 6
+            for key in times:
+                del cell["metrics"][key]
+    assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize("command", ["diagnose", "experiment"])
@@ -711,8 +723,8 @@ def test_a_finished_cell_is_freed_by_reference_counting(preset, init_mode):
     refs = []
     resolve = experiment.resolve_cell
 
-    def recording(cfg, model, theta0, seed):
-        out = resolve(cfg, model, theta0, seed)
+    def recording(cfg, model, theta0, seed, clock):
+        out = resolve(cfg, model, theta0, seed, clock)
         refs.extend([weakref.ref(model), weakref.ref(out[0])])
         return out
 
@@ -745,6 +757,72 @@ def test_pilot_ascent_rejected_for_the_cube_link_only(preset):
                                              "theta = 0")
     assert "cube link" in info.value.problems[0]
     ExperimentConfig(model_preset=preset, init_mode="oracle-perturbed").validate()
+
+
+@pytest.mark.parametrize("p_rule", ["fixed", "rate"])
+def test_oracle_perturbed_radius_is_checked_against_eta_over_8_at_each_n(p_rule):
+    # oracle_perturbed_init draws within eta/8 of the truth projection and
+    # eta depends on p, so validate checks init_rho at each n of the grid and
+    # no cell fails late; init_rho = eta/8 itself is accepted
+    n_grid = [100, 10_000]  # p = 4 and 4 when fixed, 5 and 22 by the rate
+    base = dict(init_mode="oracle-perturbed", p_rule=p_rule, n_grid=n_grid)
+    cfg = ExperimentConfig(**base)
+    bounds = {n: cfg.eta_for(cfg.p_for(n)) / 8.0 for n in n_grid}
+    for edge in sorted(set(bounds.values())):
+        for rho in (edge, math.nextafter(edge, math.inf)):
+            cfg = ExperimentConfig(init_rho=rho, **base)
+            want = [f"surrogate.init_rho: {rho} exceeds eta/8 = {bounds[n]} "
+                    f"at n = {n}, p = {cfg.p_for(n)}" for n in n_grid if rho > bounds[n]]
+            if not want:
+                cfg.validate()
+                continue
+            with pytest.raises(ConfigValidationError) as info:
+                cfg.validate()
+            assert info.value.problems == want
+    # a radius of exactly eta/8 runs
+    tiny = dict(n_grid=[50], n_probes=5, j_in_rule="fixed", j=10, p_rule=p_rule)
+    cfg = ExperimentConfig(init_mode="oracle-perturbed", **tiny)
+    cfg.init_rho = cfg.eta_for(cfg.p_for(50)) / 8.0
+    cell = run_cell(cfg.validate(), 50, 0)
+    assert cell.status == "ok", cell.message
+
+
+PHASES = ("data", "init", "probe", "setup", "chain", "diagnostics")
+
+
+def test_a_cell_records_its_phase_times_in_the_manifest_only(tmp_path):
+    # wall seconds per phase: non-negative floats that sum to at most the
+    # cell's own wall time, written to the manifest and not to report.csv
+    cfg = ExperimentConfig(n_grid=[50], seeds=[0], p_value=2, n_probes=5, j_in_rule="fixed",
+                           j=10, init_mode="pilot-ascent",
+                           diagnostics=["condition-numbers", "contraction"])
+    t0 = perf_counter()
+    cell = run_cell(cfg, 50, 0)
+    wall = perf_counter() - t0
+    assert cell.status == "ok", cell.message
+    times = {k: v for k, v in cell.metrics.items() if k.startswith("seconds_")}
+    assert list(times) == ["seconds_" + phase for phase in PHASES]
+    assert all(type(v) is float and v >= 0.0 for v in times.values())
+    assert sum(times.values()) <= wall
+    assert not [c for c in experiment.REPORT_COLUMNS if c.startswith("seconds_")]
+    _, report = run_experiment(cfg, out_dir=tmp_path)
+    metrics = json.loads((tmp_path / "manifest.json").read_text())["cells"][0]["metrics"]
+    assert all(type(metrics["seconds_" + phase]) is float for phase in PHASES)
+    assert next(csv.reader(io.StringIO(report.read_text()))) == experiment.REPORT_COLUMNS
+
+
+@pytest.mark.parametrize("target, finished", [
+    ("curvature_probe", PHASES[:2]), ("sample_cell", PHASES[:4])])
+def test_a_failed_cell_keeps_the_phases_it_finished(target, finished):
+    cfg = ExperimentConfig(n_grid=[50], seeds=[0], p_value=2, n_probes=5, j_in_rule="fixed",
+                           j=10)
+    owner = ModelInstance if target == "curvature_probe" else experiment
+    with mock.patch.object(owner, target, side_effect=RuntimeError("injected")):
+        cell = run_cell(cfg, 50, 0)
+    assert (cell.status, cell.message) == ("failed", "RuntimeError: injected")
+    assert [k for k in cell.metrics if k.startswith("seconds_")] == [
+        "seconds_" + phase for phase in finished]
+    assert all(cell.metrics["seconds_" + phase] >= 0.0 for phase in finished)
 
 
 @pytest.mark.parametrize("guard", ["none", "reflect"])

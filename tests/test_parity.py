@@ -81,6 +81,52 @@ def _same(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@functools.cache
+def _density_model(p):
+    basis = BasisFamily("cosine-centered", p)
+    ds = generate_data(basis, 0.3 / np.arange(1.0, p + 1) ** 2, 60, p, kind="density")
+    return ModelInstance(ds, basis, None, None, None)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([1, 2, 4, 8, 16, 32]), data=st.data())
+def test_density_grad_matches_the_first_composition(p, data):
+    # the in-place gradient body against the fresh-array composition, with
+    # NaN, +-inf, +-0.0 and 1e300 entries mixed into theta: its bits where
+    # the composition is not NaN, NaN where it is
+    model = _density_model(p)
+    entry = st.floats(-50.0, 50.0) | st.sampled_from(EDGE_FLOATS)
+    theta = np.array(data.draw(st.lists(entry, min_size=p, max_size=p)))
+    with np.errstate(all="ignore"):
+        want = grad_log_lik_composed(model, theta)
+        got = model.grad_log_lik(theta)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    _same(got[~nan], want[~nan])
+
+
+def test_density_grad_returns_an_array_of_its_own():
+    # the body works in place on the arrays its gemvs return: a result
+    # shares no memory with the next call's, with theta or with the model's
+    # arrays, and no call writes to them
+    model = _density_model(4)
+    bound = [model._E_quad, model._qw, model._grad_data_const, model._E_data]
+    before = [a.tobytes() for a in bound]
+    thetas = [np.full(4, 0.1), np.full(4, -0.2)]
+    first = model.grad_log_lik(thetas[0])
+    kept = first.copy()
+    second = model.grad_log_lik(thetas[1])
+    _same(first, kept)
+    for got in (first, second):
+        assert not any(np.shares_memory(got, a) for a in bound + thetas)
+    assert not np.shares_memory(first, second)
+    assert [a.tobytes() for a in bound] == before
+    _same(thetas[0], np.full(4, 0.1))
+
+
 def _check_drift_parity(spec, theta):
     region = drift_region(spec, theta)
     before = dict(spec.drift_calls)
