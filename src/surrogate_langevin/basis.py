@@ -1,4 +1,4 @@
-"""Orthonormal bases on [0, 1] and coefficient-to-function expansions."""
+"""Orthonormal bases on [0, 1] and their design matrices."""
 
 from __future__ import annotations
 
@@ -29,17 +29,10 @@ class BasisFamily:
         if self.p < 1:
             raise ValueError(f"basis dimension p must be >= 1, got {self.p}")
 
-    def eval(self, k: int, x):
-        """Evaluate e_k at x (scalar or array). Requires 1 <= k <= p, 0 <= x <= 1."""
-        if not 1 <= k <= self.p:
-            raise ValueError(f"basis index k={k} outside 1..{self.p}")
-        x = np.asarray(x, dtype=float)
-        return self.design_matrix(x.ravel())[:, k - 1].reshape(x.shape)[()]
-
     def design_matrix(self, x) -> np.ndarray:
         """Matrix E with E[i, k-1] = e_k(x_i), shape (len(x), p)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any((x < 0.0) | (x > 1.0)):
+        if not ((x >= 0.0) & (x <= 1.0)).all():  # NaN too
             raise ValueError("evaluation point outside [0, 1]")
         ks = np.arange(1, self.p + 1)
         if self.kind == "cosine-with-constant":
@@ -49,20 +42,3 @@ class BasisFamily:
         if self.kind == "cosine-centered":
             return np.sqrt(2.0) * np.cos(np.pi * ks[None, :] * x[:, None])
         return np.sqrt(2.0) * np.sin(np.pi * ks[None, :] * x[:, None])
-
-    def expand(self, theta, x):
-        """Evaluate the series sum_k theta_k e_k at x; linear in theta."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.p,):
-            raise ValueError(f"theta must have length p={self.p}, got shape {theta.shape}")
-        scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-        out = self.design_matrix(x) @ theta
-        return float(out[0]) if scalar else out
-
-    def laplacian_eigenvalue(self, k: int) -> float:
-        """Dirichlet-Laplacian eigenvalue pi^2 k^2 (dirichlet-sine only)."""
-        if self.kind != "dirichlet-sine":
-            raise ValueError("Laplacian eigenvalues only defined for the dirichlet-sine basis")
-        if not 1 <= k <= self.p:
-            raise ValueError(f"basis index k={k} outside 1..{self.p}")
-        return np.pi ** 2 * k ** 2

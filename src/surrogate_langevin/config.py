@@ -175,6 +175,8 @@ class ExperimentConfig:
             problems.append("sampler.j_in_value: must be >= 0")
         if self.epsilon <= 0:
             problems.append("sampler.epsilon: must be positive")
+        if self.c_w < 0:
+            problems.append("sampler.c_w: must be nonnegative")
         if self.j < 1:
             problems.append("sampler.j: must be >= 1")
         if self.guard_radius <= 0:

@@ -1,8 +1,8 @@
-"""Ground-truth machinery: grid posteriors, exact empirical W2, contraction
-and recovery metrics, condition numbers, exit-time summaries.
+"""Ground-truth machinery: grid posteriors and their total-variation distance,
+contraction and recovery metrics, condition numbers.
 
-scipy is imported inside the two functions that call it, so importing the
-package does not load it."""
+scipy is imported inside grid_posterior, the one function that calls it, so
+importing the package does not load it."""
 
 from __future__ import annotations
 
@@ -26,31 +26,9 @@ class BoundaryMassError(ValueError):
 class GridPosterior:
     p: int
     bounds: tuple            # ((lo, hi),) per axis
-    resolution: tuple        # points per axis
-    axes: list = field(repr=False)
-    log_values: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     mean: np.ndarray = None
     cov: np.ndarray = None
-
-    def marginal_std(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
-
-    def sample_inverse_cdf(self, n_samples: int) -> np.ndarray:
-        """Deterministic quantile-grid samples (1-D grids only).
-
-        Uses the quantiles (i + 0.5)/n_samples of the piecewise-constant CDF,
-        so two posteriors produce comparable sample sets with no Monte Carlo
-        noise.
-        """
-        if self.p != 1:
-            raise ValueError("inverse-CDF sampling is implemented for p = 1 only")
-        x = self.axes[0]
-        cdf = np.cumsum(self.weights)
-        cdf /= cdf[-1]
-        q = (np.arange(n_samples) + 0.5) / n_samples
-        samples = np.interp(q, cdf, x)
-        return samples[:, None]
 
 
 def grid_posterior(log_density, bounds, resolution) -> GridPosterior:
@@ -95,9 +73,7 @@ def grid_posterior(log_density, bounds, resolution) -> GridPosterior:
     mean = flat @ pts
     centered = pts - mean
     cov = (centered * flat[:, None]).T @ centered
-    return GridPosterior(p=p, bounds=bounds, resolution=tuple(resolution),
-                         axes=axes, log_values=logv, weights=w,
-                         mean=mean, cov=cov)
+    return GridPosterior(p=p, bounds=bounds, weights=w, mean=mean, cov=cov)
 
 
 def grid_tv_distance(a: GridPosterior, b: GridPosterior) -> float:
@@ -105,30 +81,6 @@ def grid_tv_distance(a: GridPosterior, b: GridPosterior) -> float:
     if a.weights.shape != b.weights.shape:
         raise ValueError("grids must share shape")
     return 0.5 * float(np.abs(a.weights - b.weights).sum())
-
-
-def empirical_w2(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
-    """Exact empirical Wasserstein-2 via optimal assignment.
-
-    W2^2 between two empirical measures with equal counts equals the minimum
-    over matchings of the mean squared pair distance.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.shape != b.shape:
-        raise ValueError(f"sample shapes differ: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    if n > 2048:
-        raise ValueError("assignment W2 limited to N <= 2048 samples")
-    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].mean()))
 
 
 def contraction_metric(samples, center, beta: float, big_l: float,
@@ -169,25 +121,3 @@ class RecoveryReport:
             raise ValueError("errors must be nonnegative")
         slope = loglog_slope(n_grid, errors) if len(errors) >= 2 else float("nan")
         return cls(list(n_grid), errors, slope, -alpha / (2.0 * alpha + 1.0))
-
-
-@dataclass
-class ExitTimeSummary:
-    n_traces: int
-    n_exited: int
-    fraction_exited: float
-    quantiles: dict             # {0.1, 0.5, 0.9} over exit steps (exited traces)
-
-
-def exit_time_stats(traces) -> ExitTimeSummary:
-    traces = list(traces)
-    if len(traces) < 10:
-        raise ValueError("need at least 10 traces for exit statistics")
-    steps = [t.exit_step for t in traces if t.exit_step is not None]
-    q = {}
-    if steps:
-        arr = np.asarray(steps, dtype=float)
-        for level in (0.1, 0.5, 0.9):
-            q[level] = float(np.quantile(arr, level))
-    return ExitTimeSummary(len(traces), len(steps),
-                           len(steps) / len(traces), q)

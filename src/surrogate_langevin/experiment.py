@@ -194,7 +194,8 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     "seconds_<phase>" for data, init, probe, setup, chain and diagnostics,
     each from the end of the one before, written as the phase ends, so a
     failed cell keeps the phases it finished.  They go to the manifest only,
-    since report.csv stays byte-identical across reruns."""
+    since report.csv stays byte-identical across reruns.  So do the model's
+    evaluation counts (ModelInstance), read once the cell ends or fails."""
     p = cfg.p_for(n)
     result = CellResult(n=n, p=p, seed=seed)
     last = perf_counter()
@@ -248,9 +249,13 @@ def run_cell(cfg: ExperimentConfig, n: int, seed: int) -> CellResult:
     except Exception as exc:  # cell failures must not abort the experiment
         result.status = "diverged" if isinstance(exc, ChainDivergedError) else "failed"
         result.message = f"{type(exc).__name__}: {exc}"
-    if model is not None and isinstance(model.forward, Darcy1D):
-        # every state the cell solved, the data's included (manifest only)
-        result.metrics["forward_states_solved"] = model.forward.states_solved
+    if model is not None:
+        # the model's evaluation counts, and every state a Darcy cell solved,
+        # the data's included (manifest only)
+        for key in ("log_lik_calls", "log_lik_rows", "grad_log_lik_calls", "hessian_points"):
+            result.metrics[key] = getattr(model, key)
+        if isinstance(model.forward, Darcy1D):
+            result.metrics["forward_states_solved"] = model.forward.states_solved
     return result
 
 

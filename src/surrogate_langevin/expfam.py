@@ -119,7 +119,8 @@ class ExpFamily:
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Invertible link g and its inverse (natural_param_derivs differentiates it).
+    """Invertible link g, given by its inverse (natural_param_derivs
+    differentiates it).
 
     'canonical' is g = A', so the natural-parameter map b is the identity
     on the forward-operator output.  'cube' is g(x) = x^3 on the positive
@@ -132,37 +133,24 @@ class LinkFunction:
         if self.kind not in LINK_KINDS:
             raise ValueError(f"unknown link {self.kind!r}; expected one of {LINK_KINDS}")
 
-    def _cube_only(self, name):
-        if self.kind != "cube":
-            raise ValueError(f"the canonical link's {name} is family-dependent; "
-                             "use natural_param")
-
-    def g(self, x):
-        self._cube_only("g")
-        return np.asarray(x, dtype=float) ** 3
-
     def g_inv(self, u):
-        self._cube_only("g_inv")
+        """g^{-1}(u) of the cube link; DomainError, naming the link, where u
+        is outside its range u > 0."""
+        if self.kind != "cube":
+            raise ValueError("the canonical link's g_inv is family-dependent; "
+                             "use natural_param")
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0):
-            raise ValueError("cube link defined on the positive half-line")
+            raise DomainError("value outside the range of link 'cube': "
+                              "cube link defined on the positive half-line")
         return np.cbrt(u)
-
-
-def _link_mean(link: LinkFunction, u):
-    """g^{-1}(u) of a non-canonical link; DomainError, naming the link, when
-    u is outside its range."""
-    try:
-        return link.g_inv(u)
-    except ValueError as exc:
-        raise DomainError(f"value outside the range of link {link.kind!r}: {exc}") from exc
 
 
 def natural_param(fam: ExpFamily, link: LinkFunction, u):
     """b = (A')^{-1} o g^{-1} evaluated at the forward-map output u."""
     if link.kind == "canonical":
         return np.asarray(u, dtype=float) + 0.0
-    return fam.A1_inv(_link_mean(link, u))
+    return fam.A1_inv(link.g_inv(u))
 
 
 def natural_param_derivs(fam: ExpFamily, link: LinkFunction, u, order=2):
@@ -172,7 +160,7 @@ def natural_param_derivs(fam: ExpFamily, link: LinkFunction, u, order=2):
     u = np.asarray(u, dtype=float)
     if link.kind == "canonical":
         return (u + 0.0, 1.0, 0.0)[:order + 1]
-    mean = _link_mean(link, u)
+    mean = link.g_inv(u)
     h = fam.A1_inv(mean)
     a2 = fam.A2(h)
     # near u = 0 the derivatives outgrow the floats: they overflow to +-inf,

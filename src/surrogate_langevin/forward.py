@@ -85,23 +85,6 @@ class SolveError(DomainError):
     as a non-finite drift."""
 
 
-def darcy_solve(f: np.ndarray, g1: np.ndarray, g2: tuple[float, float]) -> np.ndarray:
-    """Solve (f u')' = g1 with Dirichlet values g2 on a uniform grid.
-
-    f has M+2 node values (boundaries included), g1 has M interior values.
-    Returns u on all M+2 nodes.  Second-order conservative scheme with
-    arithmetic face averaging.
-    """
-    f = np.asarray(f, dtype=float)
-    g1 = np.asarray(g1, dtype=float)
-    if np.any(f <= 0.0):
-        raise ValueError("conductivity must be strictly positive on the grid")
-    M = g1.size
-    if f.size != M + 2:
-        raise ValueError(f"f must have {M + 2} node values, got {f.size}")
-    return _solve_dirichlet(f, g1, g2)[0]
-
-
 def _solve_dirichlet(f, g1, g2):
     """(u, cb): the solution of (f u')' = g1 with u = g2 at the ends on all
     M+2 nodes, and the banded Cholesky factor cb of -L_f.  f holds node
@@ -253,14 +236,6 @@ class Darcy1D:
         self._x_key = None
         self._x_memo = None
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self._grid
-
-    def conductivity(self, theta) -> np.ndarray:
-        phi = self._E_grid @ np.asarray(theta, dtype=float)
-        return self.f_min + np.exp(phi)
-
     def _state(self, theta):
         """(u, exp(Phi), cb) at each row of theta, a point (p,) being a
         one-row block: (M+2, B) node columns and their block factor.  Kept
@@ -304,10 +279,6 @@ class Darcy1D:
         """u at a point (M+2,), or one C-ordered row per point of a block."""
         u = self._state(theta)[0]
         return u[:, 0] if np.ndim(theta) == 1 else u.T
-
-    def residual_inf_norm(self, theta) -> float:
-        f = self.conductivity(theta)
-        return float(np.max(np.abs(_apply_operator(f, self.solution(theta)) - self._g1_int)))
 
     def values(self, theta, x):
         out = self._at(x, self._state(theta)[0])

@@ -19,7 +19,7 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +188,9 @@ class Dataset:
         self.x.flags.writeable = False
         if self.x.shape != (self.n,):
             raise ValueError("length of x must equal n")
-        if np.any((self.x < 0) | (self.x > 1)):
+        if not np.isfinite(self.x).all():
+            raise ValueError("design points x must be finite")
+        if not ((self.x >= 0) & (self.x <= 1)).all():
             raise ValueError("design points must lie in [0, 1]")
         if self.kind == "regression":
             if self.y is None:
@@ -196,6 +198,8 @@ class Dataset:
             self.y = np.asarray(self.y, dtype=float)
             if self.y.shape != (self.n,):
                 raise ValueError("length of y must equal n")
+            if not np.isfinite(self.y).all():
+                raise ValueError("responses y must be finite")
 
     def save(self, path):
         """Write data as CSV plus a JSON metadata sidecar."""
@@ -255,6 +259,11 @@ class ModelInstance:
     hessians.  Where the family's A' is a ufunc (poisson) the canonical
     LinearPhi body reuses one n-vector of the model, so a model is not to be
     shared across threads.
+
+    A model counts its evaluations: `log_lik_calls` public log_lik calls
+    and the `log_lik_rows` they evaluated (a point is one row, a block of B
+    is B), `grad_log_lik_calls` grad_log_lik calls and `hessian_points`
+    points passed to hessians.  Calls of `_grad` are not counted.
     """
 
     dataset: Dataset
@@ -267,6 +276,8 @@ class ModelInstance:
         # Settled once here rather than on every call: the model kind, the
         # sample size and, for regression, the data and the link's form.
         self._theta_shape = (self.basis.p,)
+        self.log_lik_calls = self.log_lik_rows = 0
+        self.grad_log_lik_calls = self.hessian_points = 0
         self._n = self.dataset.n
         self._density = self.dataset.kind == "density"
         if self._density:
@@ -310,10 +321,6 @@ class ModelInstance:
     def n(self) -> int:
         return self.dataset.n
 
-    @property
-    def kind(self) -> str:
-        return self.dataset.kind
-
     # -- public likelihood surface -------------------------------------------
 
     def log_lik(self, theta):
@@ -322,9 +329,12 @@ class ModelInstance:
         is not finite, the natural parameter is outside the link's range, or
         the forward solve fails."""
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 2 and theta.shape[1] == self.p:
-            return self._log_lik_rows(theta)
-        return float(self._log_lik_rows(self._check(theta)[None])[0])
+        block = theta.ndim == 2 and theta.shape[1] == self.p
+        thetas = theta if block else self._check(theta)[None]
+        self.log_lik_calls += 1
+        self.log_lik_rows += len(thetas)
+        values = self._log_lik_rows(thetas)
+        return values if block else float(values[0])
 
     def _log_lik_rows(self, thetas) -> np.ndarray:
         """log_lik at each row of the (B, p) array thetas.  Each row's
@@ -364,6 +374,7 @@ class ModelInstance:
         """grad l_n(theta); FloatingPointError where the natural parameter
         overflows, without a numpy warning."""
         theta = self._check(theta)
+        self.grad_log_lik_calls += 1
         with np.errstate(over="ignore", invalid="ignore"):
             return self._grad(theta)
 
@@ -395,6 +406,7 @@ class ModelInstance:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.p:
             raise ValueError(f"thetas must have shape (B, {self.p}), got {thetas.shape}")
+        self.hessian_points += len(thetas)
         if self._n == 0 or not len(thetas):
             return np.zeros((len(thetas), self.p, self.p))
         if self._density:

@@ -47,10 +47,6 @@ class SievePrior:
     def lambda_pi(self) -> float:
         return self.scale * float(self.p) ** (2.0 * self.alpha)
 
-    @property
-    def cov_diag(self) -> np.ndarray:
-        return 1.0 / (self.scale * self.sigma_alpha_diag)
-
     def log_density(self, theta) -> float:
         """Log prior density up to an additive normalizing constant."""
         theta = self._check(theta)
@@ -60,11 +56,6 @@ class SievePrior:
         """Gradient of the log prior density: -n^{1/(2a+1)} Sigma_a theta."""
         theta = self._check(theta)
         return self.grad_diag * theta  # == -self.scale * self.sigma_alpha_diag * theta
-
-    def sample(self, seed) -> np.ndarray:
-        """One prior draw; deterministic for a fixed seed."""
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        return rng.standard_normal(self.p) * np.sqrt(self.cov_diag)
 
     def _check(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

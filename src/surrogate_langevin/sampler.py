@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +67,6 @@ class ChainTrace:
         """Stored states whose step index exceeds j_in."""
         first = self.j_in // self.stride + 1
         return self.states[first:]
-
-
-def ula_step(drift, state, gamma, noise):
-    """One Euler step: state + gamma * drift(state) + sqrt(2 gamma) * noise."""
-    return _step(drift, state, gamma, math.sqrt(2.0 * gamma) * np.asarray(noise, dtype=float))[0]
 
 
 def _step(drift, state, gamma, scaled_noise):
@@ -260,12 +255,16 @@ def burn_in_steps(epsilon: float, m: float, gamma: float, eta: float,
     """Burn-in from the geometric-contraction bound.
 
     J_in = ceil( log(eps^2 / (32 (c_w max(eta, Lambda_pi/m)^2 + p/m)))
-                 / log(1 - m gamma / 2) ).
+                 / log(1 - m gamma / 2) ),
+
+    and 0 where the ratio is at least 1 or eps^2 is past the largest float.
     """
     if not 0 < epsilon < math.inf:  # NaN too
         raise ValueError("epsilon must be positive and finite")
     if not (0 < m < math.inf and 0 < gamma < math.inf):
         raise ValueError("m and gamma must be positive and finite")
+    if not 0 <= c_w < math.inf:
+        raise ValueError("c_w must be nonnegative and finite")
     if m * gamma >= 2.0:
         raise ConfigurationStepError("m * gamma must be below 2 for the contraction bound")
     if floor is not None and epsilon < floor:
@@ -273,7 +272,10 @@ def burn_in_steps(epsilon: float, m: float, gamma: float, eta: float,
             f"requested precision {epsilon:g} is below the certified floor {floor:g}; "
             "the burn-in bound is not guaranteed to reach it", stacklevel=2)
     denom = 32.0 * (c_w * max(eta, lambda_pi / m) ** 2 + p / m)
-    ratio = epsilon ** 2 / denom
+    try:
+        ratio = epsilon ** 2 / denom
+    except OverflowError:
+        return 0
     if ratio >= 1.0:
         return 0
     return int(math.ceil(math.log(ratio) / math.log(1.0 - m * gamma / 2.0)))

@@ -216,11 +216,6 @@ class SurrogateSpec:
             return -np.inf
         return vt * (ll - self._ll_init) + self._ll_init - self.K * pen
 
-    def grad(self, theta) -> np.ndarray:
-        theta = self.model._check(theta)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._grad(theta)[1]
-
     def _region(self, t: float) -> str:
         """The region of drift_calls that t = ||theta - theta_init|| falls in."""
         if t <= self._inner_edge:

@@ -1,4 +1,5 @@
-"""Independent numerical oracles used only by the test suite."""
+"""Independent numerical oracles, and the helpers built on them, used only by the
+test suite."""
 
 import csv
 import io
@@ -6,10 +7,12 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from surrogate_langevin.diagnostics import BoundaryMassError
 from surrogate_langevin.expfam import natural_param_derivs
+from surrogate_langevin.forward import _apply_operator
 from surrogate_langevin.likelihood import _density_quadrature, _log_partition
 from surrogate_langevin.surrogate import _MOLLIFIER_W, _MOLLIFIER_Z
 
@@ -64,6 +67,13 @@ def apply_operator_per_node(c, w):
     return (faces[1:] * (w[2:] - w[1:-1]) - faces[:-1] * (w[1:-1] - w[:-2])) / h ** 2
 
 
+def darcy_residual_inf_norm(op, theta) -> float:
+    """max |L_f u - g1| over the interior nodes, with u the state a Darcy1D
+    op solves at theta and f = f_min + exp(Phi(theta)) its conductivity."""
+    f = op.f_min + np.exp(op._E_grid @ np.asarray(theta, dtype=float))
+    return float(np.max(np.abs(_apply_operator(f, op.solution(theta)) - op.g1)))
+
+
 def darcy_solve_assembled(f, g1, g2):
     """(u, cb): the Dirichlet solve as first assembled, through scipy's banded
     Cholesky wrappers: the faces formed for the factor and again for the
@@ -104,7 +114,7 @@ def darcy_reference(op, theta, V, x):
     w3 = -solve(apply_operator_per_node(fv2, u[:, None]))
 
     def interp(nodes):
-        return np.stack([np.interp(x, op.grid, c) for c in nodes.T], axis=1)
+        return np.stack([np.interp(x, op._grid, c) for c in nodes.T], axis=1)
 
     return u, interp(w), interp(2.0 * w2 - w3)
 
@@ -118,7 +128,7 @@ def hess_dir_many_composed(model, theta, V):
     theta, V = np.asarray(theta, dtype=float), np.asarray(V, dtype=float)
     if model.n == 0:
         return np.zeros(V.shape[1])
-    if model.kind == "density":
+    if model.dataset.kind == "density":
         phi_quad = model._E_quad @ theta
         wp = model._qw * np.exp(phi_quad - _log_partition(model._qw, phi_quad))
         PV = model._E_quad @ V
@@ -259,6 +269,36 @@ def w2_sorted_1d(samples_a, samples_b) -> float:
     if a.shape != b.shape:
         raise ValueError("sample counts differ")
     return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def empirical_w2(samples_a, samples_b) -> float:
+    """Exact empirical Wasserstein-2 via optimal assignment: W2^2 between two
+    empirical measures with equal counts is the minimum over matchings of the
+    mean squared pair distance."""
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    if b.ndim == 1:
+        b = b[:, None]
+    if a.shape != b.shape:
+        raise ValueError(f"sample shapes differ: {a.shape} vs {b.shape}")
+    if a.shape[0] > 2048:
+        raise ValueError("assignment W2 limited to N <= 2048 samples")
+    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean()))
+
+
+def sample_inverse_cdf(grid, n_samples) -> np.ndarray:
+    """Deterministic quantile-grid samples of a one-dimensional GridPosterior:
+    the quantiles (i + 0.5)/n_samples of its piecewise-constant CDF, so two
+    posteriors give comparable sample sets with no Monte Carlo noise."""
+    (lo, hi), = grid.bounds  # one axis
+    cdf = np.cumsum(grid.weights)
+    cdf /= cdf[-1]
+    q = (np.arange(n_samples) + 0.5) / n_samples
+    return np.interp(q, cdf, np.linspace(lo, hi, grid.weights.size))[:, None]
 
 
 # -- the natural-parameter map and the cutoff as first written ------------------
@@ -431,6 +471,14 @@ def drift_region(spec, theta) -> str:
     if t <= 0.5 * spec.eta:
         return "inner"
     return "far" if t / spec.eta >= 0.875 else "annulus"
+
+
+def surrogate_grad(spec, theta) -> np.ndarray:
+    """grad lt(theta) from the package's one gradient body SurrogateSpec._grad,
+    at a checked theta and under the error state a chain's drift runs in."""
+    theta = spec.model._check(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spec._grad(theta)[1]
 
 
 def grad_composed(spec, theta) -> np.ndarray:

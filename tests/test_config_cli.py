@@ -25,7 +25,7 @@ from surrogate_langevin.config import (MODEL_PRESETS, ConfigValidationError,
                                        ExperimentConfig, load_config)
 from surrogate_langevin.experiment import build_model, resolve_cell, run_cell, run_experiment
 from surrogate_langevin.initializers import pilot_ascent_init
-from surrogate_langevin.likelihood import CSV_BLOCK_ROWS, ModelInstance
+from surrogate_langevin.likelihood import CSV_BLOCK_ROWS, PROBE_BLOCK, ModelInstance
 from surrogate_langevin.prior import SievePrior
 from surrogate_langevin.sampler import ChainTrace, discretization_bias, precision_floor
 from surrogate_langevin.surrogate import ConfigurationError
@@ -162,6 +162,15 @@ def test_guard_radius_must_be_positive(radius):
     with pytest.raises(ConfigValidationError) as exc:
         ExperimentConfig(guard="reflect", guard_radius=radius).validate()
     assert exc.value.problems == ["sampler.guard_radius: must be positive"]
+
+
+@pytest.mark.parametrize("c_w", [-1.0, -1e-300])
+def test_c_w_must_be_nonnegative(c_w):
+    # a negative c_w failed every auto burn-in cell with "math domain error"
+    with pytest.raises(ConfigValidationError) as exc:
+        ExperimentConfig(c_w=c_w).validate()
+    assert exc.value.problems == ["sampler.c_w: must be nonnegative"]
+    assert ExperimentConfig(c_w=0.0).validate().c_w == 0.0
 
 
 def test_unknown_diagnostic_rejected():
@@ -940,6 +949,40 @@ def test_init_distance_over_eta_in_the_manifest_only(tmp_path):
     cfg = ExperimentConfig(init_mode="pilot-ascent", **base)
     model, _ = build_model(cfg, 50, 2, 0)
     assert "distance_over_eta" not in resolve_cell(cfg, model, None, 0)[3]
+
+
+EVALUATION_COUNTS = ("log_lik_calls", "log_lik_rows", "grad_log_lik_calls", "hessian_points")
+
+
+def test_evaluation_counts_in_the_manifest_only(tmp_path):
+    # a pilot-ascent cell calls log_lik once per distinct ascent point, once
+    # per probe block, once at theta_init for the surrogate and once per
+    # annulus drift call, and grad_log_lik once per ascent move and at the
+    # probe's centre; the chain's gradient body is not counted
+    assert not set(EVALUATION_COUNTS) & set(experiment.REPORT_COLUMNS)
+    n_probes = 40
+    # a step of 1e-6 takes the chain into the annulus of eta = 0.05
+    cfg = ExperimentConfig(model_preset="glm-poisson", n_grid=[100], seeds=[0], p_value=2,
+                           n_probes=n_probes, j_in_rule="fixed", j=200,
+                           init_mode="pilot-ascent", eta_rule="fixed", eta_value=0.05,
+                           gamma_rule="fixed", gamma_value=1e-6)
+    _, report = run_experiment(cfg, out_dir=tmp_path)
+    cell = json.loads((tmp_path / "manifest.json").read_text())["cells"][0]
+    m, skipped = cell["metrics"], cell["resolved"]["probe_skipped"]
+    assert all(type(m[key]) is int for key in EVALUATION_COUNTS)
+    ascent, annulus = m["pilot_objective_evals"], m["drift_calls_annulus"]
+    assert annulus > 0
+    assert m["log_lik_calls"] == ascent + math.ceil(n_probes / PROBE_BLOCK) + 1 + annulus
+    assert m["log_lik_rows"] == ascent + n_probes + 1 + annulus
+    assert m["grad_log_lik_calls"] == m["pilot_gradient_evals"] + 1
+    assert m["hessian_points"] == n_probes - skipped
+    assert next(csv.reader(io.StringIO(report.read_text()))) == experiment.REPORT_COLUMNS
+    # a cell that fails in its chain keeps the counts of what it evaluated
+    with mock.patch.object(experiment, "sample_cell", side_effect=RuntimeError("injected")):
+        failed = run_cell(cfg, 100, 0)
+    assert failed.status == "failed"
+    assert failed.metrics["log_lik_calls"] == ascent + math.ceil(n_probes / PROBE_BLOCK) + 1
+    assert failed.metrics["hessian_points"] == n_probes - skipped
 
 
 def test_forward_states_solved_in_the_darcy_manifest_only(tmp_path):

@@ -4,13 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from _oracles import grid_posterior_branchy
+from _oracles import empirical_w2, grid_posterior_branchy, sample_inverse_cdf
 from surrogate_langevin.basis import BasisFamily
-from surrogate_langevin.diagnostics import (BoundaryMassError, ExitTimeSummary,
-                                            RecoveryReport, condition_numbers,
-                                            contraction_metric, empirical_w2,
-                                            exit_time_stats, grid_posterior,
-                                            grid_tv_distance, loglog_slope)
+from surrogate_langevin.diagnostics import (BoundaryMassError, RecoveryReport,
+                                            condition_numbers, contraction_metric,
+                                            grid_posterior, grid_tv_distance,
+                                            loglog_slope)
 from surrogate_langevin.expfam import ExpFamily, LinkFunction
 from surrogate_langevin.forward import LinearPhi
 from surrogate_langevin.likelihood import CurvatureReport, Dataset, ModelInstance
@@ -28,7 +27,7 @@ def test_grid_matches_gaussian_closed_form():
 
     grid = grid_posterior(logd, [(-1.2, 1.8)], 4001)
     assert grid.mean[0] == pytest.approx(mu, abs=1e-6)
-    assert grid.marginal_std()[0] == pytest.approx(sigma, abs=1e-6)
+    assert math.sqrt(grid.cov[0, 0]) == pytest.approx(sigma, abs=1e-6)
 
 
 def test_grid_flat_likelihood_recovers_prior():
@@ -36,8 +35,8 @@ def test_grid_flat_likelihood_recovers_prior():
     prior = SievePrior(1.0, 64, 1)
     grid = grid_posterior(prior.log_density, [(-4.0, 4.0)], 4001)
     assert grid.mean[0] == pytest.approx(0.0, abs=1e-10)
-    assert grid.marginal_std()[0] == pytest.approx(
-        math.sqrt(prior.cov_diag[0]), abs=1e-6)
+    assert math.sqrt(grid.cov[0, 0]) == pytest.approx(
+        math.sqrt(-1.0 / prior.grad_diag[0]), abs=1e-6)
 
 
 def test_grid_resolution_doubling_stable():
@@ -47,7 +46,7 @@ def test_grid_resolution_doubling_stable():
     g1 = grid_posterior(logd, [(-4.0, 4.0)], 2001)
     g2 = grid_posterior(logd, [(-4.0, 4.0)], 4001)
     assert abs(g1.mean[0] - g2.mean[0]) <= 1e-8
-    assert abs(g1.marginal_std()[0] - g2.marginal_std()[0]) <= 1e-8
+    assert abs(math.sqrt(g1.cov[0, 0]) - math.sqrt(g2.cov[0, 0])) <= 1e-8
 
 
 def test_grid_2d_mean_and_cov():
@@ -137,7 +136,7 @@ def test_grid_allows_minus_inf_as_zero_density():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = grid_posterior(logd, [(-8.0, 8.0)], 1601)
-    assert np.all(grid.weights[grid.axes[0] < 0.0] == 0.0)
+    assert np.all(grid.weights[np.linspace(-8.0, 8.0, 1601) < 0.0] == 0.0)
     assert grid.mean[0] == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-2)
     assert np.isfinite(grid.cov).all()
 
@@ -176,7 +175,7 @@ def test_inverse_cdf_samples_match_moments():
         return -0.5 * ((t[0] - mu) / sigma) ** 2
 
     grid = grid_posterior(logd, [(-4.0, 4.0)], 4001)
-    s = grid.sample_inverse_cdf(1024)
+    s = sample_inverse_cdf(grid, 1024)
     assert s.shape == (1024, 1)
     assert s.mean() == pytest.approx(mu, abs=3e-3)
     assert s.std() == pytest.approx(sigma, abs=3e-3)
@@ -281,28 +280,3 @@ def test_recovery_report():
     assert rep.target_rate == pytest.approx(-1.0 / 3.0)
     with pytest.raises(ValueError):
         RecoveryReport.from_errors([100, 1000], [0.1, -0.1], 1.0)
-
-
-# -- exit-time stats -----------------------------------------------------------
-
-class _FakeTrace:
-    def __init__(self, exit_step):
-        self.exit_step = exit_step
-
-
-def test_exit_time_stats():
-    traces = [_FakeTrace(k) for k in range(1, 11)] + [_FakeTrace(None)] * 10
-    summary = exit_time_stats(traces)
-    assert isinstance(summary, ExitTimeSummary)
-    assert summary.n_traces == 20
-    assert summary.n_exited == 10
-    assert summary.fraction_exited == pytest.approx(0.5)
-    assert summary.quantiles[0.5] == pytest.approx(5.5)
-
-
-def test_exit_time_stats_no_exits_and_min_count():
-    summary = exit_time_stats([_FakeTrace(None)] * 12)
-    assert summary.fraction_exited == 0.0
-    assert summary.quantiles == {}
-    with pytest.raises(ValueError):
-        exit_time_stats([_FakeTrace(1)] * 9)

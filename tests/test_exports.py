@@ -6,10 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import surrogate_langevin
-from surrogate_langevin import empirical_w2, grid_posterior
+from surrogate_langevin import grid_posterior
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,11 +29,10 @@ def test_readme_imports_are_exported():
 
 # The scipy modules a run loads, in a fresh interpreter (this one has them all).
 # GLM and density cells load none; a Darcy cell loads scipy.linalg for its
-# banded solves; empirical_w2 and grid_posterior import theirs on first call.
+# banded solves; grid_posterior imports scipy.special on first call.
 # No cell loads multiprocessing, which only a --jobs pool needs.
 IMPORT_SET_SCRIPT = """
 import json, sys
-import numpy as np
 import surrogate_langevin
 from surrogate_langevin.config import ExperimentConfig
 from surrogate_langevin.experiment import run_cell
@@ -55,8 +52,6 @@ cells.append(run_cell(ExperimentConfig(model_preset="darcy-1d", init_mode="pilot
 out["darcy"] = loaded()
 out["multiprocessing"] = "multiprocessing" in sys.modules
 out["status"] = [c.status + " " + c.message for c in cells]
-a, b = np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 3.0, 7) ** 2
-out["w2"] = surrogate_langevin.empirical_w2(a, b[::-1]).hex()
 g = surrogate_langevin.grid_posterior(lambda t: -0.5 * float(t[0] - 0.3) ** 2 * 40.0,
                                       ((-2.0, 2.0),), 101)
 out["grid"] = [float(g.mean[0]).hex(), float(g.cov[0, 0]).hex(), g.weights.tobytes().hex()]
@@ -77,9 +72,7 @@ def test_a_run_imports_scipy_only_where_it_calls_it():
     assert out["status"] == ["ok "] * 3
     # jobs = 1 cells start no process pool, so they import none of its modules
     assert out["multiprocessing"] is False
-    # the first-use imports give what in-process calls give
-    a, b = np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 3.0, 7) ** 2
-    assert out["w2"] == empirical_w2(a, b[::-1]).hex()
+    # the first-use import gives what in-process calls give
     g = grid_posterior(lambda t: -0.5 * float(t[0] - 0.3) ** 2 * 40.0, ((-2.0, 2.0),), 101)
     assert out["grid"] == [float(g.mean[0]).hex(), float(g.cov[0, 0]).hex(),
                            g.weights.tobytes().hex()]

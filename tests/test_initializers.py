@@ -64,7 +64,7 @@ def test_pilot_ascent_conjugate_mode():
     prior = SievePrior(1.0, 300, 2)
     theta, info = pilot_ascent_init(model, prior, steps=2000)
     design = model.basis.design_matrix(model.dataset.x)
-    a = design.T @ design + np.diag(1.0 / prior.cov_diag)
+    a = design.T @ design + np.diag(-prior.grad_diag)  # the prior precision
     mode = np.linalg.solve(a, design.T @ model.dataset.y)
     np.testing.assert_allclose(theta, mode, atol=1e-6)
     assert info["grad_norm"] <= 1e-5

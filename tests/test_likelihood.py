@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import natural_param, natural_param_d1, natural_param_d2
+from _oracles import natural_param, natural_param_d1, natural_param_d2, surrogate_grad
 from surrogate_langevin import expfam, forward, likelihood
 from surrogate_langevin.basis import BasisFamily
 from surrogate_langevin.expfam import FAMILY_KINDS, LINK_KINDS, ExpFamily, LinkFunction
@@ -92,6 +92,20 @@ def test_generate_determinism():
     np.testing.assert_array_equal(a.y, b.y)
 
 
+@given(data=st.data(), n=st.integers(1, 10), kind=st.sampled_from(["regression", "density"]))
+def test_dataset_rejects_non_finite_data(data, n, kind):
+    # (x < 0) | (x > 1) is False at NaN, so a NaN design point and an inf
+    # response were accepted, and a fit failed late at the zero start
+    values = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    x, y = np.array(data.draw(values)), np.array(data.draw(values))
+    field = data.draw(st.sampled_from(["x", "y"] if kind == "regression" else ["x"]))
+    bad = {"x": x, "y": y}[field]
+    bad[data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Dataset(kind, x, y if kind == "regression" else None, n)
+
+
 def test_dataset_save_load_roundtrip(tmp_path):
     model, theta0 = glm_model(n=20)
     path = tmp_path / "data.csv"
@@ -121,7 +135,9 @@ def test_dataset_save_bytes_match_csv_writer(tmp_path):
     n = CSV_BLOCK_ROWS + 7
     x = np.random.default_rng(3).random(n)
     x[:6] = [-0.0, 0.0, 5e-324, 2.5e-310, 1.0, 0.5]
-    y = awkward_floats(n, 1, 4, rows_at=range(n - 14, n))[:, 0]
+    # the 11 finite AWKWARD_FLOATS: a Dataset rejects non-finite responses, whose
+    # bytes test_write_float_csv_bytes_match_csv_writer checks
+    y = awkward_floats(n, 1, 4, rows_at=range(n - 11, n))[:, 0]
     for ds, header, rows in (
             (Dataset("regression", x, y, n), ["x", "y"], zip(x, y)),
             (Dataset("density", x, None, n), ["x"], x[:, None])):
@@ -314,7 +330,7 @@ def test_hess_dir_matches_fd(builder):
 
 def _hess_dir_reference(model, theta, v):
     """v' hess l_n(theta) v for one direction, by the per-direction formulas."""
-    if model.kind == "density":
+    if model.dataset.kind == "density":
         E_quad = model.basis.design_matrix(model._qx)
         phi_quad = E_quad @ theta
         p_quad = np.exp(phi_quad) / np.sum(model._qw * np.exp(phi_quad))
@@ -498,6 +514,26 @@ def test_skip_free_darcy_probe_solves_each_point_once(n_probes):
     assert probe.skipped == 0
     assert factorize.call_count == math.ceil(n_probes / PROBE_BLOCK) + 1
     assert op.states_solved - solved == n_probes + 1
+
+
+@pytest.mark.parametrize("family, link, theta0, eta", [
+    ("poisson", "canonical", None, 0.1), ("gaussian", "cube", [0.6, 0.3, 0.1], 1.0)])
+@pytest.mark.parametrize("n_probes", [1, PROBE_BLOCK, 37])
+def test_curvature_probe_counts_its_evaluations(family, link, theta0, eta, n_probes):
+    # one log_lik call per block of candidates, one row per candidate, the
+    # Hessians of the kept ones and the gradient at the centre; the cube
+    # probe skips the candidates outside the link's range
+    model, theta0 = glm_model(n=50, family=family, link=link,
+                              theta0=None if theta0 is None else np.array(theta0))
+    assert (model.log_lik_calls, model.log_lik_rows) == (0, 0)
+    assert (model.grad_log_lik_calls, model.hessian_points) == (0, 0)
+    probe = model.curvature_probe(theta0, eta, n_probes, 3)
+    assert model.log_lik_calls == math.ceil(n_probes / PROBE_BLOCK)
+    assert model.log_lik_rows == n_probes
+    assert model.hessian_points == n_probes - probe.skipped
+    assert model.grad_log_lik_calls == 1
+    if n_probes > 1:
+        assert (probe.skipped > 0) == (link == "cube")
 
 
 def test_darcy_states_are_keyed_on_the_bytes_of_theta():
@@ -761,7 +797,7 @@ def test_out_of_domain_is_one_error_on_every_path(case):
     probe = CurvatureReport(1.0, 2.0, 0.0, 1, theta_init, eta)
     spec = SurrogateSpec(model, SievePrior(1.0, model.n, 3), theta_init, eta, 30.0, probe)
     paths = [lambda: model.grad_log_lik(theta), lambda: model.hessians(theta[None]),
-             lambda: spec.grad(theta), lambda: spec.posterior_grad(theta)]
+             lambda: surrogate_grad(spec, theta), lambda: spec.posterior_grad(theta)]
     if case == "darcy":
         paths.append(lambda: model.forward.values(theta, x))
     else:

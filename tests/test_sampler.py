@@ -10,12 +10,19 @@ from surrogate_langevin.sampler import (NOISE_BLOCK, ChainDivergedError, ChainTr
                                         ConfigurationStepError, SamplerConfig,
                                         burn_in_steps, discretization_bias,
                                         precision_floor, run_chain,
-                                        step_size_bound, ula_step)
+                                        step_size_bound, _step)
 
 from _oracles import run_chain_per_step
 
 
-# -- ula_step ------------------------------------------------------------------
+# -- the ULA step ------------------------------------------------------------
+
+
+def ula_step(drift, state, gamma, noise):
+    """state + gamma * drift(state) + sqrt(2 gamma) * noise, by the one step
+    formula run_chain uses."""
+    return _step(drift, state, gamma, math.sqrt(2.0 * gamma) * noise)[0]
+
 
 def test_ula_step_fixed_point():
     state = np.array([1.0, -2.0])
@@ -493,6 +500,26 @@ def test_burn_in_rejects_non_finite_epsilon_m_and_gamma(bad):
     for m, gamma in ((bad, 0.1), (1.0, bad)):
         with pytest.raises(ValueError, match="m and gamma must be positive"):
             burn_in_steps(0.1, m, gamma, 1.0, 0.5, 4)
+
+
+def test_burn_in_rejects_a_negative_c_w_and_is_zero_past_the_floats():
+    # c_w < 0 failed with "math domain error", and eps = 1e300 overflowed eps^2
+    for c_w in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_w must be nonnegative and finite"):
+            burn_in_steps(0.1, 1.0, 0.1, 1.0, 0.5, 4, c_w=c_w)
+    assert burn_in_steps(1e300, 1.0, 0.1, 1.0, 0.5, 4) == 0
+
+
+@given(epsilon=st.floats(1e-6, 1e150), m=st.floats(1e-3, 1e3), m_gamma=st.floats(1e-6, 1.99),
+       eta=st.floats(1e-6, 10.0), lambda_pi=st.floats(1e-3, 1e6), p=st.integers(1, 64),
+       c_w=st.floats(0.0, 1e3))
+def test_burn_in_is_the_formula_where_eps_squared_is_a_float(epsilon, m, m_gamma, eta,
+                                                             lambda_pi, p, c_w):
+    gamma = m_gamma / m
+    denom = 32.0 * (c_w * max(eta, lambda_pi / m) ** 2 + p / m)
+    ratio = epsilon ** 2 / denom
+    want = 0 if ratio >= 1.0 else math.ceil(math.log(ratio) / math.log(1.0 - m * gamma / 2.0))
+    assert burn_in_steps(epsilon, m, gamma, eta, lambda_pi, p, c_w=c_w) == want
 
 
 def test_precision_floor_value():
