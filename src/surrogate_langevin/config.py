@@ -144,6 +144,10 @@ class ExperimentConfig:
             problems.append("prior.alpha: smoothness must exceed 1/2")
         if self.eta_rule == "fixed" and self.eta_value <= 0:
             problems.append("surrogate.eta_value: must be positive when eta_rule = fixed")
+        elif (self.eta_rule == "fixed" and math.isfinite(self.eta_value)
+              and math.isinf(self.eta_value * self.eta_value)):
+            problems.append("surrogate.eta_value: its square must be a finite float, "
+                            f"got {self.eta_value:g}")
         if self.k_override is not None and self.k_override <= 0:
             problems.append("surrogate.k_override: must be positive when given")
         preset = MODEL_PRESETS.get(self.model_preset)
@@ -187,6 +191,12 @@ class ExperimentConfig:
             problems.append("experiment.n_grid: need positive sample sizes")
         if self.p_rule == "fixed" and self.p_value < 1:
             problems.append("experiment.p_value: must be >= 1")
+        elif "grid-posterior" in self.diagnostics and self.alpha > 0.5:
+            # run_cell computes the grid posterior at p = 1 only
+            for n in (n for n in self.n_grid if n >= 1):
+                if self.p_for(n) != 1:
+                    problems.append("experiment.diagnostics: grid-posterior needs p = 1, "
+                                    f"got p = {self.p_for(n)} at n = {n}")
         if self.thinning_budget < 1000:
             problems.append("output.thinning_budget: must be >= 1000")
         if problems:

@@ -270,7 +270,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
     Every cell writes into the report CSV; failures are recorded per cell and
     never abort the run.  A manifest echoes the configuration and each cell's
     resolved parameters.  `jobs` worker processes run the cells; 1 runs them
-    in this process.
+    in this process.  Each cell's trace (the CSV and its .meta.json) is
+    written before the manifest, which records the wall seconds it took as
+    the cell's "seconds_write" (manifest only).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -295,6 +297,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
     if "recovery" in cfg.diagnostics:
         _write_recovery(out, cfg, results)
 
+    if len(cells) <= TRACE_CELL_LIMIT:
+        for r in results:
+            if r.trace is not None:
+                start = perf_counter()
+                _write_trace(out / f"trace_n{r.n}_p{r.p}_seed{r.seed}.csv", r)
+                r.metrics["seconds_write"] = perf_counter() - start
+
     manifest = {
         "config": vars(cfg),  # json writes the tuples as lists
         "seed_offset": seed_offset,
@@ -309,11 +318,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed_offset: int = 0,
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-    if len(cells) <= TRACE_CELL_LIMIT:
-        for r in results:
-            if r.trace is not None:
-                _write_trace(out / f"trace_n{r.n}_p{r.p}_seed{r.seed}.csv", r)
     return results, report_path
 
 

@@ -148,20 +148,20 @@ class LinkFunction:
 
 def natural_param(fam: ExpFamily, link: LinkFunction, u):
     """b = (A')^{-1} o g^{-1} evaluated at the forward-map output u."""
-    if link.kind == "canonical":
-        return np.asarray(u, dtype=float) + 0.0
-    return fam.A1_inv(link.g_inv(u))
+    return natural_param_derivs(fam, link, u, order=0)[0]
 
 
 def natural_param_derivs(fam: ExpFamily, link: LinkFunction, u, order=2):
     """(b, b', b'') at the forward-map output u, b = (A')^{-1} o g^{-1}, from
-    one g^{-1} and one (A')^{-1}; order=1 gives (b, b') and skips b''.  The
-    canonical link gives (u + 0.0, 1.0, 0.0)."""
+    one g^{-1} and one (A')^{-1}; order=1 gives (b, b'), order=0 (b,).  The
+    canonical link gives (u + 0.0, 1.0, 0.0); DomainError outside the range."""
     u = np.asarray(u, dtype=float)
     if link.kind == "canonical":
         return (u + 0.0, 1.0, 0.0)[:order + 1]
     mean = link.g_inv(u)
     h = fam.A1_inv(mean)
+    if order == 0:
+        return (h,)
     a2 = fam.A2(h)
     # near u = 0 the derivatives outgrow the floats: they overflow to +-inf,
     # and u^2 and A2^3 may round to 0, silently

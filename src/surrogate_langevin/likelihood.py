@@ -106,7 +106,8 @@ def _density_grad(E_quad, qw, data_sum, n, theta):
 
 
 def _linear_grad(E, y, A1, out, theta):
-    """The canonical-link gradient with the LinearPhi design matrix E.  The
+    """The canonical-link gradient with the LinearPhi design matrix E bound,
+    the one regression body that skips the forward operator's protocol.  The
     natural parameter is u + 0.0, which differs from u only at -0.0, where
     every A' gives the bits it gives at 0.0; the canonical factor b' is
     exactly 1.0.  Where A' is a ufunc, u, A'(u) and the residual are
@@ -121,23 +122,17 @@ def _linear_grad(E, y, A1, out, theta):
 
 
 def _link_resid(y, family, link, u):
-    """The residual (y - A'(b)) b' at the forward values u."""
-    if link.kind == "canonical":  # b' is exactly 1.0, as in _linear_grad
-        resid = y - family._A1(u)
-    else:
-        b, q1 = natural_param_derivs(family, link, u, order=1)
-        resid = (y - family._A1(b)) * q1
+    """The residual (y - A'(b)) b' at the forward values u, b and b' from
+    natural_param_derivs; the canonical link's (u + 0.0, 1.0) gives the bits
+    of y - A'(u), as in _linear_grad."""
+    b, q1 = natural_param_derivs(family, link, u, order=1)
+    resid = (y - family._A1(b)) * q1
     _require_finite_resid(resid)
     return resid
 
 
-def _linear_link_grad(E, y, family, link, theta):
-    """_forward_grad of a LinearPhi model, with its design matrix E bound."""
-    return _link_resid(y, family, link, E.dot(theta)).dot(E)
-
-
 def _forward_grad(forward, x, y, family, link, theta):
-    """The gradient through any forward operator and link."""
+    """The gradient through any forward operator and link, by its protocol."""
     u = forward.values(theta, x)
     return _link_resid(y, family, link, u).dot(forward.grad_rows(theta, x))
 
@@ -235,9 +230,6 @@ class CurvatureReport:
     lambda_min_est: float
     lambda_max_est: float
     grad_norm_at_center: float
-    n_probes: int
-    center: np.ndarray
-    eta: float
     skipped: int = 0
 
 
@@ -246,14 +238,15 @@ class ModelInstance:
     """A likelihood engine binding data, basis, family, link and forward operator.
 
     `_grad` is the body of grad_log_lik at a float array theta of shape (p,),
-    unchecked, chosen once per model: no data, density, a LinearPhi GLM
-    that keeps its design matrix (canonical or other link), or any other
-    forward operator.  It runs under the caller's floating-point error
-    state: grad_log_lik enters np.errstate(over="ignore", invalid="ignore")
-    for one call, and sampler.run_chain for a whole chain, whose drift (the
-    inner and annulus regions of SurrogateSpec.posterior_grad, or the
-    vanilla drift) calls it directly.  Any other direct caller supplies its
-    own.  An overflow leaves a non-finite residual, which raises
+    unchecked, chosen once per model: no data, density, a canonical-link
+    LinearPhi GLM with its design matrix bound (_linear_grad), or any other
+    regression model through its forward operator's protocol
+    (_forward_grad).  The link's rules are expfam's alone.  It runs under
+    the caller's floating-point error state: grad_log_lik enters
+    np.errstate(over="ignore", invalid="ignore") for one call, and
+    sampler.run_chain for a whole chain, whose drift (the inner and annulus
+    regions of SurrogateSpec.posterior_grad, or the vanilla drift) calls it
+    directly.  Any other direct caller supplies its own.  An overflow leaves a non-finite residual, which raises
     FloatingPointError; a value outside the link's range or a Darcy state
     that cannot be solved raises a DomainError, which is one, here and in
     hessians.  Where the family's A' is a ufunc (poisson) the canonical
@@ -274,7 +267,7 @@ class ModelInstance:
 
     def __post_init__(self):
         # Settled once here rather than on every call: the model kind, the
-        # sample size and, for regression, the data and the link's form.
+        # sample size and, for regression, the data.
         self._theta_shape = (self.basis.p,)
         self.log_lik_calls = self.log_lik_rows = 0
         self.grad_log_lik_calls = self.hessian_points = 0
@@ -294,21 +287,17 @@ class ModelInstance:
             if self.forward.basis != self.basis:
                 raise ValueError("the forward operator must use the model's basis")
             self._x, self._y = self.dataset.x, self.dataset.y
-            self._canonical = self.link.kind == "canonical"
         # the body of grad_log_lik (see the class docstring)
         if not self._n:
             self._grad = functools.partial(_no_data_grad, self.p)
         elif self._density:
             self._grad = functools.partial(_density_grad, self._E_quad, self._qw,
                                            self._grad_data_const, self._n)
-        elif self._canonical and isinstance(self.forward, LinearPhi):
+        elif self.link.kind == "canonical" and isinstance(self.forward, LinearPhi):
             A1 = self.family._A1
             out = np.empty(self._n) if isinstance(A1, np.ufunc) else None
             self._grad = functools.partial(_linear_grad, self.forward._design(self._x),
                                            self._y, A1, out)
-        elif isinstance(self.forward, LinearPhi):
-            self._grad = functools.partial(_linear_link_grad, self.forward._design(self._x),
-                                           self._y, self.family, self.link)
         else:
             self._grad = functools.partial(_forward_grad, self.forward, self._x, self._y,
                                            self.family, self.link)
@@ -340,7 +329,7 @@ class ModelInstance:
         """log_lik at each row of the (B, p) array thetas.  Each row's
         products are the one-point products, and the rest is elementwise or
         a reduction along the row, so every row has the bits of its own
-        one-row block."""
+        one-row block; a row outside the domain reads -inf."""
         if self._n == 0 or not len(thetas):
             return np.zeros(len(thetas))
         if self._density:
@@ -350,23 +339,18 @@ class ModelInstance:
                 self._E_quad.dot(t, out=q)  # ndarray.dot: the gemv of @, into its row
                 self._E_data.dot(t, out=d)
             return np.add.reduce(data, -1) - self._n * _log_partition(self._qw, phi_quad)
-        # a row with a value outside the cube link's range (u <= 0) reads
-        # -inf; the rest are one block
         try:
-            u = self.forward.values(thetas, self._x)
-            inside = slice(None) if self._canonical else ~(u <= 0).any(axis=1)
-            b = natural_param(self.family, self.link, u[inside])
+            b = natural_param(self.family, self.link, self.forward.values(thetas, self._x))
         except ValueError:
-            # a DomainError (a Darcy solve that fails, or a bernoulli-cube
-            # mean outside (0, 1)): a one-row block reads -inf, a longer one
-            # each row as its own
+            # a DomainError (a forward value outside the cube link's range
+            # u > 0, a bernoulli-cube mean outside (0, 1), or a Darcy solve
+            # that fails): a one-row block reads -inf, a longer one each row
+            # as its own
             if len(thetas) == 1:
                 return np.array([-np.inf])
             return np.concatenate([self._log_lik_rows(t[None]) for t in thetas])
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = self._y * b - self.family.A(b)
-        out = np.full(len(thetas), -np.inf)
-        out[inside] = np.add.reduce(terms, -1)
+            out = np.add.reduce(self._y * b - self.family.A(b), -1)
         out[~np.isfinite(out)] = -np.inf
         return out
 
@@ -452,7 +436,7 @@ class ModelInstance:
         p = self.p
         rng = np.random.default_rng(seed)
         if self.n == 0:
-            return CurvatureReport(0.0, 0.0, 0.0, n_probes, center, eta)
+            return CurvatureReport(0.0, 0.0, 0.0)
         points, V = np.empty((n_probes, p)), np.empty((n_probes, p, 2 * p))
         H, kept = np.empty((n_probes, p, p)), np.empty(n_probes, dtype=bool)
         for lo in range(0, n_probes, PROBE_BLOCK):
@@ -475,8 +459,7 @@ class ModelInstance:
             lam_min, lam_max = float(vals.min()), float(vals.max())
         g = self.grad_log_lik(center)
         grad_norm = math.sqrt(g.dot(g))
-        return CurvatureReport(lam_min, lam_max, grad_norm, n_probes, center, eta,
-                               n_probes - len(V))
+        return CurvatureReport(lam_min, lam_max, grad_norm, n_probes - len(V))
 
     def _check(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

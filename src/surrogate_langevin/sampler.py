@@ -257,7 +257,8 @@ def burn_in_steps(epsilon: float, m: float, gamma: float, eta: float,
     J_in = ceil( log(eps^2 / (32 (c_w max(eta, Lambda_pi/m)^2 + p/m)))
                  / log(1 - m gamma / 2) ),
 
-    and 0 where the ratio is at least 1 or eps^2 is past the largest float.
+    and 0 where the ratio is at least 1 or eps^2 is past the largest float;
+    a ValueError where the denominator is past it.
     """
     if not 0 < epsilon < math.inf:  # NaN too
         raise ValueError("epsilon must be positive and finite")
@@ -271,7 +272,14 @@ def burn_in_steps(epsilon: float, m: float, gamma: float, eta: float,
         warnings.warn(
             f"requested precision {epsilon:g} is below the certified floor {floor:g}; "
             "the burn-in bound is not guaranteed to reach it", stacklevel=2)
-    denom = 32.0 * (c_w * max(eta, lambda_pi / m) ** 2 + p / m)
+    try:
+        denom = 32.0 * (c_w * max(eta, lambda_pi / m) ** 2 + p / m)
+    except OverflowError:
+        denom = math.inf
+    if not denom < math.inf:  # NaN too
+        raise ValueError("the burn-in denominator 32 (c_w max(eta, Lambda_pi/m)^2 + p/m) is "
+                         f"not finite at c_w = {c_w:g}, eta = {eta:g}, "
+                         f"Lambda_pi/m = {lambda_pi / m:g}, p/m = {p / m:g}")
     try:
         ratio = epsilon ** 2 / denom
     except OverflowError:

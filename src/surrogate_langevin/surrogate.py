@@ -101,6 +101,8 @@ class MollifiedPenalty:
         if not eta > 0:  # NaN too
             raise ValueError("eta must be positive")
         self.eta = float(eta)
+        if not math.isfinite(self.eta * self.eta):
+            raise ValueError(f"eta must have a finite square, got {self.eta:g}")
         self.s = self.eta / 8.0
         self._nodes = self.s * _MOLLIFIER_Z  # the mollifier's nodes s z
         self._hinge_at = 5.0 * self.eta / 8.0

@@ -12,7 +12,8 @@ arguments that are rejected.  --jobs cells run on threads in place of worker
 processes, which the hook does not follow; they call the same functions.
 
 ALLOWED names the functions kept although no pipeline path reaches them.
-The exit status is 1 when another function is unreached.  pytest does not
+The exit status is 1 when another function is unreached, or when an
+ALLOWED entry is reached or no longer defined (a stale entry).  pytest does not
 collect this file; run it from the root of a checkout:
 
     PYTHONPATH=src python tests/reachability.py
@@ -39,7 +40,6 @@ ALLOWED = {
     **dict.fromkeys([
         "likelihood.ModelInstance.hess_dir",
         "likelihood.ModelInstance.hess_dir_many",
-        "forward.LinearPhi.grad_rows",
         "forward.LinearPhi.dir_grad",
         "forward.LinearPhi.dir_hess",
         "forward.Darcy1D.dir_hess",
@@ -182,9 +182,9 @@ def main() -> int:
         print(f"  unreached, {ALLOWED[name]}: {name}" if name in ALLOWED
               else f"  UNREACHED: {name}")
     for name in stale:
-        print(f"  allowed but reached (or gone): {name}")
-    print(f"{len(bad)} unreached outside the allowlist")
-    return 1 if bad else 0
+        print(f"  STALE, allowed but reached (or gone): {name}")
+    print(f"{len(bad)} unreached outside the allowlist, {len(stale)} stale allowlist entries")
+    return 1 if bad or stale else 0
 
 
 if __name__ == "__main__":

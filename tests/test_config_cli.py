@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+import sys
 import tempfile
 import warnings
 import weakref
@@ -162,6 +163,57 @@ def test_guard_radius_must_be_positive(radius):
     with pytest.raises(ConfigValidationError) as exc:
         ExperimentConfig(guard="reflect", guard_radius=radius).validate()
     assert exc.value.problems == ["sampler.guard_radius: must be positive"]
+
+
+@pytest.mark.parametrize("eta", [1e160, 1e300,
+                                 math.nextafter(math.sqrt(sys.float_info.max), math.inf)])
+def test_a_fixed_eta_must_have_a_finite_square(eta):
+    # such an eta failed every cell with OverflowError in the penalty
+    with pytest.raises(ConfigValidationError) as exc:
+        ExperimentConfig(eta_rule="fixed", eta_value=eta).validate()
+    assert exc.value.problems == [
+        f"surrogate.eta_value: its square must be a finite float, got {eta:g}"]
+    top = math.sqrt(sys.float_info.max)
+    assert ExperimentConfig(eta_rule="fixed", eta_value=top).validate().eta_value == top
+    # the preset rule never reads eta_value; a non-finite one is named once
+    assert ExperimentConfig(eta_value=eta).validate().eta_value == eta
+    with pytest.raises(ConfigValidationError) as exc:
+        ExperimentConfig(eta_rule="fixed", eta_value=math.inf).validate()
+    assert exc.value.problems == ["surrogate.eta_value: must be finite, got inf"]
+
+
+def test_a_large_eta_fails_its_cell_with_a_named_error():
+    # with the automatic burn-in, eta = 1e154 failed with "math domain error"
+    cfg = ExperimentConfig(model_preset="glm-poisson", n_grid=[100], p_value=2, n_probes=5,
+                           j=10, eta_rule="fixed", eta_value=1e154).validate()
+    cell = run_cell(cfg, 100, 0)
+    assert cell.status == "failed"
+    assert cell.message.startswith("ValueError: the burn-in denominator")
+
+
+@pytest.mark.parametrize("p_rule, n_grid, bad", [
+    ("fixed", [50], [(50, 2)]), ("rate", [1, 2, 50, 3, 500], [(50, 4), (500, 8)])])
+def test_grid_posterior_needs_p_one_at_every_n(p_rule, n_grid, bad):
+    # run_cell skipped the grid posterior silently at p != 1
+    cfg = ExperimentConfig(diagnostics=["grid-posterior"], p_rule=p_rule, p_value=2,
+                           n_grid=n_grid)
+    with pytest.raises(ConfigValidationError) as exc:
+        cfg.validate()
+    assert exc.value.problems == [
+        f"experiment.diagnostics: grid-posterior needs p = 1, got p = {p} at n = {n}"
+        for n, p in bad]
+    ExperimentConfig(diagnostics=["grid-posterior"], p_rule=p_rule, p_value=1,
+                     n_grid=[1, 2, 3]).validate()
+
+
+def test_diagnose_runs_its_grid_posterior_at_p_one_only(tmp_path):
+    # diagnose forces the grid posterior, which a p = 2 cell leaves out
+    path = write_cfg(tmp_path, MINIMAL.replace("p_value = 1", "p_value = 2"))
+    assert main(["diagnose", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["p"], row["grid_tv"]) == ("2", "")
+    assert row["cond_surrogate"] != ""
 
 
 @pytest.mark.parametrize("c_w", [-1.0, -1e-300])
@@ -356,7 +408,7 @@ def test_jobs_run_matches_one_process(tmp_path, command):
     for manifest in manifests:
         for cell in manifest["cells"]:
             times = [k for k in cell["metrics"] if k.startswith("seconds_")]
-            assert len(times) == 6
+            assert len(times) == 7
             for key in times:
                 del cell["metrics"][key]
     assert manifests[0] == manifests[1]
@@ -818,6 +870,43 @@ def test_a_cell_records_its_phase_times_in_the_manifest_only(tmp_path):
     metrics = json.loads((tmp_path / "manifest.json").read_text())["cells"][0]["metrics"]
     assert all(type(metrics["seconds_" + phase]) is float for phase in PHASES)
     assert next(csv.reader(io.StringIO(report.read_text()))) == experiment.REPORT_COLUMNS
+
+
+def test_the_trace_write_time_is_in_the_manifest_only(tmp_path):
+    # each cell's trace CSV and .meta.json are written before the manifest,
+    # which records their wall time as seconds_write; a failed cell writes
+    # no trace and has no such key, nor has a run past the trace limit
+    cfg = ExperimentConfig(n_grid=[50], seeds=[0, 1], p_value=2, n_probes=5,
+                           j_in_rule="fixed", j=10)
+    written = []
+
+    def write(path, result, _write=experiment._write_trace):
+        assert not (tmp_path / "manifest.json").exists()
+        _write(path, result)
+        written.append(result.seed)
+
+    fail_seed_1 = (lambda cfg, n, seed: run_cell(cfg, n, seed) if seed == 0 else
+                   experiment.CellResult(n, 2, seed, "failed", "RuntimeError: injected"))
+    with mock.patch.object(experiment, "_write_trace", write), \
+            mock.patch.object(experiment, "run_cell", fail_seed_1):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert written == [0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.json", "report.csv", "trace_n50_p2_seed0.csv", "trace_n50_p2_seed0.meta.json"]
+    cells = json.loads((tmp_path / "manifest.json").read_text())["cells"]
+    assert type(cells[0]["metrics"]["seconds_write"]) is float
+    assert cells[0]["metrics"]["seconds_write"] >= 0.0
+    assert "seconds_write" not in cells[1]["metrics"]
+    assert "seconds_write" not in experiment.REPORT_COLUMNS
+    with mock.patch.object(experiment, "TRACE_CELL_LIMIT", 1):
+        run_experiment(cfg, out_dir=tmp_path / "many")
+    cells = json.loads((tmp_path / "many" / "manifest.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["ok", "ok"]
+    assert not [c for c in cells if "seconds_write" in c["metrics"]]
+    # report.csv has the same bytes whether the traces were written or not
+    run_experiment(cfg, out_dir=tmp_path / "traced")
+    assert (tmp_path / "traced" / "report.csv").read_bytes() == (
+        tmp_path / "many" / "report.csv").read_bytes()
 
 
 @pytest.mark.parametrize("target, finished", [

@@ -260,7 +260,7 @@ def test_condition_numbers_prior_ratio_exact():
         ds = Dataset("regression", np.zeros(0), np.zeros(0), 0)
         model = ModelInstance(ds, basis, ExpFamily("gaussian"),
                               LinkFunction("canonical"), LinearPhi(basis))
-        probe = CurvatureReport(0.0, 1.0, 1.0, 1, np.zeros(p), 0.5)
+        probe = CurvatureReport(0.0, 1.0, 1.0)
         spec = SurrogateSpec(model, prior, np.zeros(p), 0.5, 10.0, probe)
         _, prior_ratio = condition_numbers(spec)
         assert prior_ratio == pytest.approx(float(p) ** (2 * alpha), rel=1e-12)

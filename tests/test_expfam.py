@@ -101,6 +101,30 @@ def test_natural_param_warns_nothing_where_its_derivatives_do_not_fit():
     assert b.tobytes() == np.cbrt(u).tobytes()
 
 
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.0, 8.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(FAMILY_KINDS), link=st.sampled_from(LINK_KINDS),
+       u=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                            st.floats(allow_nan=False, allow_infinity=False)),
+                  min_size=1, max_size=6))
+def test_natural_param_is_the_first_of_its_derivs(family, link, u):
+    # natural_param gives the bits of natural_param_derivs(...)[0] for every
+    # family and link, and both raise DomainError outside the range
+    fam, lk, u = ExpFamily(family), LinkFunction(link), np.array(u)
+    with np.errstate(all="ignore"):
+        try:
+            want = natural_param_derivs(fam, lk, u)[0]
+        except DomainError:
+            with pytest.raises(DomainError):
+                natural_param(fam, lk, u)
+            return
+        got = natural_param(fam, lk, u)
+    assert not (link == "cube" and (u <= 0).any())
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def _bits(value, shape):
     return np.broadcast_to(np.asarray(value, dtype=float), shape).tobytes()
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -707,9 +707,9 @@ def test_cube_link_outside_its_range_raises_floating_point_error():
         cube.hess_dir(theta, np.ones(3))
 
 
-@pytest.mark.parametrize("family, link", [("poisson", "canonical"), ("gaussian", "cube")])
+@pytest.mark.parametrize("family, link", [("poisson", "canonical")])
 def test_linear_phi_gradients_keep_their_design_matrix(family, link):
-    # a LinearPhi model binds its design matrix once, whatever the link: the
+    # a canonical-link LinearPhi model binds its design matrix once: the
     # operator's one column-major memo, not a copy in another layout; the
     # gradient never reaches the forward operator, with the bits of the
     # gradient through it
@@ -725,18 +725,48 @@ def test_linear_phi_gradients_keep_their_design_matrix(family, link):
             assert model.grad_log_lik(t).tobytes() == g.tobytes()
 
 
-def test_cube_block_reads_out_of_range_rows_without_a_row_by_row_pass():
-    # rows with some u <= 0 read -inf and the others are one block, with the
-    # bits each row gets alone; log_lik is not called again row by row
+@settings(max_examples=40, deadline=None)
+@given(shifts=st.lists(st.tuples(st.floats(-3.0, 0.5), st.floats(-0.3, 0.3),
+                                 st.floats(-0.1, 0.1)), min_size=1, max_size=9))
+@example(shifts=[(0.0, 0.0, 0.0), (-4.0, 0.0, 0.0), (0.1, -0.2, 0.05), (-2.0, 0.0, 0.0),
+                 (0.2, 0.1, 0.0)])
+def test_cube_block_reads_out_of_range_rows_without_a_row_by_row_pass(shifts):
+    # rows with some u <= 0 read -inf and the others have the bits each row
+    # gets alone; the block is one public log_lik call of B rows
     cube, theta0 = glm_model(family="gaussian", link="cube", theta0=np.array([2.0, 0.3, 0.1]))
-    block = theta0 + np.array([[0.0, 0.0, 0.0], [-4.0, 0.0, 0.0], [0.1, -0.2, 0.05],
-                               [-2.0, 0.0, 0.0], [0.2, 0.1, 0.0]])
-    want = [cube.log_lik(t) for t in block]
-    assert np.isinf(want[1]) and np.isinf(want[3]) and np.isfinite(want).sum() == 3
-    with mock.patch.object(cube, "log_lik", wraps=cube.log_lik) as log_lik:
-        got = cube.log_lik(block)
-    assert log_lik.call_count == 1
-    assert got.tobytes() == np.array(want).tobytes()
+    block = theta0 + np.array(shifts)
+    outside = (cube.forward.values(block, cube.dataset.x) <= 0).any(axis=1)
+    want = np.array([cube.log_lik(t) for t in block])
+    calls, rows = cube.log_lik_calls, cube.log_lik_rows
+    got = cube.log_lik(block)
+    assert (cube.log_lik_calls - calls, cube.log_lik_rows - rows) == (1, len(block))
+    assert (got[outside] == -np.inf).all()
+    assert got[~outside].tobytes() == want[~outside].tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILY_KINDS)
+def test_canonical_residual_is_y_minus_the_mean(family):
+    # the canonical residual through natural_param_derivs' (u + 0.0, 1.0) has
+    # the bits of y - A'(u), -0.0 and subnormals included
+    fam = ExpFamily(family)
+    u = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.5, -2.25, 30.0, -30.0])
+    y = np.array([-0.0, 0.0, 1.0, -0.0, 3.0, 0.0, 2.0, 1.0])
+    want = y - fam._A1(u)
+    got = likelihood._link_resid(y, fam, LinkFunction("canonical"), u)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_darcy_residual_and_gradient_are_the_canonical_formula():
+    # a Darcy model's residual and gradient through the operator protocol
+    # have the bits of y - A'(u) and its product with the grad rows
+    model, theta0 = darcy_model()
+    x, y, fam = model.dataset.x, model.dataset.y, model.family
+    for theta in (theta0, np.zeros(3), -2.0 * theta0):
+        u = model.forward.values(theta, x)
+        want = y - fam._A1(u)
+        assert likelihood._link_resid(y, fam, model.link, u).tobytes() == want.tobytes()
+        grad = want.dot(model.forward.grad_rows(theta, x))
+        assert model.grad_log_lik(theta).tobytes() == grad.tobytes()
 
 
 def test_grad_log_lik_sets_its_own_error_state():
@@ -761,7 +791,7 @@ def test_cube_link_chain_leaving_the_range_diverges(guard):
     # ends as diverged, after the reflect guard's retry, not with a ValueError
     theta_init = np.array([0.3, 0.2])
     model, _ = glm_model(n=200, p=2, link="cube", theta0=theta_init)
-    probe = CurvatureReport(1.0, 2.0, 0.0, 1, theta_init, 0.5)
+    probe = CurvatureReport(1.0, 2.0, 0.0)
     spec = SurrogateSpec(model, SievePrior(1.0, 200, 2), theta_init, 0.5, 30.0, probe)
     cfg = SamplerConfig(gamma=1e-3, j=200, seed=0, guard=guard, guard_radius=1.0)
     with pytest.raises(ChainDivergedError) as exc:
@@ -794,7 +824,7 @@ def test_out_of_domain_is_one_error_on_every_path(case):
     model, theta_init, theta = _out_of_domain(case)
     x = model.dataset.x
     eta = 2.0 * float(np.linalg.norm(theta - theta_init)) + 1.0  # theta is inner
-    probe = CurvatureReport(1.0, 2.0, 0.0, 1, theta_init, eta)
+    probe = CurvatureReport(1.0, 2.0, 0.0)
     spec = SurrogateSpec(model, SievePrior(1.0, model.n, 3), theta_init, eta, 30.0, probe)
     paths = [lambda: model.grad_log_lik(theta), lambda: model.hessians(theta[None]),
              lambda: surrogate_grad(spec, theta), lambda: spec.posterior_grad(theta)]

@@ -60,7 +60,7 @@ def _model(name, n=60):
 
 def _spec(name):
     model, theta_init = _model(name)
-    probe = CurvatureReport(1.0, 2.0, 0.0, 1, theta_init, ETA)
+    probe = CurvatureReport(1.0, 2.0, 0.0)
     return SurrogateSpec(model, SievePrior(1.0, model.n, 3), theta_init, ETA, 30.0, probe)
 
 

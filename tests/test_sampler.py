@@ -510,6 +510,16 @@ def test_burn_in_rejects_a_negative_c_w_and_is_zero_past_the_floats():
     assert burn_in_steps(1e300, 1.0, 0.1, 1.0, 0.5, 4) == 0
 
 
+@pytest.mark.parametrize("eta, c_w", [(1e154, 1.0), (1e300, 1.0), (1.0, 1e308)])
+def test_burn_in_names_a_denominator_past_the_floats(eta, c_w):
+    # a denominator of inf read log(0), "math domain error", and a squared
+    # eta past the floats raised OverflowError
+    with pytest.raises(ValueError, match="burn-in denominator .* is not finite"):
+        burn_in_steps(0.1, 1.0, 0.1, eta, 0.5, 4, c_w=c_w)
+    with pytest.raises(ValueError, match="burn-in denominator .* is not finite"):
+        burn_in_steps(1e300, 1.0, 0.1, eta, 0.5, 4, c_w=c_w)
+
+
 @given(epsilon=st.floats(1e-6, 1e150), m=st.floats(1e-3, 1e3), m_gamma=st.floats(1e-6, 1.99),
        eta=st.floats(1e-6, 10.0), lambda_pi=st.floats(1e-3, 1e6), p=st.integers(1, 64),
        c_w=st.floats(0.0, 1e3))

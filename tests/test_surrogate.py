@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -108,6 +109,17 @@ def test_cutoff_keeps_the_masked_bits(t):
 
 
 # -- mollified penalty ---------------------------------------------------------
+
+@pytest.mark.parametrize("eta", [1e160, 1e300, math.inf,
+                                 math.nextafter(math.sqrt(sys.float_info.max), math.inf)])
+def test_penalty_rejects_an_eta_whose_square_overflows(eta):
+    # s ** 2 raised OverflowError from eta ~ 1e155, failing every cell
+    with pytest.raises(ValueError, match="eta must have a finite square"):
+        MollifiedPenalty(eta)
+    top = math.sqrt(sys.float_info.max)
+    assert MollifiedPenalty(top).eval(top) == (top - 5.0 * top / 8.0) ** 2 + (
+        top / 8.0) ** 2 * MollifiedPenalty.sigma2_phi
+
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
 def test_penalty_and_spec_reject_a_bad_eta(eta):
@@ -218,20 +230,20 @@ def test_penalty_returns_a_python_float(t):
 
 def test_choose_K_floor_example():
     # c_hat_max = 1 via lambda_max_est = n p^{1/2}
-    probe = CurvatureReport(0.0, 1000 * 3.0, 0.0, 10, np.zeros(9), 0.3)
+    probe = CurvatureReport(0.0, 1000 * 3.0, 0.0)
     K = choose_K(probe, 1000, 9, 0.1, GLM_EXPONENTS)
     assert K == pytest.approx(60 * CUTOFF_C2_NORM * 1000 * (1 + 3), rel=1e-12)
 
 
 def test_choose_K_override_only_raises():
-    probe = CurvatureReport(0.0, 1000 * 3.0, 0.0, 10, np.zeros(9), 0.3)
+    probe = CurvatureReport(0.0, 1000 * 3.0, 0.0)
     floor = choose_K(probe, 1000, 9, 0.1, GLM_EXPONENTS)  # about 1.5e8
     assert choose_K(probe, 1000, 9, 0.1, GLM_EXPONENTS, override=5e9) == pytest.approx(5e9)
     assert choose_K(probe, 1000, 9, 0.1, GLM_EXPONENTS, override=1.0) == pytest.approx(floor)
 
 
 def test_choose_K_degenerate_probe():
-    probe = CurvatureReport(0.0, 0.0, 0.0, 10, np.zeros(2), 0.3)
+    probe = CurvatureReport(0.0, 0.0, 0.0)
     with pytest.raises(ConfigurationError):
         choose_K(probe, 100, 2, 0.1, GLM_EXPONENTS)
 
@@ -433,7 +445,7 @@ def test_posterior_grad_zero_data_prior_only():
     model = ModelInstance(ds, basis, ExpFamily("gaussian"), LinkFunction("canonical"),
                           LinearPhi(basis))
     prior = SievePrior(1.0, 9, 2)
-    probe = CurvatureReport(0.0, 1.0, 1.0, 1, np.zeros(2), 0.5)
+    probe = CurvatureReport(0.0, 1.0, 1.0)
     spec = SurrogateSpec(model, prior, np.zeros(2), 0.5, 10.0, probe)
     np.testing.assert_allclose(spec.posterior_grad(np.zeros(2)), 0.0, atol=1e-14)
 
@@ -579,7 +591,7 @@ def test_drift_at_the_region_edges_keeps_the_region_rule_and_bits(name, eta, edg
     # coordinate, whose theta_init entry is 0.0, so t is exactly the radius.
     # In the two examples t >= 7 eta/8 and t / eta >= 7/8 disagree.
     model, theta_init = _edge_model(name)
-    probe = CurvatureReport(1.0, 2.0, 0.0, 1, theta_init, eta)
+    probe = CurvatureReport(1.0, 2.0, 0.0)
     spec = SurrogateSpec(model, SievePrior(1.0, model.n, 3), theta_init, eta, 30.0, probe)
     radius = edge * eta
     for _ in range(abs(ulps)):
