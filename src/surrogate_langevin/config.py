@@ -140,6 +140,8 @@ class ExperimentConfig:
             problems.append("model.theta0_values: required when theta0_mode = explicit")
         if self.darcy_mesh < 8:
             problems.append("model.darcy_mesh: must be >= 8")
+        if self.darcy_f_min <= 0:
+            problems.append(f"model.darcy_f_min: must be positive, got {self.darcy_f_min}")
         if self.alpha <= 0.5:
             problems.append("prior.alpha: smoothness must exceed 1/2")
         if self.eta_rule == "fixed" and self.eta_value <= 0:

@@ -25,8 +25,8 @@ from .initializers import (oracle_perturbed_init, oracle_projection_init,
 from .likelihood import ModelInstance, generate_data, write_float_csv
 from .prior import SievePrior
 from .sampler import (ChainDivergedError, SamplerConfig, burn_in_steps,
-                      discretization_bias, precision_floor, run_chain,
-                      step_size_bound)
+                      discretization_bias, precision_floor, precision_floor_terms,
+                      run_chain, step_size_bound)
 from .surrogate import ConfigurationError, SurrogateSpec, choose_K
 
 logger = logging.getLogger(__name__)
@@ -105,7 +105,10 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int,
     known.  The automatic burn-in rule logs a warning when the requested
     epsilon is below the certified precision floor.  resolved also records
     the chain's relaxation time relaxation_steps = 2/(m gamma) and its
-    length in those, relaxations = (j_in + j) / relaxation_steps.
+    length in those, relaxations = (j_in + j) / relaxation_steps; the
+    precision floor's two terms, floor_tail_term = 16 e^{-n delta^2} and
+    floor_bias_term = 8 B(gamma); and lambda_over_probe_max, Lambda over
+    the probe's largest curvature, None where that is not positive.
     clock(phase) is called as each of the phases "init", "probe" and "setup"
     (K, the surrogate and the step and burn-in rules) ends.
     """
@@ -161,6 +164,10 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int,
         "precision_floor": floor, "epsilon_below_floor": cfg.epsilon < floor,
         "probe_skipped": probe.skipped,
     }
+    resolved["floor_tail_term"], resolved["floor_bias_term"] = precision_floor_terms(
+        n, delta_n, bias)
+    resolved["lambda_over_probe_max"] = (surrogate.lam / probe.lambda_max_est
+                                         if probe.lambda_max_est > 0.0 else None)
     resolved["relaxation_steps"] = 2.0 / (surrogate.m * gamma)
     resolved["relaxations"] = (j_in + cfg.j) / resolved["relaxation_steps"]
     clock("setup")

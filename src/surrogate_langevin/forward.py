@@ -51,14 +51,21 @@ Geophys. J. Int. 167):
 and its p x p matrix needs only the p coordinate tangents w_k.  hess_terms
 solves a block of B points on one banded factor of their block-diagonal
 operator: one factorization and three solves (the states, p tangent columns,
-one adjoint column), each block with the bits of its own.
+one adjoint column), each block with the bits of its own.  The factor and
+the solves are LAPACK's dpbtrf and dpbtrs, taken on the first factorization
+from scipy's compiled LAPACK module alone (`_lapack`): a run loads no scipy
+before it solves the PDE, and never the scipy.linalg package.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
 
@@ -68,13 +75,34 @@ from .expfam import DomainError
 
 @cache
 def _lapack():
-    """(pbtrf, pbtrs), the LAPACK routines behind scipy.linalg.cholesky_banded
-    and cho_solve_banded, called directly; the finiteness and `info` checks
-    those wrappers make are made explicitly by _factorized_operator and
-    _banded_solve.  Resolved on the first factorization, so only a run that
-    solves the PDE loads scipy."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty((2, 1)),))
+    """(pbtrf, pbtrs), the float64 LAPACK routines behind
+    scipy.linalg.cholesky_banded and cho_solve_banded, called directly; the
+    finiteness and `info` checks those wrappers make are made explicitly by
+    _factorized_operator and _banded_solve.
+
+    Resolved on the first factorization, so only a run that solves the PDE
+    loads scipy, and then only its compiled LAPACK module
+    scipy.linalg._flapack, not the scipy.linalg package, whose import pulls
+    in numpy.f2py, numpy.testing and numpy.ma.  The module is loaded under
+    its own name and kept in sys.modules, so a later `import scipy.linalg`
+    reuses it, and one already loaded is used as it is; dpbtrf and dpbtrs
+    are the very objects get_lapack_funcs gives for float64.  `import scipy`
+    runs first: on some platforms its set-up makes the libraries the module
+    links loadable."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+        found = PathFinder.find_spec("_flapack", [os.path.join(d, "linalg")
+                                                  for d in scipy.__path__])
+        if found is None:
+            raise ImportError(f"no module named {name!r}: the Darcy solver needs "
+                              "scipy's compiled LAPACK module", name=name)
+        spec = spec_from_file_location(name, found.origin)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpbtrf, module.dpbtrs
 
 
 class SolveError(DomainError):
@@ -224,8 +252,14 @@ class Darcy1D:
     def __post_init__(self):
         if self.basis.kind != "dirichlet-sine":
             raise ValueError("the Darcy operator requires the dirichlet-sine basis")
-        if self.f_min <= 0:
-            raise ValueError("f_min must be strictly positive")
+        if not 0.0 < self.f_min < math.inf:
+            raise ValueError(f"f_min must be positive and finite, got {self.f_min}")
+        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)) or self.M < 1:
+            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
+        if not math.isfinite(self.g1):
+            raise ValueError(f"g1 must be finite, got {self.g1}")
+        if not all(map(math.isfinite, self.g2)):
+            raise ValueError(f"g2 must be finite, got {self.g2}")
         self._grid = np.linspace(0.0, 1.0, self.M + 2)
         self._g1_int = np.full(self.M, float(self.g1))
         self._dgrid = np.diff(self._grid)[:, None]

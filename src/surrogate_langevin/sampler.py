@@ -244,9 +244,16 @@ def discretization_bias(gamma: float, p: int, m: float, lam: float) -> float:
     return 36.0 * gamma * p * lam ** 2 / m ** 2 + 12.0 * gamma ** 2 * p * lam ** 4 / m ** 3
 
 
+def precision_floor_terms(n: int, delta_n: float, bias: float) -> tuple[float, float]:
+    """(16 e^{-n delta^2}, 8 B(gamma)): the tail and bias terms under the
+    precision floor's root."""
+    return 16.0 * math.exp(-n * delta_n ** 2), 8.0 * bias
+
+
 def precision_floor(n: int, delta_n: float, bias: float) -> float:
     """Smallest certified precision level sqrt(16 e^{-n delta^2} + 8 B(gamma))."""
-    return math.sqrt(16.0 * math.exp(-n * delta_n ** 2) + 8.0 * bias)
+    tail, bias_term = precision_floor_terms(n, delta_n, bias)
+    return math.sqrt(tail + bias_term)
 
 
 def burn_in_steps(epsilon: float, m: float, gamma: float, eta: float,

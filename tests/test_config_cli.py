@@ -26,7 +26,8 @@ from surrogate_langevin.config import (MODEL_PRESETS, ConfigValidationError,
                                        ExperimentConfig, load_config)
 from surrogate_langevin.experiment import build_model, resolve_cell, run_cell, run_experiment
 from surrogate_langevin.initializers import pilot_ascent_init
-from surrogate_langevin.likelihood import CSV_BLOCK_ROWS, PROBE_BLOCK, ModelInstance
+from surrogate_langevin.likelihood import (CSV_BLOCK_ROWS, PROBE_BLOCK, CurvatureReport,
+                                          ModelInstance)
 from surrogate_langevin.prior import SievePrior
 from surrogate_langevin.sampler import ChainTrace, discretization_bias, precision_floor
 from surrogate_langevin.surrogate import ConfigurationError
@@ -214,6 +215,18 @@ def test_diagnose_runs_its_grid_posterior_at_p_one_only(tmp_path):
         (row,) = csv.DictReader(fh)
     assert (row["p"], row["grid_tv"]) == ("2", "")
     assert row["cond_surrogate"] != ""
+
+
+@pytest.mark.parametrize("f_min", [-1.0, 0.0, -0.0, -1e-300])
+def test_darcy_f_min_must_be_positive(f_min):
+    # such an f_min failed every darcy cell late, in the operator's constructor
+    with pytest.raises(ConfigValidationError) as exc:
+        ExperimentConfig(model_preset="darcy-1d", darcy_f_min=f_min).validate()
+    assert exc.value.problems == [f"model.darcy_f_min: must be positive, got {f_min}"]
+    assert ExperimentConfig(darcy_f_min=1e-300).validate().darcy_f_min == 1e-300
+    with pytest.raises(ConfigValidationError) as exc:
+        ExperimentConfig(darcy_f_min=math.nan).validate()
+    assert exc.value.problems == ["model.darcy_f_min: must be finite, got nan"]
 
 
 @pytest.mark.parametrize("c_w", [-1.0, -1e-300])
@@ -1120,6 +1133,37 @@ def test_relaxation_steps_and_relaxations_in_the_manifest_only(tmp_path):
         assert cell[key] == results[0].resolved[key]
     assert cell["relaxations"] == 40 / cell["relaxation_steps"]
     assert next(csv.reader(io.StringIO(report.read_text()))) == experiment.REPORT_COLUMNS
+
+
+def test_precision_floor_terms_in_the_manifest_only(tmp_path):
+    # the floor's two terms and Lambda over the probe's largest curvature
+    keys = ("floor_tail_term", "floor_bias_term", "lambda_over_probe_max")
+    assert not set(keys) & set(experiment.REPORT_COLUMNS)
+    cfg = ExperimentConfig(n_grid=[50], seeds=[0], p_value=2, n_probes=5,
+                           j_in_rule="fixed", j_in_value=30, j=10)
+    model, theta0 = build_model(cfg, 50, 2, 0)
+    surrogate, _, resolved, _ = resolve_cell(cfg, model, theta0, 0)
+    tail, bias = resolved["floor_tail_term"], resolved["floor_bias_term"]
+    assert resolved["precision_floor"] == math.sqrt(tail + bias)
+    assert tail == 16.0 * math.exp(-50 * resolved["delta_n"] ** 2)
+    assert bias == 8.0 * discretization_bias(resolved["gamma"], 2, surrogate.m, surrogate.lam)
+    assert surrogate.probe.lambda_max_est > 0.0
+    assert resolved["lambda_over_probe_max"] == surrogate.lam / surrogate.probe.lambda_max_est
+    results, report = run_experiment(cfg, out_dir=tmp_path)
+    cell = json.loads((tmp_path / "manifest.json").read_text())["cells"][0]["resolved"]
+    for key in keys:
+        assert cell[key] == results[0].resolved[key]
+    assert next(csv.reader(io.StringIO(report.read_text()))) == experiment.REPORT_COLUMNS
+
+
+def test_lambda_over_probe_max_is_null_where_the_probe_reads_no_curvature(tmp_path):
+    flat = CurvatureReport(lambda_min_est=1.0, lambda_max_est=0.0, grad_norm_at_center=1.0)
+    cfg = ExperimentConfig(n_grid=[50], seeds=[0], p_value=2, n_probes=5,
+                           j_in_rule="fixed", j_in_value=30, j=10, k_override=1.0)
+    model, theta0 = build_model(cfg, 50, 2, 0)
+    with mock.patch.object(ModelInstance, "curvature_probe", lambda *args: flat):
+        surrogate, _, resolved, _ = resolve_cell(cfg, model, theta0, 0)
+    assert surrogate.lam > 0.0 and resolved["lambda_over_probe_max"] is None
 
 
 FAILING_CELLS_GRID = [(n, seed) for n in (20, 30) for seed in (0, 1, 2)]

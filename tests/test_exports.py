@@ -28,8 +28,9 @@ def test_readme_imports_are_exported():
 
 
 # The scipy modules a run loads, in a fresh interpreter (this one has them all).
-# GLM and density cells load none; a Darcy cell loads scipy.linalg for its
-# banded solves; grid_posterior imports scipy.special on first call.
+# GLM and density cells load none; a Darcy cell loads scipy's compiled LAPACK
+# module scipy.linalg._flapack for its banded solves, and not the scipy.linalg
+# package; grid_posterior imports scipy.special on first call.
 # No cell loads multiprocessing, which only a --jobs pool needs.
 IMPORT_SET_SCRIPT = """
 import json, sys
@@ -66,9 +67,10 @@ def test_a_run_imports_scipy_only_where_it_calls_it():
                           capture_output=True, text=True, check=True, timeout=300)
     out = json.loads(done.stdout.splitlines()[-1])
     assert out["import"] == [] and out["glm_density"] == []
-    assert "scipy.linalg" in out["darcy"]
+    assert "scipy.linalg._flapack" in out["darcy"]
+    assert "scipy.linalg" not in out["darcy"]
     assert not [m for m in out["darcy"]
-                if m.startswith(("scipy.optimize", "scipy.special"))]
+                if m.startswith(("scipy.optimize", "scipy.special", "scipy.sparse"))]
     assert out["status"] == ["ok "] * 3
     # jobs = 1 cells start no process pool, so they import none of its modules
     assert out["multiprocessing"] is False

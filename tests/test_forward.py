@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,24 @@ def test_darcy_requires_sine_basis():
         Darcy1D(BasisFamily("cosine-centered", 4))
 
 
+@pytest.mark.parametrize("kw, name", [
+    (dict(f_min=np.nan), "f_min"), (dict(f_min=np.inf), "f_min"), (dict(f_min=0.0), "f_min"),
+    (dict(f_min=-1.0), "f_min"), (dict(M=0), "M"), (dict(M=-3), "M"), (dict(M=16.0), "M"),
+    (dict(M=True), "M"), (dict(g1=np.nan), "g1"), (dict(g1=-np.inf), "g1"),
+    (dict(g2=(1.0, np.nan)), "g2"), (dict(g2=(np.inf, 0.0)), "g2"),
+])
+def test_darcy_rejects_parameters_no_solve_could_use(kw, name):
+    # each of these made every solve fail, most with a message about theta
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        Darcy1D(BasisFamily("dirichlet-sine", 2), **kw)
+
+
+def test_darcy_accepts_the_smallest_mesh_and_numpy_integers():
+    for M in (1, np.int64(3)):
+        op = Darcy1D(BasisFamily("dirichlet-sine", 2), M=M)
+        assert np.isfinite(op.values(np.zeros(2), np.array([0.25, 0.5]))).all()
+
+
 # -- the direct LAPACK calls and the memoized interpolation ----------------------
 
 def _banded(f):
@@ -260,6 +283,48 @@ def test_direct_lapack_matches_scipy_wrappers(M, k, log_scale, seed):
         x = forward._banded_solve(cb, b)
         assert x.shape == b.shape
         assert x.tobytes() == cho_solve_banded((cb, False), b).tobytes()
+
+
+# A fresh interpreter that solves one Darcy state and imports scipy.linalg
+# before it (argv[1] = "before") or after it; it prints whether _lapack gave
+# the very objects get_lapack_funcs gives for float64 and whether the package
+# reuses the one _flapack module.
+LAPACK_IDENTITY_SCRIPT = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+from surrogate_langevin import forward
+from surrogate_langevin.basis import BasisFamily
+forward.Darcy1D(BasisFamily("dirichlet-sine", 2), M=8).values(np.zeros(2), np.array([0.5]))
+loaded = "scipy.linalg" in sys.modules
+import scipy.linalg
+from scipy.linalg import _flapack
+funcs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty((2, 1)),))
+print(json.dumps({"linalg_loaded_by_solve": loaded,
+                  "same": [a is b for a, b in zip(forward._lapack(), funcs)],
+                  "one_module": _flapack is sys.modules["scipy.linalg._flapack"],
+                  "dtype": [f.dtype.char for f in funcs]}))
+"""
+
+
+@pytest.mark.parametrize("order", ["after", "before"])
+def test_lapack_routines_are_scipys_float64_objects(order):
+    src = Path(forward.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", LAPACK_IDENTITY_SCRIPT, order], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out == {"linalg_loaded_by_solve": order == "before", "same": [True, True],
+                   "one_module": True, "dtype": ["d", "d"]}
+
+
+def test_lapack_names_a_missing_module(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(forward.PathFinder, "find_spec", lambda *args, **kw: None)
+    with pytest.raises(ImportError, match="scipy.linalg._flapack") as info:
+        forward._lapack.__wrapped__()  # past the cache
+    assert info.value.name == "scipy.linalg._flapack"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
