@@ -10,6 +10,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .initializers import oracle_projection_init
 from .sampler import GUARDS
 
@@ -20,7 +22,7 @@ class ModelPreset(NamedTuple):
     link: str | None
     basis: str
     exponents: tuple = (0.0, 0.5)  # (kappa1, kappa2) of choose_K
-    eta_power: float = -0.5        # eta = p ** eta_power under eta_rule = preset
+    eta_power: float = -0.5        # eta = p ** eta_power unless eta_value is given
 
 
 MODEL_PRESETS = {
@@ -66,29 +68,26 @@ def _opt(section, default, parse=None, *, key=None, choices=None):
 @dataclass
 class ExperimentConfig:
     model_preset: str = _opt("model", "glm-gaussian", key="preset", choices=tuple(MODEL_PRESETS))
-    theta0_mode: str = _opt("model", "decay", choices=("decay", "explicit"))
     theta0_scale: float = _opt("model", 0.5)
     theta0_power: float = _opt("model", 2.0)        # theta0_k = scale * k^{-power}
-    theta0_values: list = _opt("model", [], _list_of(float))
+    theta0_values: list = _opt("model", [], _list_of(float))  # the truth, when given
     darcy_mesh: int = _opt("model", 256)
     darcy_f_min: float = _opt("model", 1.0)
     darcy_source: float = _opt("model", 4.0)
     darcy_boundary: tuple = _opt("model", (1.0, 1.0), _pair)
     alpha: float = _opt("prior", 1.0)
-    eta_rule: str = _opt("surrogate", "preset", choices=("preset", "fixed"))
-    eta_value: float = _opt("surrogate", 0.0)
+    eta_value: float | None = _opt("surrogate", None, float)
     k_override: float | None = _opt("surrogate", None, float)
     init_mode: str = _opt("surrogate", "oracle-projection", choices=(
         "oracle-projection", "oracle-perturbed", "pilot-ascent"))
     init_rho: float = _opt("surrogate", 0.0)        # oracle-perturbed radius (<= eta/8)
     n_probes: int = _opt("surrogate", 200)
     variant: str = _opt("sampler", "surrogate", choices=("surrogate", "vanilla"))
-    # gamma: gamma_fraction times the gamma_bound step bound, or gamma_value when fixed
-    gamma_rule: str = _opt("sampler", "fraction", choices=("fraction", "fixed"))
+    # gamma: gamma_value when given, else gamma_fraction times the gamma_bound step bound
     gamma_fraction: float = _opt("sampler", 1.0)
     # sampling: 2/(m+L); exit: m/(sqrt54 L^2)
     gamma_bound: str = _opt("sampler", "sampling", choices=("sampling", "exit"))
-    gamma_value: float = _opt("sampler", 0.0)
+    gamma_value: float | None = _opt("sampler", None, float)
     j_in_rule: str = _opt("sampler", "auto", choices=("auto", "fixed"))  # auto: burn-in formula
     j_in_value: int = _opt("sampler", 0)
     epsilon: float = _opt("sampler", 0.5)
@@ -111,7 +110,7 @@ class ExperimentConfig:
         return max(1, round(n ** (1.0 / (2.0 * self.alpha + 1.0))))
 
     def eta_for(self, p: int) -> float:
-        if self.eta_rule == "fixed":
+        if self.eta_value is not None:
             return self.eta_value
         return float(p) ** MODEL_PRESETS[self.model_preset].eta_power
 
@@ -119,8 +118,7 @@ class ExperimentConfig:
         return float(n) ** (-self.alpha / (2.0 * self.alpha + 1.0))
 
     def theta0_for(self, p: int):
-        import numpy as np
-        if self.theta0_mode == "explicit":
+        if self.theta0_values:
             return oracle_projection_init(self.theta0_values, p)
         k = np.arange(1, p + 1, dtype=float)
         return self.theta0_scale * k ** -self.theta0_power
@@ -136,17 +134,15 @@ class ExperimentConfig:
                     problems.append(f"{name}: must be one of {', '.join(choices)}, got {v!r}")
                 elif isinstance(v, float) and not math.isfinite(v):
                     problems.append(f"{name}: must be finite, got {v}")
-        if self.theta0_mode == "explicit" and not self.theta0_values:
-            problems.append("model.theta0_values: required when theta0_mode = explicit")
         if self.darcy_mesh < 8:
             problems.append("model.darcy_mesh: must be >= 8")
         if self.darcy_f_min <= 0:
             problems.append(f"model.darcy_f_min: must be positive, got {self.darcy_f_min}")
         if self.alpha <= 0.5:
             problems.append("prior.alpha: smoothness must exceed 1/2")
-        if self.eta_rule == "fixed" and self.eta_value <= 0:
-            problems.append("surrogate.eta_value: must be positive when eta_rule = fixed")
-        elif (self.eta_rule == "fixed" and math.isfinite(self.eta_value)
+        if self.eta_value is not None and self.eta_value <= 0:
+            problems.append("surrogate.eta_value: must be positive when given")
+        elif (self.eta_value is not None and math.isfinite(self.eta_value)
               and math.isinf(self.eta_value * self.eta_value)):
             problems.append("surrogate.eta_value: its square must be a finite float, "
                             f"got {self.eta_value:g}")
@@ -171,12 +167,12 @@ class ExperimentConfig:
                                     f"eta/8 = {bound} at n = {n}, p = {p}")
         if self.n_probes < 1:
             problems.append("surrogate.n_probes: must be >= 1")
-        if self.gamma_rule == "fraction" and not 0.0 < self.gamma_fraction <= 1.0:
+        if self.gamma_value is None and not 0.0 < self.gamma_fraction <= 1.0:
             problems.append(
                 f"sampler.gamma: fraction-of-bound must lie in (0, 1], got {self.gamma_fraction}"
                 " (violates the step-size bound)")
-        if self.gamma_rule == "fixed" and self.gamma_value <= 0:
-            problems.append("sampler.gamma_value: must be positive when gamma_rule = fixed")
+        if self.gamma_value is not None and self.gamma_value <= 0:
+            problems.append("sampler.gamma_value: must be positive when given")
         if self.j_in_rule == "fixed" and self.j_in_value < 0:
             problems.append("sampler.j_in_value: must be >= 0")
         if self.epsilon <= 0:

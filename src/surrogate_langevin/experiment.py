@@ -140,9 +140,8 @@ def resolve_cell(cfg: ExperimentConfig, model, theta0, seed: int,
             "prior): the likelihood is not concave there, so no step size or burn-in "
             "can be certified")
     bounds = step_size_bound(surrogate.m, surrogate.lam)
-    if cfg.gamma_rule == "fixed":
-        gamma = cfg.gamma_value
-    else:
+    gamma = cfg.gamma_value
+    if gamma is None:
         gamma = cfg.gamma_fraction * (bounds[0] if cfg.gamma_bound == "sampling" else bounds[1])
     bias = discretization_bias(gamma, p, surrogate.m, surrogate.lam)
     floor = precision_floor(n, delta_n, bias)

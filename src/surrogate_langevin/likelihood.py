@@ -52,26 +52,19 @@ def _density_quadrature():
 
 
 def _log_partition(qw, phi_quad):
-    """log of the quadrature sum of exp(phi_quad) with weights qw along the
-    last axis, shifted by the maximum: a float for one point's (Q,) values,
-    one per row of a (B, Q) block; phi_quad is not written.  Both paths keep
-    the operation order of ndarray.max, ndarray.sum and a fresh array per
-    step, so the gradient body and log_lik share one log-partition.  One
-    point takes phi_quad[phi_quad.argmax()], the first maximum: the float
+    """log of the quadrature sum of exp(phi_quad) with weights qw, shifted by
+    the maximum, for one point's (Q,) values; phi_quad is not written.  The
+    one log-partition of the gradient body and log_lik, in the operation
+    order of ndarray.max, ndarray.sum and a fresh array per step: the
+    maximum is phi_quad[phi_quad.argmax()], the first maximum, the float
     ndarray.max gives (NaN if there is one, up to its sign bit) at a third
-    of the cost; it exponentiates and weights one scratch vector in place.
-    A block reduces with np.maximum.reduce and np.add.reduce, the
-    reductions of ndarray.max and ndarray.sum without their Python
-    wrappers; (phi_quad.T - mx).T subtracts each row's maximum and keeps
-    the rows C-contiguous."""
-    if phi_quad.ndim == 1:
-        mx = phi_quad[phi_quad.argmax()]
-        w = phi_quad - mx
-        np.exp(w, out=w)
-        w *= qw  # IEEE * commutes: the bits of qw * w
-        return mx + np.log(np.add.reduce(w))
-    mx = np.maximum.reduce(phi_quad, -1)
-    return mx + np.log(np.add.reduce(qw * np.exp((phi_quad.T - mx).T), -1))
+    of the cost, and one scratch vector is exponentiated and weighted in
+    place."""
+    mx = phi_quad[phi_quad.argmax()]
+    w = phi_quad - mx
+    np.exp(w, out=w)
+    w *= qw  # IEEE * commutes: the bits of qw * w
+    return mx + np.log(np.add.reduce(w))
 
 
 def _require_finite_resid(resid):
@@ -329,16 +322,15 @@ class ModelInstance:
         """log_lik at each row of the (B, p) array thetas.  Each row's
         products are the one-point products, and the rest is elementwise or
         a reduction along the row, so every row has the bits of its own
-        one-row block; a row outside the domain reads -inf."""
+        one-row block; a row outside the domain reads -inf.  A density row
+        is the sum of its gemv to the data (ndarray.dot: the gemv of @, less
+        dispatch) less n times the log-partition of its gemv to the nodes."""
         if self._n == 0 or not len(thetas):
             return np.zeros(len(thetas))
         if self._density:
-            phi_quad = np.empty((len(thetas), len(self._E_quad)))
-            data = np.empty((len(thetas), self._n))
-            for t, q, d in zip(thetas, phi_quad, data):
-                self._E_quad.dot(t, out=q)  # ndarray.dot: the gemv of @, into its row
-                self._E_data.dot(t, out=d)
-            return np.add.reduce(data, -1) - self._n * _log_partition(self._qw, phi_quad)
+            E_data, E_quad, qw, n = self._E_data, self._E_quad, self._qw, self._n
+            return np.array([np.add.reduce(E_data.dot(t)) - n * _log_partition(qw, E_quad.dot(t))
+                             for t in thetas])
         try:
             b = natural_param(self.family, self.link, self.forward.values(thetas, self._x))
         except ValueError:

@@ -5,8 +5,8 @@ estimator's fit and predict.  The audit runs tiny configurations through
 them under a profile hook that records every function called, then lists
 each function defined in src/surrogate_langevin (methods and nested
 functions included) that none of them reached.  The configurations cover
-every model preset, init mode, drift variant, guard and step bound, fixed
-gamma, eta and K, p_rule = rate, the p = 1 grid posterior, every diagnostic,
+every model preset, init mode, drift variant, guard and step bound, a given
+gamma, eta, K and theta0, p_rule = rate, the p = 1 grid posterior, every diagnostic,
 every command, --jobs, a failing and a diverging cell, and configs and
 arguments that are rejected.  --jobs cells run on threads in place of worker
 processes, which the hook does not follow; they call the same functions.
@@ -68,8 +68,7 @@ RUNS = [
     ("experiment", [], {"model": {"preset": "glm-logistic"},
                         "surrogate": {"init_mode": "pilot-ascent"},
                         "experiment": {"diagnostics": "contraction condition-numbers"}}),
-    ("experiment", [], {"model": {"preset": "glm-gaussian-cube", "theta0_mode": "explicit",
-                                  "theta0_values": "2.0 0.3"},
+    ("experiment", [], {"model": {"preset": "glm-gaussian-cube", "theta0_values": "2.0 0.3"},
                         "surrogate": {"init_mode": "oracle-perturbed", "init_rho": 0.01}}),
     # the default cube cell: the probe reads a negative curvature, so it fails
     ("experiment", [], {"model": {"preset": "glm-gaussian-cube"},
@@ -89,14 +88,13 @@ RUNS = [
         "prior": {"alpha": 1.5},
         "sampler": {"j_in_rule": "auto", "epsilon": 1e6, "gamma_bound": "exit"},
         "experiment": {"n_grid": "50 200", "p_rule": "rate", "diagnostics": "recovery"}}),
-    ("experiment", [], {"surrogate": {"eta_rule": "fixed", "eta_value": 0.3,
-                                      "k_override": 1e5},
-                        "sampler": {"gamma_rule": "fixed", "gamma_value": 1e-4}}),
+    ("experiment", [], {"surrogate": {"eta_value": 0.3, "k_override": 1e5},
+                        "sampler": {"gamma_value": 1e-4}}),
     # a step far past the bound: with guard none the chain diverges, and the
     # reflect guard pulls the state back in and folds it
-    ("experiment", [], {"sampler": {"gamma_rule": "fixed", "gamma_value": 50.0}}),
-    ("experiment", [], {"sampler": {"gamma_rule": "fixed", "gamma_value": 50.0,
-                                    "guard": "reflect", "guard_radius": 2.0}}),
+    ("experiment", [], {"sampler": {"gamma_value": 50.0}}),
+    ("experiment", [], {"sampler": {"gamma_value": 50.0, "guard": "reflect",
+                                    "guard_radius": 2.0}}),
     ("experiment", [], {"sampler": {"j": 0}}),  # rejected by validate
 ]
 

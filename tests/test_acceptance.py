@@ -379,8 +379,8 @@ def test_criterion_10_condition_number_trend():
 # -- 11. identical configs reproduce byte-identical reports --------------------
 
 def test_criterion_11_determinism(tmp_path):
-    cfg = ExperimentConfig(model_preset="glm-gaussian", theta0_mode="explicit",
-                           theta0_values=[1.0], j_in_rule="fixed", j_in_value=50,
+    cfg = ExperimentConfig(model_preset="glm-gaussian", theta0_values=[1.0],
+                           j_in_rule="fixed", j_in_value=50,
                            j=500, seeds=[0, 1], n_grid=[200], p_rule="fixed",
                            p_value=1).validate()
     reports = []

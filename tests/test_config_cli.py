@@ -35,7 +35,6 @@ from surrogate_langevin.surrogate import ConfigurationError
 MINIMAL = """\
 [model]
 preset = glm-gaussian
-theta0_mode = explicit
 theta0_values = 1.0
 
 [prior]
@@ -97,6 +96,26 @@ def test_rules_resolve_to_numbers():
     assert cfg.delta_n(1000) == pytest.approx(1000.0 ** (-1.0 / 3.0))
     theta0 = ExperimentConfig(theta0_scale=0.5, theta0_power=2.0).theta0_for(3)
     assert list(theta0) == [0.5, 0.125, 0.5 / 9.0]
+
+
+@settings(max_examples=25)
+@given(eta=st.none() | st.floats(0.01, 2.0), gamma=st.none() | st.floats(1e-8, 1e-2),
+       theta0=st.just([]) | st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       fraction=st.floats(0.01, 1.0), bound=st.sampled_from(["sampling", "exit"]))
+def test_a_given_value_is_used_and_a_missing_one_gives_the_rule(eta, gamma, theta0,
+                                                                fraction, bound):
+    # eta_value, gamma_value and theta0_values were ignored unless a selector
+    # (eta_rule, gamma_rule, theta0_mode) was switched as well
+    cfg = ExperimentConfig(model_preset="glm-poisson", theta0_values=theta0, eta_value=eta,
+                           gamma_value=gamma, gamma_fraction=fraction, gamma_bound=bound,
+                           n_grid=[50], p_value=2, n_probes=5, j_in_rule="fixed",
+                           j=10).validate()
+    assert list(cfg.theta0_for(2)) == (theta0 or [0.5, 0.125])
+    model, theta_true = build_model(cfg, 50, 2, 0)
+    _, _, resolved, _ = resolve_cell(cfg, model, theta_true, 0)
+    assert resolved["eta"] == (2.0 ** -0.5 if eta is None else eta)
+    assert resolved["gamma"] == (fraction * resolved["step_bound_" + bound]
+                                 if gamma is None else gamma)
 
 
 def test_validation_lists_every_violation():
@@ -171,22 +190,21 @@ def test_guard_radius_must_be_positive(radius):
 def test_a_fixed_eta_must_have_a_finite_square(eta):
     # such an eta failed every cell with OverflowError in the penalty
     with pytest.raises(ConfigValidationError) as exc:
-        ExperimentConfig(eta_rule="fixed", eta_value=eta).validate()
+        ExperimentConfig(eta_value=eta).validate()
     assert exc.value.problems == [
         f"surrogate.eta_value: its square must be a finite float, got {eta:g}"]
     top = math.sqrt(sys.float_info.max)
-    assert ExperimentConfig(eta_rule="fixed", eta_value=top).validate().eta_value == top
-    # the preset rule never reads eta_value; a non-finite one is named once
-    assert ExperimentConfig(eta_value=eta).validate().eta_value == eta
+    assert ExperimentConfig(eta_value=top).validate().eta_value == top
+    # a non-finite one is named once
     with pytest.raises(ConfigValidationError) as exc:
-        ExperimentConfig(eta_rule="fixed", eta_value=math.inf).validate()
+        ExperimentConfig(eta_value=math.inf).validate()
     assert exc.value.problems == ["surrogate.eta_value: must be finite, got inf"]
 
 
 def test_a_large_eta_fails_its_cell_with_a_named_error():
     # with the automatic burn-in, eta = 1e154 failed with "math domain error"
     cfg = ExperimentConfig(model_preset="glm-poisson", n_grid=[100], p_value=2, n_probes=5,
-                           j=10, eta_rule="fixed", eta_value=1e154).validate()
+                           j=10, eta_value=1e154).validate()
     cell = run_cell(cfg, 100, 0)
     assert cell.status == "failed"
     assert cell.message.startswith("ValueError: the burn-in denominator")
@@ -248,13 +266,20 @@ def test_unknown_diagnostic_rejected():
 
 
 def test_unknown_sections_and_keys_rejected(tmp_path):
-    text = MINIMAL.replace("seeds = 0\n", "seeds = 0\ngama = 0.1\nrun_vanilla = true\n")
+    # eta, gamma and theta0 have no selector: eta_value, gamma_value and
+    # theta0_values fix their quantity when given
+    text = MINIMAL.replace("seeds = 0\n", "seeds = 0\ngama = 0.1\nrun_vanilla = true\n"
+                           "gamma_rule = fixed\n")
+    text = text.replace("[model]\n", "[model]\ntheta0_mode = explicit\n")
+    text += "\n[surrogate]\neta_rule = fixed\n"
     text += "\n[output]\ndir = out\nthinning = 5\n\n[plots]\nstyle = dark\n"
     with pytest.raises(ConfigValidationError) as exc:
         load_config(write_cfg(tmp_path, text))
     assert sorted(exc.value.problems) == [
-        "[plots]: unknown section", "output.thinning: unknown key",
-        "sampler.gama: unknown key", "sampler.run_vanilla: unknown key"]
+        "[plots]: unknown section", "model.theta0_mode: unknown key",
+        "output.thinning: unknown key", "sampler.gama: unknown key",
+        "sampler.gamma_rule: unknown key", "sampler.run_vanilla: unknown key",
+        "surrogate.eta_rule: unknown key"]
 
 
 def test_unparseable_value_rejected(tmp_path):
@@ -282,7 +307,6 @@ def test_default_config_is_valid():
 EVERY_KEY = """\
 [model]
 preset = glm-poisson
-theta0_mode = explicit
 theta0_scale = 0.25
 theta0_power = 3
 theta0_values = 1.0, 2.0
@@ -293,7 +317,6 @@ darcy_boundary = 0.5 2
 [prior]
 alpha = 1.5
 [surrogate]
-eta_rule = fixed
 eta_value = 0.25
 k_override = 7
 init_mode = oracle-perturbed
@@ -301,7 +324,6 @@ init_rho = 0.01
 n_probes = 9
 [sampler]
 variant = vanilla
-gamma_rule = fixed
 gamma_fraction = 0.5
 gamma_bound = exit
 gamma_value = 0.001
@@ -327,15 +349,14 @@ thinning_budget = 5000
 def test_every_key_sets_its_field(tmp_path):
     cfg = load_config(write_cfg(tmp_path, EVERY_KEY))
     expected = dict(
-        model_preset="glm-poisson", theta0_mode="explicit", theta0_scale=0.25,
-        theta0_power=3.0, theta0_values=[1.0, 2.0], darcy_mesh=64, darcy_f_min=0.5,
-        darcy_source=2.0, darcy_boundary=(0.5, 2.0), alpha=1.5, eta_rule="fixed",
-        eta_value=0.25, k_override=7.0, init_mode="oracle-perturbed", init_rho=0.01,
-        n_probes=9, variant="vanilla", gamma_rule="fixed", gamma_fraction=0.5,
-        gamma_bound="exit", gamma_value=0.001, j_in_rule="fixed", j_in_value=3,
-        epsilon=2.0, c_w=1.5, j=11, seeds=[4, 5], guard="reflect", guard_radius=9.0,
-        n_grid=[30, 60], p_rule="rate", p_value=2, diagnostics=["contraction", "recovery"],
-        out_dir="elsewhere", thinning_budget=5000)
+        model_preset="glm-poisson", theta0_scale=0.25, theta0_power=3.0,
+        theta0_values=[1.0, 2.0], darcy_mesh=64, darcy_f_min=0.5, darcy_source=2.0,
+        darcy_boundary=(0.5, 2.0), alpha=1.5, eta_value=0.25, k_override=7.0,
+        init_mode="oracle-perturbed", init_rho=0.01, n_probes=9, variant="vanilla",
+        gamma_fraction=0.5, gamma_bound="exit", gamma_value=0.001, j_in_rule="fixed",
+        j_in_value=3, epsilon=2.0, c_w=1.5, j=11, seeds=[4, 5], guard="reflect",
+        guard_radius=9.0, n_grid=[30, 60], p_rule="rate", p_value=2,
+        diagnostics=["contraction", "recovery"], out_dir="elsewhere", thinning_budget=5000)
     assert vars(cfg) == expected
     assert {k: type(v) for k, v in vars(cfg).items()} == {k: type(v) for k, v in expected.items()}
 
@@ -353,11 +374,8 @@ def test_readme_example_config_loads(tmp_path):
 ENUMERATIONS = {
     "model.preset": ("glm-gaussian", "glm-poisson", "glm-logistic", "glm-gaussian-cube",
                      "density", "darcy-1d"),
-    "model.theta0_mode": ("decay", "explicit"),
-    "surrogate.eta_rule": ("preset", "fixed"),
     "surrogate.init_mode": ("oracle-projection", "oracle-perturbed", "pilot-ascent"),
     "sampler.variant": ("surrogate", "vanilla"),
-    "sampler.gamma_rule": ("fraction", "fixed"),
     "sampler.gamma_bound": ("sampling", "exit"),
     "sampler.j_in_rule": ("auto", "fixed"),
     "sampler.guard": ("none", "reflect"),
@@ -367,12 +385,20 @@ ENUMERATIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+# the selectors of eta, gamma and theta0 are deleted: any value of theirs,
+# known once or not, is rejected with the key
+DELETED_SELECTORS = ("model.theta0_mode", "sampler.gamma_rule", "surrogate.eta_rule")
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS) + list(DELETED_SELECTORS))
 def test_enumerated_option_rejects_an_unknown_value(tmp_path, name):
     section, key = name.split(".")
     value = "contraction bogus" if key == "diagnostics" else "bogus"
     with pytest.raises(ConfigValidationError) as exc:
         load_config(write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n"))
+    if name in DELETED_SELECTORS:
+        assert exc.value.problems == [f"{name}: unknown key"]
+        return
     allowed = ", ".join(ENUMERATIONS[name])
     assert exc.value.problems == [f"{name}: must be one of {allowed}, got 'bogus'"]
 
@@ -527,7 +553,7 @@ def test_sample_and_experiment_agree(tmp_path, variant):
     # eta small enough that the chain leaves the coincidence ball, where the
     # two drifts differ
     text = MINIMAL.replace("seeds = 0\n", f"seeds = 0\nvariant = {variant}\n")
-    path = write_cfg(tmp_path, text + "\n[surrogate]\neta_rule = fixed\neta_value = 0.001\n")
+    path = write_cfg(tmp_path, text + "\n[surrogate]\neta_value = 0.001\n")
     out = tmp_path / "smp"
     assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "sample_summary.json").read_text())
@@ -576,8 +602,8 @@ def test_sample_is_the_first_experiment_cell_without_diagnostics(tmp_path):
 
 
 def test_diverged_cell_message_names_the_exception(tmp_path):
-    text = MINIMAL.replace("seeds = 0\n", "seeds = 0\ngamma_rule = fixed\ngamma_value = 0.001\n")
-    path = write_cfg(tmp_path, text + "\n[surrogate]\neta_rule = fixed\neta_value = 0.05\n")
+    text = MINIMAL.replace("seeds = 0\n", "seeds = 0\ngamma_value = 0.001\n")
+    path = write_cfg(tmp_path, text + "\n[surrogate]\neta_value = 0.05\n")
     assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "exp")]) == 1
     with open(tmp_path / "exp" / "report.csv") as fh:
         row, = csv.DictReader(fh)
@@ -591,9 +617,8 @@ def test_diverged_cell_message_names_the_exception(tmp_path):
 def test_diverging_chain_warns_nothing(guard, status, message):
     # the overflow in the finiteness tests and the far-field drift is caught
     # and handled; numpy printed four RuntimeWarnings for it
-    cfg = ExperimentConfig(p_value=1, eta_rule="fixed", eta_value=0.05, gamma_rule="fixed",
-                           gamma_value=1e-3, j_in_rule="fixed", j_in_value=0, j=200,
-                           guard=guard).validate()
+    cfg = ExperimentConfig(p_value=1, eta_value=0.05, gamma_value=1e-3, j_in_rule="fixed",
+                           j_in_value=0, j=200, guard=guard).validate()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cell = run_cell(cfg, 200, 0)
@@ -615,9 +640,9 @@ def test_report_shows_how_often_the_reflect_guard_acted(tmp_path, variant, count
     # gamma K is about 1.5e4, so every far-field step of the surrogate chain
     # overshoots and the guard folds it back: the cell is still `ok`, and its
     # row says so in the appended columns; the vanilla drift has no regions
-    cfg = ExperimentConfig(p_value=1, eta_rule="fixed", eta_value=0.05, gamma_rule="fixed",
-                           gamma_value=1e-3, j_in_rule="fixed", j_in_value=0, j=200,
-                           guard="reflect", variant=variant, n_grid=[200]).validate()
+    cfg = ExperimentConfig(p_value=1, eta_value=0.05, gamma_value=1e-3, j_in_rule="fixed",
+                           j_in_value=0, j=200, guard="reflect", variant=variant,
+                           n_grid=[200]).validate()
     results, report = run_experiment(cfg, tmp_path)
     with open(report, newline="") as fh:
         header, row = csv.reader(fh)
@@ -765,10 +790,9 @@ def test_counts_are_json_ints_in_summary_and_manifest(tmp_path):
 def test_cli_sample_reports_divergence(tmp_path, capsys):
     text = MINIMAL + """
 [surrogate]
-eta_rule = fixed
 eta_value = 0.05
 """
-    text = text.replace("seeds = 0\n", "seeds = 0\ngamma_rule = fixed\ngamma_value = 0.001\n")
+    text = text.replace("seeds = 0\n", "seeds = 0\ngamma_value = 0.001\n")
     out = tmp_path / "smp"
     assert main(["sample", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -942,9 +966,8 @@ def test_nonconcave_probe_named_by_a_fixed_gamma_cell(guard):
     # a 50-point probe reads a minimum curvature of -316.347, where each
     # candidate draws its directions whether or not it is kept (-118.57 when
     # a skipped candidate drew none)
-    cfg = ExperimentConfig(model_preset="glm-gaussian-cube", theta0_mode="explicit",
-                           theta0_values=[0.3, 0.2], eta_rule="fixed", eta_value=0.5,
-                           gamma_rule="fixed", gamma_value=1e-3, k_override=30.0,
+    cfg = ExperimentConfig(model_preset="glm-gaussian-cube", theta0_values=[0.3, 0.2],
+                           eta_value=0.5, gamma_value=1e-3, k_override=30.0,
                            n_probes=50, p_value=2, j_in_rule="fixed", j_in_value=0,
                            j=100, guard=guard)
     model, theta0 = build_model(cfg, 200, 2, 0)
@@ -1019,8 +1042,7 @@ def test_init_distance_over_eta_in_the_manifest_only(tmp_path):
     assert not {"pilot_" + key for key in counts} & set(experiment.REPORT_COLUMNS)
     base = dict(n_grid=[50], seeds=[0], p_value=2, n_probes=5, j_in_rule="fixed", j=10)
     for mode in ("oracle-projection", "oracle-perturbed", "pilot-ascent"):
-        cfg = ExperimentConfig(init_mode=mode, init_rho=0.1, eta_rule="fixed",
-                               eta_value=1.0, **base)
+        cfg = ExperimentConfig(init_mode=mode, init_rho=0.1, eta_value=1.0, **base)
         model, theta0 = build_model(cfg, 50, 2, 0)
         surrogate, theta_star, _, info = resolve_cell(cfg, model, theta0, 0)
         distance = np.linalg.norm(surrogate.theta_init - theta_star) / surrogate.eta
@@ -1066,8 +1088,7 @@ def test_evaluation_counts_in_the_manifest_only(tmp_path):
     # a step of 1e-6 takes the chain into the annulus of eta = 0.05
     cfg = ExperimentConfig(model_preset="glm-poisson", n_grid=[100], seeds=[0], p_value=2,
                            n_probes=n_probes, j_in_rule="fixed", j=200,
-                           init_mode="pilot-ascent", eta_rule="fixed", eta_value=0.05,
-                           gamma_rule="fixed", gamma_value=1e-6)
+                           init_mode="pilot-ascent", eta_value=0.05, gamma_value=1e-6)
     _, report = run_experiment(cfg, out_dir=tmp_path)
     cell = json.loads((tmp_path / "manifest.json").read_text())["cells"][0]
     m, skipped = cell["metrics"], cell["resolved"]["probe_skipped"]
